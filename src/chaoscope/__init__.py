@@ -42,7 +42,6 @@ from .bouquet import (
     lift_choices,
     materialize_graph,
     project_addr,
-    project_to,
 )
 from .dsl import (
     CoverDocument,
@@ -77,11 +76,7 @@ from .errors import BudgetExceeded, ChaoscopeError, SpineExhausted, StructuralEr
 from .graphs import (
     CoverMap,
     MaterializedGraph,
-    VertexPath,
-    apply_cover_to_path,
-    compose_covers,
     graph_stats,
-    identity_cover,
     validate_bidirectional,
     validate_edge_surjective,
     validate_homomorphism,

@@ -241,7 +241,12 @@ class MixingGapReport:
       ``claimed_max_gap - depth`` edges.
 
     The literal expansion misses gap 1 (a single base edge only ever occurs
-    before the first copy); ``missing_gaps`` records that deviation.
+    before the first copy); ``missing_gaps`` records that deviation.  For
+    ``m = 1, j = 2`` gaps also run past ``claimed_max_gap`` (k): between
+    blocks ``i`` and ``i + 1`` of the top cycle's sum the gap is ``i + 4``
+    edges (``e + e`` closing a level-2 copy, ``i + 1`` base edges, the ``e``
+    opening the next), so blocks ``k - 3 .. k - 1`` give ``extra_gaps``
+    ``k + 1 .. k + 3``.
     """
 
     base_level: int
@@ -363,10 +368,6 @@ class StabilityResult:
     stable_from: int | None  # smallest level of the all-one-cycle tail
     ok: bool
 
-    def to_json(self) -> dict:
-        return {"handle": self.handle.to_json(), "cycle": self.cycle,
-                "stable_from": self.stable_from, "ok": self.ok}
-
 
 @dataclass
 class StabilityReport:
@@ -375,10 +376,6 @@ class StabilityReport:
     @property
     def passed(self) -> bool:
         return all(r.ok for r in self.results)
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed,
-                "results": [r.to_json() for r in self.results]}
 
 
 def degree_stability_check(handles: list[PointHandle]) -> StabilityReport:
@@ -449,11 +446,6 @@ class PairClassification:
     verdict: str
     citations: list[str] = field(default_factory=list)
     report: LiYorkeReport | None = None
-
-    def to_json(self) -> dict:
-        return {"deg_a": str(self.deg_a), "deg_b": str(self.deg_b),
-                "verdict": self.verdict, "citations": self.citations,
-                "report": None if self.report is None else self.report.to_json()}
 
 
 def classify_pair(a: PointHandle, b: PointHandle,

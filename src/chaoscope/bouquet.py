@@ -446,15 +446,6 @@ def project_addr(a: VertexAddr) -> VertexAddr:
     return VertexAddr(a.level - 1, cycle, pos)
 
 
-def project_to(a: VertexAddr, level: int) -> VertexAddr:
-    """Repeated projection down to ``level``."""
-    if level > a.level:
-        raise StructuralError(f"cannot project level {a.level} up to {level}")
-    while a.level > level:
-        a = project_addr(a)
-    return a
-
-
 @dataclass(frozen=True)
 class LiftReport:
     """Preimages of an address one level up: a truncated ascending list plus

@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import io
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -26,21 +25,16 @@ from .bouquet import DEFAULT_SCAN_BUDGET, VertexAddr, build_level_spec
 from .dynamics import PointHandle
 from .errors import BudgetExceeded, ChaoscopeError, SpineExhausted, StructuralError
 
-BUDGET_ENV = "CHAOSCOPE_BUDGET"
-
-
 class UsageError(ChaoscopeError):
     pass
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_SCAN_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+def _count(text: str) -> int:
+    """argparse type of counts, horizons and levels: a non-negative int."""
+    # argparse passes UsageError through (not ValueError) to main's one-line report
+    if not text.isdecimal():
+        raise UsageError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def parse_handle(spec: str) -> PointHandle:
@@ -95,23 +89,19 @@ class Emitter:
 # Subcommand implementations.  Each returns the process exit code.
 # ---------------------------------------------------------------------------
 
-def _load_tower(path: str | None) -> list[bouquet.LevelSpec] | None:
-    if path is None:
-        return None
+def _spec_for(cover: str | None):
+    """Level lookup for ``--cover``: the built-in tower, or the document's."""
+    if cover is None:
+        return build_level_spec
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(cover).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read cover file: {exc}")
     doc = dsl.parse(text)
-    problems = dsl.validate_document(doc)
-    if problems:
-        raise UsageError("invalid cover document: " + str(problems[0]))
-    return dsl.document_tower(doc)
-
-
-def _spec_for(tower: list[bouquet.LevelSpec] | None):
-    if tower is None:
-        return build_level_spec
+    try:
+        tower = dsl.document_tower(doc)
+    except ChaoscopeError as exc:
+        raise UsageError(str(exc))
 
     def from_tower(level: int) -> bouquet.LevelSpec:
         if level >= len(tower):
@@ -122,8 +112,7 @@ def _spec_for(tower: list[bouquet.LevelSpec] | None):
 
 
 def cmd_levels(args) -> int:
-    tower = _load_tower(args.cover)
-    spec_for = _spec_for(tower)
+    spec_for = _spec_for(args.cover)
     rows = []
     for n in range(0, args.max + 1):
         spec = spec_for(n)
@@ -146,8 +135,7 @@ def cmd_levels(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    tower = _load_tower(args.cover)
-    spec_for = _spec_for(tower)
+    spec_for = _spec_for(args.cover)
     failures = 0
     lines = []
     for n in range(0, args.max_level + 1):
@@ -171,9 +159,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_materialize(args) -> int:
-    tower = _load_tower(args.cover)
     level = bouquet.materialize_graph(args.level, args.vertex_budget,
-                                      spec_for=_spec_for(tower))
+                                      spec_for=_spec_for(args.cover))
     emit = Emitter(args.out, "materialize",
                    {"level": args.level, "cover": args.cover, "dot": args.dot})
     stats = graphs.graph_stats(level.graph, level.level, level.cycle_lengths)
@@ -392,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("levels", help="cycle length / k table")
-    p.add_argument("--max", type=int, default=3)
+    p.add_argument("--max", type=_count, default=3)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--formulas", action="store_true",
                    help="emit full level specs (implies JSON)")
@@ -400,27 +387,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_levels)
 
     p = subs.add_parser("validate", help="cover axioms on materializable levels")
-    p.add_argument("--max-level", type=int, default=3)
-    p.add_argument("--vertex-budget", type=int,
+    p.add_argument("--max-level", type=_count, default=3)
+    p.add_argument("--vertex-budget", type=_count,
                    default=bouquet.DEFAULT_VERTEX_BUDGET)
     _add_common(p, cover=True)
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("materialize", help="explicit graph exports")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_count, required=True)
     p.add_argument("--dot", action="store_true", help="emit DOT")
-    p.add_argument("--vertex-budget", type=int,
+    p.add_argument("--vertex-budget", type=_count,
                    default=bouquet.DEFAULT_VERTEX_BUDGET)
     _add_common(p, cover=True)
     p.set_defaults(func=cmd_materialize)
 
     p = subs.add_parser("orbit", help="orbit trace export")
-    p.add_argument("--spine", type=int, required=True)
+    p.add_argument("--spine", type=_count, required=True)
     p.add_argument("--cycle", type=int)
     p.add_argument("--pos", type=int)
     p.add_argument("--base", action="store_true", help="use the fixed point")
-    p.add_argument("--obs", type=int, help="observation depth (default: spine)")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--obs", type=_count, help="observation depth (default: spine)")
+    p.add_argument("--horizon", type=_count, required=True)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     _add_common(p)
     p.set_defaults(func=cmd_orbit)
@@ -434,52 +421,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("degree", help="degree of a handle's column")
     p.add_argument("--handle", required=True, metavar="SPINE:CYCLE:POS[@T]")
-    p.add_argument("--obs", type=int)
-    p.add_argument("--level", type=int, help="level for --window")
+    p.add_argument("--obs", type=_count)
+    p.add_argument("--level", type=_count, help="level for --window")
     p.add_argument("--start", type=int, default=0)
-    p.add_argument("--window", type=int,
+    p.add_argument("--window", type=_count,
                    help="also report the windowed degree minimum")
     _add_common(p)
     p.set_defaults(func=cmd_degree)
 
     p = subs.add_parser("lift", help="preimages of an address one level up")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_count, required=True)
     p.add_argument("--cycle", type=int, required=True)
     p.add_argument("--pos", type=int, required=True)
-    p.add_argument("--max", type=int, default=64)
+    p.add_argument("--max", type=_count, default=64)
     _add_common(p)
     p.set_defaults(func=cmd_lift)
 
     p = subs.add_parser("proximal", help="base-hit certificates in windows")
-    p.add_argument("--level", type=int, default=2)
-    p.add_argument("--handles", type=int, default=100)
-    p.add_argument("--windows", type=int, default=10)
-    p.add_argument("--window-len", type=int, default=700)
-    p.add_argument("--window-stride", type=int, default=1000)
-    p.add_argument("--spine", type=int, default=dynamics.DEFAULT_SPINE_LEVEL)
+    p.add_argument("--level", type=_count, default=2)
+    p.add_argument("--handles", type=_count, default=100)
+    p.add_argument("--windows", type=_count, default=10)
+    p.add_argument("--window-len", type=_count, default=700)
+    p.add_argument("--window-stride", type=_count, default=1000)
+    p.add_argument("--spine", type=_count, default=dynamics.DEFAULT_SPINE_LEVEL)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_proximal)
 
     p = subs.add_parser("liyorke", help="proximal + separation scan on pairs")
-    p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--spine", type=int, default=dynamics.DEFAULT_SPINE_LEVEL)
-    p.add_argument("--horizon", type=int, default=analysis.DEFAULT_HORIZON)
-    p.add_argument("--prox-depth", type=int, default=analysis.DEFAULT_PROX_DEPTH)
-    p.add_argument("--sep-depth", type=int, default=analysis.DEFAULT_SEP_DEPTH)
+    p.add_argument("--pairs", type=_count, default=100)
+    p.add_argument("--spine", type=_count, default=dynamics.DEFAULT_SPINE_LEVEL)
+    p.add_argument("--horizon", type=_count, default=analysis.DEFAULT_HORIZON)
+    p.add_argument("--prox-depth", type=_count, default=analysis.DEFAULT_PROX_DEPTH)
+    p.add_argument("--sep-depth", type=_count, default=analysis.DEFAULT_SEP_DEPTH)
     p.add_argument("--sep-rate", type=float, default=0.9)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_liyorke)
 
     p = subs.add_parser("mixing-gaps", help="gap scan across cover levels")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--m", type=_count, required=True)
+    p.add_argument("--j", type=_count, required=True)
+    p.add_argument("--budget", type=_count, default=DEFAULT_SCAN_BUDGET)
     _add_common(p)
     p.set_defaults(func=cmd_mixing_gaps)
 
     p = subs.add_parser("dsl-check", help="parse and validate a .cover file")
     p.add_argument("file")
-    p.add_argument("--equivalence", type=int, metavar="LEVEL",
+    p.add_argument("--equivalence", type=_count, metavar="LEVEL",
                    help="also compare against the built-in construction")
     p.add_argument("--canonical", action="store_true",
                    help="emit the canonical form")
@@ -498,9 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # lengths past level 12 exceed 4300 digits
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

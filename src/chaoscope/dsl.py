@@ -4,7 +4,7 @@ A document names each level's cycles and gives, per cycle, the image formula
 over the symbols of the level below.  Grammar (EBNF)::
 
     document      := header level+
-    header        := "cover" IDENT "mode" ("bouquet" | "materialized")
+    header        := "cover" IDENT "mode" "bouquet"
     level         := "level" INT "{" cycle+ "}"
     cycle         := "c" INT ("[" INT "]")? ":=" formula ";"
     formula       := term ("+" term)*
@@ -43,9 +43,6 @@ from .bouquet import (
     build_level_spec,
 )
 from .errors import ChaoscopeError
-
-DOCUMENT_MODES = ("bouquet", "materialized")
-
 
 class DslSyntaxError(ChaoscopeError):
     """First-error diagnostic with 1-based line and column."""
@@ -116,7 +113,7 @@ class Violation:
 # Lexer.
 # ---------------------------------------------------------------------------
 
-_KEYWORDS = {"cover", "mode", "level", "sum"} | set(DOCUMENT_MODES)
+_KEYWORDS = {"cover", "mode", "level", "sum", "bouquet"}
 _PUNCT_2 = (":=", "..")
 _PUNCT_1 = "{}()[];+="
 
@@ -239,17 +236,14 @@ class _Parser:
             raise self.fail("expected a document name")
         name = self.next().value
         self.expect_kw("mode")
-        tok = self.peek()
-        if tok.kind != "kw" or tok.value not in DOCUMENT_MODES:
-            raise self.fail("expected 'bouquet' or 'materialized'")
-        mode = self.next().value
+        self.expect_kw("bouquet")
         levels = [self.level_block()]
         while self.peek().kind == "kw" and self.peek().value == "level":
             levels.append(self.level_block())
         tok = self.peek()
         if tok.kind != "eof":
             raise self.fail("expected 'level' or end of input")
-        return CoverDocument(name, mode, tuple(levels))
+        return CoverDocument(name, "bouquet", tuple(levels))
 
     def level_block(self) -> LevelBlock:
         self.expect_kw("level")
@@ -462,11 +456,18 @@ def _convert_terms(terms: tuple[DocElement, ...], k_below: int,
     return items
 
 
-def validate_document(doc: CoverDocument) -> list[Violation]:
-    """Structural validation; returns every violation found (empty = valid)."""
+def _resolve(doc: CoverDocument) -> tuple[list[LevelSpec], list[Violation]]:
+    """Walk the document once: level specs (index = level) and every
+    violation found.  Each cycle's terms become a :class:`Formula` exactly
+    once; the specs mean something only when there are no violations.
+
+    Spec ``n`` carries level ``n``'s cycle lengths and the formulas of level
+    ``n+1``'s cycles; the deepest spec has no formulas (the document ends).
+    """
     violations: list[Violation] = []
-    if doc.mode not in DOCUMENT_MODES:
+    if doc.mode != "bouquet":
         violations.append(Violation("BadMode", f"unknown mode {doc.mode!r}"))
+    tower: list[LevelSpec] = []
     below_lengths: tuple[int, ...] = ()
     k_below = 2
     for expected, block in enumerate(doc.levels, start=1):
@@ -486,6 +487,7 @@ def validate_document(doc: CoverDocument) -> list[Violation]:
                     "NonContiguousCycles",
                     f"cycle indices {indices} are not 1..{len(indices)}",
                     level=block.level))
+        formulas: list[Formula] = []
         new_lengths = []
         for cyc in block.cycles:
             errs: list[str] = []
@@ -524,35 +526,28 @@ def validate_document(doc: CoverDocument) -> list[Violation]:
                     f"declared length {cyc.declared_length} but the formula "
                     f"expands to {formula.length}",
                     block.level, cyc.index))
+            formulas.append(formula)
             new_lengths.append(formula.length)
+        tower.append(LevelSpec(block.level - 1, below_lengths, k_below,
+                               tuple(formulas)))
         below_lengths = tuple(new_lengths)
         k_below = 2 * (1 + sum(below_lengths))
-    return violations
+    tower.append(LevelSpec(len(doc.levels), below_lengths, k_below, ()))
+    return tower, violations
+
+
+def validate_document(doc: CoverDocument) -> list[Violation]:
+    """Structural validation; returns every violation found (empty = valid)."""
+    return _resolve(doc)[1]
 
 
 def document_tower(doc: CoverDocument) -> list[LevelSpec]:
-    """Resolve a valid document into level specs (index = level).
-
-    Spec ``n`` carries level ``n``'s cycle lengths and the formulas of level
-    ``n+1``'s cycles; the deepest spec has no formulas (the document ends).
-    """
-    problems = validate_document(doc)
+    """Resolve a valid document into level specs (index = level); raises
+    :class:`ChaoscopeError` naming the first violations otherwise."""
+    tower, problems = _resolve(doc)
     if problems:
-        raise ChaoscopeError("invalid document: " + "; ".join(
+        raise ChaoscopeError("invalid cover document: " + "; ".join(
             str(v) for v in problems[:3]))
-    tower: list[LevelSpec] = []
-    below_lengths: tuple[int, ...] = ()
-    k_below = 2
-    for block in doc.levels:
-        errs: list[str] = []
-        formulas = tuple(
-            Formula(_convert_terms(c.terms, k_below, len(below_lengths), errs),
-                    below_lengths)
-            for c in block.cycles)
-        tower.append(LevelSpec(block.level - 1, below_lengths, k_below, formulas))
-        below_lengths = tuple(f.length for f in formulas)
-        k_below = 2 * (1 + sum(below_lengths))
-    tower.append(LevelSpec(len(doc.levels), below_lengths, k_below, ()))
     return tower
 
 
@@ -602,11 +597,9 @@ def builtin_equivalence(doc: CoverDocument, up_to_level: int) -> bool:
     """Whether the document's term lists match the programmatic generator for
     every level up to ``up_to_level`` (after run merging and bound
     resolution)."""
-    if validate_document(doc):
+    tower, problems = _resolve(doc)
+    if problems or len(doc.levels) < up_to_level:
         return False
-    if len(doc.levels) < up_to_level:
-        return False
-    tower = document_tower(doc)
     for n in range(1, up_to_level + 1):
         doc_spec = tower[n - 1]
         ref_spec = build_level_spec(n - 1)

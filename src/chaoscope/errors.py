@@ -8,7 +8,7 @@ class ChaoscopeError(Exception):
 
 
 class StructuralError(ChaoscopeError):
-    """Malformed input data: bad vertex ids, mismatched map lengths, invalid paths."""
+    """Malformed input data: bad vertex ids, mismatched map lengths, bad addresses."""
 
 
 class BudgetExceeded(ChaoscopeError):

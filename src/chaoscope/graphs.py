@@ -21,10 +21,8 @@ the millions of vertices stay within a few tens of megabytes.
 
 from __future__ import annotations
 
-import json
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import StructuralError
@@ -124,9 +122,6 @@ class CoverMap:
         self.target = target
         self.vertex_map = array("q", vertex_map)
 
-    def __call__(self, u: int) -> int:
-        return self.vertex_map[u]
-
     def __repr__(self) -> str:
         return (f"CoverMap({self.source.vertex_count} -> {self.target.vertex_count} vertices)")
 
@@ -139,37 +134,6 @@ class CoverMap:
         c.target = target
         c.vertex_map = vertex_map
         return c
-
-
-@dataclass(frozen=True)
-class VertexPath:
-    """A walk given by its vertex sequence; length is counted in edges."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise StructuralError("a path needs at least one vertex")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.vertices) - 1
-
-    @classmethod
-    def checked(cls, graph: MaterializedGraph, vertices: Sequence[int]) -> "VertexPath":
-        path = cls(tuple(vertices))
-        bad = path.first_break(graph)
-        if bad is not None:
-            u, v = bad
-            raise StructuralError(f"({u}, {v}) is not an edge of the ambient graph")
-        return path
-
-    def first_break(self, graph: MaterializedGraph) -> tuple[int, int] | None:
-        """First consecutive pair that is not an edge of ``graph``, if any."""
-        for u, v in zip(self.vertices, self.vertices[1:]):
-            if not graph.has_edge(u, v):
-                return (u, v)
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -232,27 +196,6 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
     return violations
 
 
-def apply_cover_to_path(c: CoverMap, p: VertexPath) -> VertexPath:
-    """Image of a path under a cover map; edge count is preserved."""
-    bad = p.first_break(c.source)
-    if bad is not None:
-        raise StructuralError(f"path edge {bad} is not in the source graph")
-    vm = c.vertex_map
-    return VertexPath(tuple(vm[u] for u in p.vertices))
-
-
-def compose_covers(outer: CoverMap, inner: CoverMap) -> CoverMap:
-    """Compose two covers: the result maps inner.source into outer.target."""
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise StructuralError("inner.target does not match outer.source")
-    om = outer.vertex_map
-    return CoverMap(inner.source, outer.target, [om[i] for i in inner.vertex_map])
-
-
-def identity_cover(g: MaterializedGraph) -> CoverMap:
-    return CoverMap(g, g, list(range(g.vertex_count)))
-
-
 # ---------------------------------------------------------------------------
 # Exports.
 # ---------------------------------------------------------------------------
@@ -278,8 +221,3 @@ def graph_stats(g: MaterializedGraph, level: int | None = None,
     if cycle_lengths is not None:
         record["cycle_lengths"] = [str(length) for length in cycle_lengths]
     return record
-
-
-def stats_json(g: MaterializedGraph, level: int | None = None,
-               cycle_lengths: Sequence[int] | None = None) -> str:
-    return json.dumps(graph_stats(g, level, cycle_lengths), sort_keys=True)

@@ -8,6 +8,7 @@ import pytest
 
 from chaoscope import (
     StructuralError,
+    build_level_spec,
     classify_pair,
     column_of,
     degree_of_column,
@@ -148,10 +149,12 @@ def test_mixing_report_level_one_depth_one():
 
 def test_mixing_report_level_one_depth_two():
     report = mixing_gap_report(1, 2)
-    gaps = set(report.realized_gaps)
-    assert {0, 2, 3} <= gaps
-    assert set(range(5, 101)) <= gaps
+    k2 = build_level_spec(2).k_value
+    assert report.claimed_max_gap == k2 == 1572
+    # block i to i + 1 of the level-3 sum is a gap of i + 4, up to k2 + 3
+    assert set(report.realized_gaps) == {0} | set(range(2, k2 + 4))
     assert report.missing_gaps == (1,)
+    assert report.extra_gaps == (k2 + 1, k2 + 2, k2 + 3)
     assert report.prefix_matches  # two base edges then a complete copy
     assert report.occurrences.suffix_length == 184
     assert report.suffix_within_bound and report.suffix_bound == 1570

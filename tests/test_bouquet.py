@@ -23,7 +23,6 @@ from chaoscope import (
     lift_choices,
     materialize_graph,
     project_addr,
-    project_to,
 )
 
 KNOWN_LENGTHS = {(1, 1): 10, (2, 1): 695, (2, 2): 90,
@@ -118,11 +117,6 @@ def test_project_examples():
 def test_project_position_out_of_range():
     with pytest.raises(StructuralError):
         project_addr(VertexAddr(2, 2, 90))  # position 90 is the base again
-
-
-def test_project_to_walks_all_the_way_down():
-    addr = VertexAddr(3, 1, 12345)
-    assert project_to(addr, 0) == base_addr(0)
 
 
 def test_projection_agrees_with_materialized_maps(materialized):

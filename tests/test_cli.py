@@ -114,12 +114,6 @@ def test_mixing_gaps_budget_exceeded(capsys):
     assert code == 2
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CHAOSCOPE_BUDGET", "100")
-    code = main(["mixing-gaps", "--m", "1", "--j", "1"])
-    assert code == 2
-
-
 def test_proximal_command(capsys):
     code, out = run(capsys, "proximal", "--level", "1", "--handles", "5",
                     "--windows", "3", "--window-len", "11")
@@ -168,13 +162,41 @@ def test_levels_accepts_cover_file(tmp_path, capsys):
 
 def test_validate_accepts_materialized_cover(tmp_path, capsys):
     path = tmp_path / "tiny.cover"
-    path.write_text("""cover tiny mode materialized
+    path.write_text("""cover tiny mode bouquet
 level 1 { c1 := 6 e; }
 level 2 { c1 := sum(j=1..k){ j e + 2 c1 } + e + e; c2 := 54 e; }
 """)
     code, out = run(capsys, "validate", "--max-level", "2", "--cover", str(path))
     assert code == 0
     assert "bidirectionality 0" in out
+
+
+def test_levels_prints_lengths_past_the_int_digit_limit(capsys):
+    code, out = run(capsys, "levels", "--max", "16", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 17
+    top = [int(x) for x in rows[16]["cycle_lengths"]]
+    assert len(str(top[0])) > 4300
+    assert int(rows[16]["k"]) == 2 * (1 + sum(top))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("levels --max -2", 2),
+    ("liyorke --pairs -3", 2),
+    ("orbit --spine 2 --cycle 1 --pos 1 --obs 1 --horizon -5", 2),
+    ("levels", 0),  # CHAOSCOPE_BUDGET is no longer read
+    ("validate --cover bad.cover", 2),
+    ("levels --max 5 --cover one.cover", 2),
+])
+def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CHAOSCOPE_BUDGET", "abc")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cover").write_text("cover x mode bouquet level 1 { c1 := c1 + e; }")
+    (tmp_path / "one.cover").write_text("cover tiny mode bouquet level 1 { c1 := 4 e; }")
+    assert main(argv.split()) == expected
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
 
 
 def test_unknown_subcommand_is_usage_error():

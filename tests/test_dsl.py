@@ -8,6 +8,7 @@ import pytest
 
 from chaoscope import (
     DslSyntaxError,
+    Formula,
     builtin_document,
     builtin_equivalence,
     document_json,
@@ -191,10 +192,16 @@ def test_document_tower_materializes():
     assert level.graph.vertex_count == 784
 
 
-def test_materialized_mode_documents_parse():
-    doc = parse("cover tiny mode materialized level 1 { c1 := 4 e; }")
-    assert doc.mode == "materialized"
-    assert validate_document(doc) == []
-    tower = document_tower(doc)
-    level = materialize_graph(1, spec_for=lambda n: tower[n])
-    assert level.graph.vertex_count == 4
+def test_document_tower_builds_one_formula_per_cycle(monkeypatch):
+    from chaoscope import dsl
+
+    doc = builtin_document(4)
+    built = []
+
+    def counting_formula(*args):
+        built.append(args)
+        return Formula(*args)
+
+    monkeypatch.setattr(dsl, "Formula", counting_formula)
+    document_tower(doc)
+    assert len(built) == sum(len(block.cycles) for block in doc.levels) == 10

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import random
 
 import pytest
 
@@ -11,11 +10,7 @@ from chaoscope import (
     CoverMap,
     MaterializedGraph,
     StructuralError,
-    VertexPath,
-    apply_cover_to_path,
-    compose_covers,
     graph_stats,
-    identity_cover,
     validate_bidirectional,
     validate_edge_surjective,
     validate_homomorphism,
@@ -40,7 +35,7 @@ def test_edge_ids_checked_at_construction():
 
 def test_identity_map_is_a_homomorphism():
     g = MaterializedGraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert validate_homomorphism(identity_cover(g)) == []
+    assert validate_homomorphism(CoverMap(g, g, range(3))) == []
 
 
 def test_map_to_non_adjacent_vertex_is_flagged():
@@ -75,84 +70,27 @@ def test_materialized_levels_pass_all_validators(materialized):
             assert validate_bidirectional(level.cover) == []
 
 
-def test_empty_path_maps_to_single_vertex(materialized):
-    cover = materialized[1].cover
-    path = VertexPath((3,))
-    image = apply_cover_to_path(cover, path)
-    assert image.vertices == (cover.vertex_map[3],)
-    assert image.edge_count == 0
-
-
 def test_path_in_level_one_maps_to_base_loops(materialized):
     level1 = materialized[1]
     # walk the whole 10-cycle: ten edges, image is ten base self-loops
     walk = [0] + list(range(1, 10)) + [0]
-    path = VertexPath.checked(level1.graph, walk)
-    image = apply_cover_to_path(level1.cover, path)
-    assert image.edge_count == 10
-    assert set(image.vertices) == {0}
+    assert all(level1.graph.has_edge(u, v) for u, v in zip(walk, walk[1:]))
+    assert [level1.cover.vertex_map[u] for u in walk] == [0] * 11
 
 
 def test_second_cycle_of_level_two_maps_onto_base_runs(materialized):
     level2 = materialized[2]
     start = level2.cycle_starts[1]
     walk = [0] + [start + t for t in range(89)] + [0]
-    path = VertexPath.checked(level2.graph, walk)
-    image = apply_cover_to_path(level2.cover, path)
-    assert image.edge_count == 90
-    assert set(image.vertices) == {0}
-
-
-def test_path_length_preserved_on_random_walks(materialized):
-    rng = random.Random(5)
-    level2 = materialized[2]
-    g = level2.graph
-    for _ in range(50):
-        v = rng.randrange(g.vertex_count)
-        walk = [v]
-        for _ in range(rng.randrange(1, 40)):
-            succ = g.successors(walk[-1])
-            walk.append(rng.choice(succ))
-        path = VertexPath.checked(g, walk)
-        image = apply_cover_to_path(level2.cover, path)
-        assert image.edge_count == path.edge_count
-
-
-def test_invalid_path_rejected(materialized):
-    g = materialized[2].graph
-    with pytest.raises(StructuralError):
-        VertexPath.checked(g, [1, 1])
-
-
-def test_compose_collapses_to_level_zero(materialized):
-    composed = compose_covers(materialized[1].cover, materialized[2].cover)
-    assert set(composed.vertex_map) == {0}
-    assert validate_homomorphism(composed) == []
-    assert validate_bidirectional(composed) == []
-
-
-def test_compose_with_identity_is_original(materialized):
-    cover = materialized[2].cover
-    left = compose_covers(identity_cover(cover.target), cover)
-    assert left.vertex_map == cover.vertex_map
-
-
-def test_compose_checks_graph_compatibility(materialized):
-    with pytest.raises(StructuralError):
-        compose_covers(materialized[2].cover, materialized[2].cover)
-
-
-def test_composite_of_materialized_covers_is_still_a_cover(materialized):
-    composed = compose_covers(materialized[2].cover, materialized[3].cover)
-    assert validate_homomorphism(composed) == []
-    assert validate_bidirectional(composed) == []
+    assert all(level2.graph.has_edge(u, v) for u, v in zip(walk, walk[1:]))
+    assert [level2.cover.vertex_map[u] for u in walk] == [0] * 91
 
 
 def test_first_vertex_of_third_level_second_cycle_projects_to_base(materialized):
     level3 = materialized[3]
-    composed = compose_covers(materialized[2].cover, level3.cover)
     first_vertex = level3.cycle_starts[1]  # position 1 of the second cycle
-    assert composed.vertex_map[first_vertex] == 0
+    below = level3.cover.vertex_map[first_vertex]
+    assert materialized[2].cover.vertex_map[below] == 0
 
 
 def test_cycles_are_disjoint_simple_and_return_to_base(materialized):
