@@ -419,6 +419,8 @@ def base_addr(level: int) -> VertexAddr:
 
 def check_addr(a: VertexAddr) -> None:
     """Raise unless the address denotes an actual vertex of its level."""
+    if not (type(a.level) is type(a.cycle) is type(a.pos) is int):
+        raise StructuralError(f"address coordinates must be ints: {a!r}")
     if a.level < 0:
         raise StructuralError(f"negative level in {a}")
     if a.cycle == 0:
@@ -684,6 +686,9 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
                              budget=vertex_budget)
     spec = spec_for(n)
     lengths = spec.cycle_lengths
+    if any(length < 2 for length in lengths):
+        raise StructuralError(f"level {n} has a cycle of length {min(lengths)} "
+                              "(need at least 2)")
     starts = []
     next_id = 1
     for length in lengths:
@@ -691,6 +696,9 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         next_id += length - 1
     vertex_count = next_id
 
+    # Edges come out in ascending packed order, which the graph keeps as is:
+    # the base's edges by target, then each cycle's edges by source id (a
+    # cycle of length >= 2 has its ids above every earlier cycle's).
     packed = array("q", [0])  # base self-loop (0, 0)
     for start in starts:
         packed.append(start)  # (0, start): base into the cycle

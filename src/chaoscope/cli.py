@@ -315,7 +315,7 @@ def cmd_dsl_check(args) -> int:
     except dsl.DslSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 1
-    problems = dsl.validate_document(doc)
+    tower, problems = dsl._resolve(doc)  # one walk for both checks
     emit = Emitter(args.out, "dsl-check",
                    {"file": args.file, "equivalence": args.equivalence})
     record = {"document": doc.name, "mode": doc.mode,
@@ -323,7 +323,7 @@ def cmd_dsl_check(args) -> int:
               "violations": [str(v) for v in problems]}
     ok = not problems
     if args.equivalence is not None and ok:
-        equivalent = dsl.builtin_equivalence(doc, args.equivalence)
+        equivalent = dsl._equals_builtin(tower, args.equivalence)
         record["builtin_equivalent"] = equivalent
         ok &= equivalent
     if args.json:

@@ -598,7 +598,12 @@ def builtin_equivalence(doc: CoverDocument, up_to_level: int) -> bool:
     every level up to ``up_to_level`` (after run merging and bound
     resolution)."""
     tower, problems = _resolve(doc)
-    if problems or len(doc.levels) < up_to_level:
+    return not problems and _equals_builtin(tower, up_to_level)
+
+
+def _equals_builtin(tower: list[LevelSpec], up_to_level: int) -> bool:
+    """:func:`builtin_equivalence` on the specs of a valid document."""
+    if len(tower) <= up_to_level:
         return False
     for n in range(1, up_to_level + 1):
         doc_spec = tower[n - 1]

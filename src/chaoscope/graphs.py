@@ -15,8 +15,13 @@ check the axioms that make it a usable covering:
   share a single image, which is what makes the limit dynamics
   single-valued and invertible.
 
-Edges are packed as ``(u << 32) | v`` in a sorted int array, so graphs in
-the millions of vertices stay within a few tens of megabytes.
+Edges are packed as ``(u << 32) | v`` in an ascending int array, so graphs
+in the millions of vertices stay within a few tens of megabytes.
+:func:`chaoscope.bouquet.materialize_graph` emits its edges already in
+ascending order, so building a level never sorts them.  The validators are
+still plain scans over every edge: the homomorphism check tests each image
+edge against a hash set of the target's packed keys, and the surjectivity
+check finds unmarked vertices with ``bytearray.find``.
 """
 
 from __future__ import annotations
@@ -93,10 +98,11 @@ class MaterializedGraph:
 
     @classmethod
     def _from_packed(cls, vertex_count: int, packed: array) -> "MaterializedGraph":
-        # internal fast path: caller guarantees ids are in range and distinct
+        # internal fast path: caller guarantees ids are in range and the
+        # packed keys strictly ascending; the array is kept, not copied
         g = cls.__new__(cls)
         g.vertex_count = vertex_count
-        g._edges = array("q", sorted(packed))
+        g._edges = packed
         return g
 
 
@@ -147,24 +153,28 @@ def validate_edge_surjective(g: MaterializedGraph) -> list[tuple[int, str]]:
     for key in g._edges:
         has_out[key >> _SHIFT] = 1
         has_in[key & _MASK] = 1
-    violations: list[tuple[int, str]] = []
-    for v in range(g.vertex_count):
-        if not has_in[v]:
-            violations.append((v, "in"))
-        if not has_out[v]:
-            violations.append((v, "out"))
-    return violations
+    # ascending vertex, "in" before "out" at the same vertex
+    return sorted([(v, "in") for v in _unmarked(has_in)]
+                  + [(v, "out") for v in _unmarked(has_out)])
+
+
+def _unmarked(flags: bytearray) -> Iterator[int]:
+    i = flags.find(0)
+    while i >= 0:
+        yield i
+        i = flags.find(0, i + 1)
 
 
 def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
     """Source edges whose images are not edges of the target."""
     vm = c.vertex_map
-    target = c.target
+    # for a cover the target is the smaller graph (786 edges under level 3)
+    target_keys = set(c.target._edges)
     violations: list[tuple[int, int]] = []
     for key in c.source._edges:
         u = key >> _SHIFT
         v = key & _MASK
-        if not target.has_edge(vm[u], vm[v]):
+        if (vm[u] << _SHIFT) | vm[v] not in target_keys:
             violations.append((u, v))
     return violations
 

@@ -11,6 +11,7 @@ from chaoscope import (
     BlockTerm,
     BudgetExceeded,
     Formula,
+    LevelSpec,
     Run,
     StructuralError,
     VertexAddr,
@@ -22,6 +23,7 @@ from chaoscope import (
     level_spec_json,
     lift_choices,
     materialize_graph,
+    new_handle,
     project_addr,
 )
 
@@ -117,6 +119,15 @@ def test_project_examples():
 def test_project_position_out_of_range():
     with pytest.raises(StructuralError):
         project_addr(VertexAddr(2, 2, 90))  # position 90 is the base again
+
+
+def test_non_integer_coordinates_are_structural_errors():
+    with pytest.raises(StructuralError):
+        new_handle(3, 1, 2.5)
+    with pytest.raises(StructuralError):
+        project_addr(VertexAddr(3, 1, 2.5))
+    with pytest.raises(StructuralError):
+        lift_choices(VertexAddr(3, 1, 2.5))
 
 
 def test_projection_agrees_with_materialized_maps(materialized):
@@ -264,6 +275,11 @@ def test_materialization_budget_refuses_level_four():
     with pytest.raises(BudgetExceeded) as err:
         materialize_graph(4)
     assert err.value.required > 7 * 10**13
+
+
+def test_materialization_refuses_a_cycle_shorter_than_two():
+    with pytest.raises(StructuralError):
+        materialize_graph(1, spec_for=lambda n: LevelSpec(n, (1,) * n, 2, ()))
 
 
 def test_addr_id_round_trip(materialized):

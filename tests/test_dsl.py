@@ -205,3 +205,18 @@ def test_document_tower_builds_one_formula_per_cycle(monkeypatch):
     monkeypatch.setattr(dsl, "Formula", counting_formula)
     document_tower(doc)
     assert len(built) == sum(len(block.cycles) for block in doc.levels) == 10
+
+
+def test_rejection_stage_builds_one_formula_per_cycle(monkeypatch):
+    from chaoscope import dsl
+
+    text = serialize(builtin_document(5))
+    built = []
+
+    def counting_formula(*args):
+        built.append(args)
+        return Formula(*args)
+
+    monkeypatch.setattr(dsl, "Formula", counting_formula)
+    assert rejection_stage(text, 5) is None
+    assert len(built) == 15

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import random
+from array import array
 
 import pytest
 
@@ -10,7 +12,10 @@ from chaoscope import (
     CoverMap,
     MaterializedGraph,
     StructuralError,
+    document_tower,
     graph_stats,
+    materialize_graph,
+    parse,
     validate_bidirectional,
     validate_edge_surjective,
     validate_homomorphism,
@@ -26,6 +31,13 @@ def test_single_vertex_self_loop_is_edge_surjective():
 def test_one_edge_graph_fails_surjectivity_both_ways():
     g = MaterializedGraph(2, [(0, 1)])
     assert set(validate_edge_surjective(g)) == {(0, "in"), (1, "out")}
+
+
+def test_surjectivity_violations_ascend_with_in_before_out():
+    # vertices 2, 4, 5, 6 lack an in-edge; 4 and 6 also lack an out-edge
+    g = MaterializedGraph(7, [(0, 1), (1, 0), (2, 3), (3, 3), (5, 0)])
+    assert validate_edge_surjective(g) == [
+        (2, "in"), (4, "in"), (4, "out"), (5, "in"), (6, "in"), (6, "out")]
 
 
 def test_edge_ids_checked_at_construction():
@@ -68,6 +80,47 @@ def test_materialized_levels_pass_all_validators(materialized):
         if level.cover is not None:
             assert validate_homomorphism(level.cover) == []
             assert validate_bidirectional(level.cover) == []
+
+
+SHORT_CYCLES = """\
+cover short mode bouquet
+level 1 { c1 := 2 e; }
+level 2 { c1 := e + c1 + e; c2 := 2 e; }
+level 3 { c1 := e + c2 + e; c2 := 2 e; c3 := e + c1 + c2 + e; }
+"""
+
+
+def _strictly_ascending(keys) -> bool:
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_materialized_edges_are_strictly_ascending(materialized):
+    # materialize_graph does not sort its edges: the order has to come out
+    # of the construction, length-2 cycles included
+    for n in range(4):
+        assert _strictly_ascending(list(materialized[n].graph._edges))
+    tower = document_tower(parse(SHORT_CYCLES))
+    level = materialize_graph(3, spec_for=tower.__getitem__)
+    assert 2 in level.cycle_lengths
+    g = level.graph
+    assert _strictly_ascending(list(g._edges))
+    assert MaterializedGraph(g.vertex_count, g.edges()) == g
+    assert validate_edge_surjective(g) == []
+    assert validate_homomorphism(level.cover) == []
+
+
+def test_homomorphism_violations_match_has_edge(materialized):
+    level = materialized[2]
+    rng = random.Random(42)
+    vm = array("q", level.cover.vertex_map)
+    target = level.cover.target
+    for vid in rng.sample(range(1, len(vm)), 50):
+        vm[vid] = rng.randrange(target.vertex_count)
+    cover = CoverMap(level.graph, target, vm)
+    expected = [(u, v) for u, v in level.graph.edges()
+                if not target.has_edge(vm[u], vm[v])]
+    assert len(expected) > 50
+    assert validate_homomorphism(cover) == expected
 
 
 def test_path_in_level_one_maps_to_base_loops(materialized):
