@@ -18,8 +18,12 @@ Cycle lengths are forced by the formulas (covers preserve edge counts) and
 grow doubly exponentially, so deep levels are never expanded: formulas are
 kept symbolic and every position query runs through closed-form arithmetic.
 In particular the ``j`` base edges + 2 cycles block region of the cycle-1
-formula is inverted with an integer square root instead of enumerating its
-``k`` blocks.
+formula is inverted in closed form instead of enumerating its ``k`` blocks:
+a division finds the block when the offset is small next to the block
+coefficients, and an integer square root of the quadratic's discriminant
+otherwise.  Each formula computes its item offsets and block coefficients
+once, so a query costs what its offset needs, not what the cycle's size
+would.
 
 Positions on a cycle count edges traversed from the base; position 0 is the
 base itself and is represented as the base address, never stored.
@@ -80,7 +84,7 @@ class BlockSum:
     """``sum(j=1..bound)`` of the body terms, kept unexpanded.
 
     The per-iteration edge length is affine in j, so offsets inside the sum
-    are located by inverting a quadratic prefix with ``isqrt``.
+    are located by inverting a quadratic prefix (see ``Formula._block_root``).
     """
 
     bound: int
@@ -101,25 +105,31 @@ class Formula:
     the symbols of a fixed source level.
 
     ``lengths`` are the source level's cycle lengths; they determine every
-    term's edge length and are captured at construction together with the
-    cumulative prefix sums the position queries binary-search over.
+    term's edge length.  Construction captures everything a position query
+    needs: each item's start and end offset (the ends are binary-searched)
+    and each block sum's coefficients.
     """
 
-    __slots__ = ("items", "lengths", "_ends", "length")
+    __slots__ = ("items", "lengths", "_starts", "_ends", "_blocks", "length")
 
     def __init__(self, items: Sequence[FormulaItem], lengths: Sequence[int]):
         self.items = tuple(items)
         self.lengths = tuple(lengths)
         if not self.items:
             raise StructuralError("a formula needs at least one term")
+        starts = []
         ends = []
         total = 0
         for item in self.items:
+            starts.append(total)
             total += self._item_length(item)
             ends.append(total)
         if ends != sorted(set(ends)):
             raise StructuralError("prefix sums must be strictly increasing")
+        self._starts = starts
         self._ends = ends
+        self._blocks = [None if isinstance(item, Run) else self._block_constants(item)
+                        for item in self.items]
         self.length = total
 
     # -- lengths ------------------------------------------------------------
@@ -137,6 +147,14 @@ class Formula:
         a = sum(t.const * self._cycle_len(t.cycle) for t in bs.body)
         b = sum(t.coef * self._cycle_len(t.cycle) for t in bs.body)
         return a, b
+
+    def _block_constants(self, bs: BlockSum) -> tuple[int, int, int, int]:
+        # (a, b, c1, fast_bits) with c1 = b + 2a; an offset r of at most
+        # fast_bits bits has 4*b*r^2 < c1^3 (see _block_root)
+        a, b = self._block_coeffs(bs)
+        c1 = b + 2 * a
+        fast_bits = (3 * (c1.bit_length() - 1) - b.bit_length() - 2) // 2
+        return a, b, c1, fast_bits
 
     def _block_prefix(self, bs: BlockSum, j: int) -> int:
         # total edge length of iterations 1..j
@@ -162,12 +180,11 @@ class Formula:
         if offset == 0:
             return (0, 0)
         idx = bisect_left(self._ends, offset)
-        item = self.items[idx]
-        start = self._ends[idx] - self._item_length(item)
-        r = offset - start
-        if isinstance(item, Run):
-            return self._locate_in_run(item.cycle, r)
-        return self._locate_in_block(item, r)
+        r = offset - self._starts[idx]
+        block = self._blocks[idx]
+        if block is None:
+            return self._locate_in_run(self.items[idx].cycle, r)
+        return self._locate_in_block(self.items[idx], block, r)
 
     def _locate_in_run(self, cycle: int, r: int) -> tuple[int, int]:
         if cycle == 0:
@@ -175,9 +192,9 @@ class Formula:
         m = r % self._cycle_len(cycle)
         return (0, 0) if m == 0 else (cycle, m)
 
-    def _locate_in_block(self, bs: BlockSum, r: int) -> tuple[int, int]:
-        j = self._block_iteration(bs, r)
-        rr = r - self._block_prefix(bs, j - 1)
+    def _locate_in_block(self, bs: BlockSum, block: tuple, r: int) -> tuple[int, int]:
+        j, before = self._block_iteration(block, r)
+        rr = r - before
         for term in bs.body:
             tlen = term.count_at(j) * self._cycle_len(term.cycle)
             if rr <= tlen:
@@ -185,22 +202,57 @@ class Formula:
             rr -= tlen
         raise AssertionError("offset walked past block iteration")
 
-    def _block_iteration(self, bs: BlockSum, r: int) -> int:
-        """Smallest j >= 1 whose cumulative block length reaches r."""
-        a, b = self._block_coeffs(bs)
+    def _block_iteration(self, block: tuple, r: int) -> tuple[int, int]:
+        """Smallest j >= 1 whose cumulative block length reaches r, with the
+        cumulative length of iterations 1..j-1.
+
+        ``block`` is the block sum's entry of ``_blocks``.  Starting from
+        :meth:`_block_root`'s estimate, the two correction loops walk to the
+        exact index, so the answer does not depend on how good the estimate
+        is; :meth:`_block_root` keeps them to at most one step up.
+        """
+        a, b = block[0], block[1]
         if b == 0:
             j = (r + a - 1) // a
-        else:
-            # solve b*j^2 + (b + 2a)*j - 2r >= 0
-            c1 = b + 2 * a
-            j = (isqrt(c1 * c1 + 8 * b * r) - c1) // (2 * b)
-            if j < 1:
-                j = 1
-        while self._block_prefix(bs, j) < r:
+            return j, a * (j - 1)
+        j = self._block_root(block, r)
+        prefix = a * j + b * (j * (j + 1) // 2)
+        while prefix < r:
             j += 1
-        while j > 1 and self._block_prefix(bs, j - 1) >= r:
+            prefix += a + b * j
+        before = prefix - a - b * j
+        while j > 1 and before >= r:
             j -= 1
-        return j
+            before -= a + b * j
+        return j, before
+
+    @staticmethod
+    def _block_root(block: tuple, r: int) -> int:
+        """Estimate of the block index for offset ``r`` (needs ``b > 0``).
+
+        The index is ``ceil(j*)`` for the positive root
+        ``j* = (sqrt(c1^2 + 8br) - c1) / 2b = 4r / (c1 + sqrt(c1^2 + 8br))``
+        of ``b*j^2 + c1*j - 2r``, with ``c1 = b + 2a``.  Each estimate is at
+        most one below it and never above, so the correction loops of
+        :meth:`_block_iteration` take at most one step, upwards:
+
+        * when ``4br^2 < c1^3`` (ensured by ``r`` having at most
+          ``fast_bits`` bits), ``2r/c1 - 4br^2/c1^3 <= j* <= 2r/c1`` (from
+          ``2 / (1 + sqrt(1 + x)) >= 1 - x/4`` at ``x = 8br/c1^2``), so
+          ``ceil(j*)`` is ``2r // c1`` or one more.  This skips the square
+          root of the discriminant, which is as wide as ``c1^2`` however
+          small ``r`` is: at the top of a spine-16 handle ``c1^2`` has about
+          199,000 bits and a band offset about 21;
+        * otherwise the estimate is ``(isqrt(c1^2 + 8br) - c1) // 2b``, which
+          is ``floor(j*)``: ``isqrt`` is at most the square root and at
+          least the integer ``2b*floor(j*) + c1`` below it.
+        """
+        _, b, c1, fast_bits = block
+        if r.bit_length() <= fast_bits:
+            j = 2 * r // c1
+        else:
+            j = (isqrt(c1 * c1 + 8 * b * r) - c1) // (2 * b)
+        return j if j > 1 else 1
 
     # -- occurrence counting and enumeration ---------------------------------
 

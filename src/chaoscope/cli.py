@@ -112,6 +112,10 @@ def _spec_for(cover: str | None):
 
 
 def cmd_levels(args) -> int:
+    if args.max > bouquet.SOFT_LEVEL_LIMIT:
+        # printing the lengths takes about four times longer per level
+        raise UsageError(f"--max {args.max} exceeds the level limit "
+                         f"{bouquet.SOFT_LEVEL_LIMIT}")
     spec_for = _spec_for(args.cover)
     rows = []
     for n in range(0, args.max + 1):
@@ -379,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("levels", help="cycle length / k table")
-    p.add_argument("--max", type=_count, default=3)
+    p.add_argument("--max", type=_count, default=3,
+                   help=f"deepest level, at most {bouquet.SOFT_LEVEL_LIMIT}")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--formulas", action="store_true",
                    help="emit full level specs (implies JSON)")

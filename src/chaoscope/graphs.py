@@ -121,12 +121,20 @@ class CoverMap:
             raise StructuralError(
                 f"vertex map has {len(vertex_map)} entries for {source.vertex_count} vertices"
             )
-        for img in vertex_map:
-            if not (0 <= img < target.vertex_count):
-                raise StructuralError(f"image {img} outside target graph")
+        try:
+            vm = array("q", vertex_map)
+        except OverflowError:  # an image past 64 bits: the scan below names it
+            vm = None
+        # read as unsigned, a negative image is above any vertex count, so one
+        # C-level max checks both ends of the range; scan only on failure
+        if vm is None or (vm and max(memoryview(vm).cast("B").cast("Q"))
+                          >= target.vertex_count):
+            bad = next(img for img in vertex_map
+                       if not (0 <= img < target.vertex_count))
+            raise StructuralError(f"image {bad} outside target graph")
         self.source = source
         self.target = target
-        self.vertex_map = array("q", vertex_map)
+        self.vertex_map = vm
 
     def __repr__(self) -> str:
         return (f"CoverMap({self.source.vertex_count} -> {self.target.vertex_count} vertices)")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from chaoscope import bouquet
 from chaoscope import (
     BlockSum,
     BlockTerm,
@@ -17,13 +18,16 @@ from chaoscope import (
     VertexAddr,
     base_addr,
     build_level_spec,
+    column_of,
     cycle_length,
+    document_tower,
     estimate_vertex_count,
     find_occurrences,
     level_spec_json,
     lift_choices,
     materialize_graph,
     new_handle,
+    parse,
     project_addr,
 )
 
@@ -108,6 +112,120 @@ def test_block_locate_matches_literal_expansion():
     assert formula.length == len(offsets)
     for p, expected in enumerate(offsets, start=1):
         assert formula.locate(p) == expected
+
+
+# Block bodies with b > 1: the per-iteration length grows by a whole cycle.
+WIDE_BLOCKS = """cover wide mode bouquet
+level 1 { c1 := 10 e; }
+level 2 { c1 := sum(j=1..k){ 2 e + j c1 } + e; c2 := 7 e; }
+level 3 { c1 := sum(j=1..k){ 3 e + j c1 + j c2 } + e; c2 := e + 2 c2 + e; c3 := 50 e; }
+"""
+
+
+def _block_index_by_bisection(formula, bs, r):
+    """Smallest j with _block_prefix(bs, j) >= r: galloping, then bisection."""
+    lo = hi = 1
+    while formula._block_prefix(bs, hi) < r:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if formula._block_prefix(bs, mid) >= r:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _locate_by_bisection(formula, offset):
+    """formula.locate by a walk over the items and a bisection over
+    _block_prefix: no root, no precomputed starts or coefficients."""
+    if offset == 0:
+        return (0, 0)
+    start = 0
+    for item in formula.items:
+        if offset <= start + formula._item_length(item):
+            break
+        start += formula._item_length(item)
+    r = offset - start
+    if isinstance(item, BlockSum):
+        j = _block_index_by_bisection(formula, item, r)
+        r -= formula._block_prefix(item, j - 1)
+        runs = [(t.cycle, t.count_at(j)) for t in item.body]
+    else:
+        runs = [(item.cycle, item.count)]
+    for cycle, count in runs:
+        clen = formula._cycle_len(cycle)
+        if r <= count * clen:
+            pos = r % clen if cycle else 0
+            return (cycle, pos) if pos else (0, 0)
+        r -= count * clen
+    raise AssertionError("offset past the item")
+
+
+def _block_sums():
+    """(formula, item index) of every block sum in the formulas of the
+    built-in levels 1-16 (the specs of levels 0-15) and of WIDE_BLOCKS."""
+    formulas = [f for n in range(16) for f in build_level_spec(n).image_formulas]
+    formulas += [f for spec in document_tower(parse(WIDE_BLOCKS))
+                 for f in spec.image_formulas]
+    for formula in formulas:
+        for idx, item in enumerate(formula.items):
+            if isinstance(item, BlockSum):
+                yield formula, idx
+
+
+def test_block_index_is_exact_and_one_step_from_its_estimate():
+    rng = random.Random(16)
+    wide = 0
+    for formula, idx in _block_sums():
+        bs, block = formula.items[idx], formula._blocks[idx]
+        _, b, c1, fast_bits = block
+        wide += b > 1
+        prefix = lambda j: formula._block_prefix(bs, j)  # noqa: E731
+        offsets = {1}
+        for j in {1, 2, 3, rng.randrange(1, bs.bound + 1), bs.bound - 1, bs.bound}:
+            offsets.update((prefix(j) - 1, prefix(j), prefix(j) + 1))
+        # both sides of 8*b*r = c1, and of the last offset 2r // c1 estimates
+        eighth = c1 // (8 * b)
+        offsets.update((eighth - 1, eighth, eighth + 1))
+        offsets.update((2 ** fast_bits - 1, 2 ** fast_bits, 2 ** fast_bits + 1))
+        for r in sorted(offsets):
+            if not 1 <= r <= prefix(bs.bound):
+                continue
+            j, before = formula._block_iteration(block, r)
+            if j.bit_length() <= 256:
+                assert j == _block_index_by_bisection(formula, bs, r)
+            else:  # bisection would take thousands of full-width steps
+                assert prefix(j - 1) < r <= prefix(j)
+            assert before == prefix(j - 1)
+            # the correction loops take at most one step, and only upwards
+            assert 0 <= j - formula._block_root(block, r) <= 1
+    assert wide >= 2
+
+
+def test_band_column_takes_no_wide_square_root(monkeypatch):
+    widths = []
+    real_isqrt = bouquet.isqrt
+
+    def recording_isqrt(n):
+        widths.append(n.bit_length())
+        return real_isqrt(n)
+
+    monkeypatch.setattr(bouquet, "isqrt", recording_isqrt)
+    # top-level discriminant: about 199,000 bits; the offset: 21 bits
+    band = column_of(new_handle(16, 1, 1_500_000))
+    assert max(widths, default=0) <= 256
+    # a position uniform over the cycle still takes the full-width root
+    widths.clear()
+    pos = random.Random(10).randrange(1, cycle_length(10, 1))
+    uniform = column_of(new_handle(10, 1, pos))
+    assert max(widths) > 3000  # the top discriminant has about 3,100 bits
+    for column in (band, uniform):
+        for lower, upper in zip(column, column[1:]):
+            if upper.is_base:
+                continue
+            formula = build_level_spec(lower.level).image_formulas[upper.cycle - 1]
+            assert (lower.cycle, lower.pos) == _locate_by_bisection(formula, upper.pos)
 
 
 def test_project_examples():

@@ -183,6 +183,7 @@ def test_levels_prints_lengths_past_the_int_digit_limit(capsys):
 
 @pytest.mark.parametrize("argv, expected", [
     ("levels --max -2", 2),
+    ("levels --max 21", 2),  # past SOFT_LEVEL_LIMIT: refused before any level is built
     ("liyorke --pairs -3", 2),
     ("orbit --spine 2 --cycle 1 --pos 1 --obs 1 --horizon -5", 2),
     ("levels", 0),  # CHAOSCOPE_BUDGET is no longer read

@@ -64,6 +64,19 @@ def test_vertex_map_length_mismatch_is_structural():
         CoverMap(g, g, [0])
 
 
+def test_out_of_range_image_error_names_the_first_bad_image():
+    g = MaterializedGraph(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(StructuralError, match=r"^image 7 outside"):
+        CoverMap(g, g, [0, 7, -1])
+    with pytest.raises(StructuralError, match=r"^image -1 outside"):
+        CoverMap(g, g, array("q", [-1, 2, 3]))
+    with pytest.raises(StructuralError, match=r"^image 3 outside"):
+        CoverMap(g, g, [1, 3, 2**70])
+    with pytest.raises(StructuralError, match=rf"^image {2**70} outside"):
+        CoverMap(g, g, [1, 2**70, 3])
+    assert CoverMap(MaterializedGraph(0, []), g, []).vertex_map == array("q")
+
+
 def test_bidirectional_violation_on_branching_vertex():
     # base vertex branches to 1 and 2; their images differ
     source = MaterializedGraph(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
