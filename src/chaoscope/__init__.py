@@ -11,8 +11,6 @@ from .analysis import (
     DegreeValue,
     LiYorkeReport,
     MixingGapReport,
-    PairClassification,
-    classify_pair,
     degree_of_column,
     degree_stability_check,
     degree_window_min,
@@ -36,7 +34,6 @@ from .bouquet import (
     base_addr,
     build_level_spec,
     cycle_length,
-    estimate_vertex_count,
     find_occurrences,
     level_spec_json,
     lift_choices,

@@ -1,14 +1,9 @@
 """Empirical chaos analysis: degrees, proximality, Li-Yorke pairs, mixing.
 
-Finite computation cannot decide asymptotic behavior, so this module is
-split along an honest line:
-
-* *certificates* -- things a finite scan genuinely witnesses: base-hit times
-  (proximality), moments of small distance, moments of separation, realized
-  gap sets of cover images;
-* *verdicts* -- conclusions that follow from the structure theory (degree
-  arithmetic excludes asymptotic pairs), reported with the reason spelled
-  out and clearly separate from what was scanned.
+Finite computation cannot decide asymptotic behavior, so this module
+reports only certificates: things a finite scan genuinely witnesses, such as
+base-hit times (proximality), moments of small distance, moments of
+separation and realized gap sets of cover images.
 
 Every report embeds the handles, depths, horizons and budgets needed to
 reproduce it exactly.
@@ -16,7 +11,7 @@ reproduce it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bouquet import (
     DEFAULT_SCAN_BUDGET,
@@ -418,65 +413,3 @@ def degree_window_min(h: PointHandle, level: int, start: int,
         if t < window:
             cursor.advance()
     return DegreeValue(best)
-
-
-# ---------------------------------------------------------------------------
-# Pair classification.
-# ---------------------------------------------------------------------------
-
-VERDICT_FIXED = "fixed"
-VERDICT_IDENTICAL = "identical"
-VERDICT_EXPECTED_LI_YORKE = "expected_li_yorke"
-
-_PROXIMAL_CITATION = ("every orbit accumulates on the fixed point, so all "
-                      "pairs are proximal")
-
-
-@dataclass
-class PairClassification:
-    """Theory-derived verdict for a pair, with the reasons cited and the
-    empirical scan attached.
-
-    The verdict is what the structure theory implies (distinct points are
-    Li-Yorke); only the attached witnesses are finite evidence.
-    """
-
-    deg_a: DegreeValue
-    deg_b: DegreeValue
-    verdict: str
-    citations: list[str] = field(default_factory=list)
-    report: LiYorkeReport | None = None
-
-
-def classify_pair(a: PointHandle, b: PointHandle,
-                  horizon: int = DEFAULT_HORIZON,
-                  prox_depth: int = DEFAULT_PROX_DEPTH,
-                  sep_depth: int = DEFAULT_SEP_DEPTH,
-                  attach_witnesses: bool = True) -> PairClassification:
-    deg_a = degree_of_column(a)
-    deg_b = degree_of_column(b)
-    shared = min(a.spine_level, b.spine_level)
-    if column_of(a, shared) == column_of(b, shared):
-        verdict = VERDICT_FIXED if deg_a.is_infinite else VERDICT_IDENTICAL
-        return PairClassification(deg_a, deg_b, verdict)
-
-    citations = [_PROXIMAL_CITATION]
-    if deg_a.is_infinite or deg_b.is_infinite:
-        citations.append("no point other than the fixed point is asymptotic "
-                         "to the fixed point")
-    else:
-        gap = abs(deg_a.index - deg_b.index)
-        if gap >= 2:
-            citations.append("asymptotic pairs have degrees differing by at "
-                             "most 1")
-        elif gap == 1:
-            citations.append("pairs whose degrees differ by exactly 1 are "
-                             "never asymptotic")
-        else:
-            citations.append("asymptotic pairs of equal finite degree are "
-                             "equal as points")
-    report = None
-    if attach_witnesses:
-        report = li_yorke_test(a, b, horizon, prox_depth, sep_depth)
-    return PairClassification(deg_a, deg_b, VERDICT_EXPECTED_LI_YORKE,
-                              citations, report)

@@ -31,11 +31,11 @@ base itself and is represented as the base address, never stored.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -256,8 +256,9 @@ class Formula:
 
     # -- occurrence counting and enumeration ---------------------------------
 
-    def count_occurrences(self, cycle: int, pos: int) -> int:
-        """Number of offsets in [1, length-1] whose vertex is (cycle, pos)."""
+    def count_occurrences(self, cycle: int) -> int:
+        """Number of offsets in [1, length-1] whose vertex is (cycle, pos);
+        every position on one cycle occurs equally often."""
         total = 0
         for item in self.items:
             if isinstance(item, Run):
@@ -285,14 +286,14 @@ class Formula:
         """Offsets in [1, length-1] whose vertex is (cycle, pos), ascending.
 
         Lazy: block sums are walked iteration by iteration, so truncated
-        consumers never expand astronomically large bounds.
+        consumers never expand astronomically large bounds.  A block sum with
+        no body term on a target cycle holds none of its positions and is
+        skipped whole.
         """
-        start = 0
-        for item in self.items:
+        for item, start in zip(self.items, self._starts):
             if isinstance(item, Run):
                 yield from self._iter_in_run(start, item.cycle, item.count, cycle, pos)
-                start += self._item_length(item)
-            else:
+            elif cycle == 0 or any(term.cycle == cycle for term in item.body):
                 for j in range(1, item.bound + 1):
                     for term in item.body:
                         cnt = term.count_at(j)
@@ -350,7 +351,12 @@ class LevelSpec:
     ``cycle_lengths`` are the lengths of this level's cycles,
     ``k_value = 2 * (1 + sum(cycle_lengths))`` and ``image_formulas[i-1]`` is
     the image of cycle ``i`` of the next level, written over this level's
-    symbols.  There are ``level + 1`` formulas.
+    symbols.  There are ``level + 1`` formulas.  The lengths come from the
+    formulas of spec ``level - 1``; building a spec also builds the next
+    level's lengths, which at depth are as wide as ``k_value`` squared.
+
+    A tower is any lookup ``spec_for(n)`` (or ``tower[n]``) returning level
+    ``n``'s spec; it raises :class:`StructuralError` for a level it lacks.
     """
 
     level: int
@@ -359,12 +365,10 @@ class LevelSpec:
     image_formulas: tuple[Formula, ...]
 
 
-_spec_cache: dict[int, LevelSpec] = {}
-_spec_lock = threading.Lock()
-
-
+@cache
 def build_level_spec(n: int) -> LevelSpec:
-    """Level spec for level ``n``; memoized, built bottom-up."""
+    """Level spec for level ``n`` of the built-in tower; memoized, built on
+    the spec below it."""
     if n < 0:
         raise StructuralError(f"level must be >= 0, got {n}")
     if n > SOFT_LEVEL_LIMIT:
@@ -372,23 +376,10 @@ def build_level_spec(n: int) -> LevelSpec:
             f"level {n} exceeds the practical limit {SOFT_LEVEL_LIMIT}; "
             "cycle lengths roughly double in bit size per level",
             stacklevel=2)
-    spec = _spec_cache.get(n)
-    if spec is not None:
-        return spec
-    for lvl in range(n + 1):
-        if lvl in _spec_cache:
-            continue
-        spec = _make_spec(lvl)
-        with _spec_lock:
-            _spec_cache.setdefault(lvl, spec)
-    return _spec_cache[n]
-
-
-def _make_spec(n: int) -> LevelSpec:
     if n == 0:
         formula = Formula([Run(0, INITIAL_CYCLE_LENGTH)], lengths=())
         return LevelSpec(0, (), 2, (formula,))
-    below = _spec_cache[n - 1]
+    below = build_level_spec(n - 1)
     lengths = tuple(f.length for f in below.image_formulas)
     k = 2 * (1 + sum(lengths))
     formulas = []
@@ -412,11 +403,11 @@ def _make_spec(n: int) -> LevelSpec:
 
 
 def cycle_length(n: int, i: int) -> int:
-    """Length of cycle ``i`` at level ``n``."""
-    spec = build_level_spec(n)
+    """Length of cycle ``i`` at level ``n``, read from the formula that
+    defines it in spec ``n - 1`` (spec ``n`` would build level ``n+1``)."""
     if not (1 <= i <= n):
         raise StructuralError(f"level {n} has cycles 1..{n}, asked for {i}")
-    return spec.cycle_lengths[i - 1]
+    return build_level_spec(n - 1).image_formulas[i - 1].length
 
 
 def level_spec_json(spec: LevelSpec) -> dict:
@@ -524,7 +515,7 @@ def lift_choices(a: VertexAddr, max_results: int = 64) -> LiftReport:
         if len(choices) < max_results:
             choices.append(base_addr(up))
     for i, formula in enumerate(spec.image_formulas, start=1):
-        total += formula.count_occurrences(a.cycle, a.pos)
+        total += formula.count_occurrences(a.cycle)
         if len(choices) < max_results:
             for p in formula.iter_occurrences(a.cycle, a.pos):
                 choices.append(VertexAddr(up, i, p))
@@ -713,11 +704,6 @@ class MaterializedLevel:
         return VertexAddr(self.level, i, vid - self.cycle_starts[i - 1] + 1)
 
 
-def estimate_vertex_count(n: int, spec_for=None) -> int:
-    spec = (spec_for or build_level_spec)(n)
-    return 1 + sum(length - 1 for length in spec.cycle_lengths)
-
-
 _EDGE_STEP = (1 << 32) | 1
 
 
@@ -725,28 +711,26 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
                       spec_for=None) -> MaterializedLevel:
     """Materialize level ``n`` (and the cover onto level ``n-1``) explicitly.
 
-    ``spec_for`` maps a level index to its :class:`LevelSpec` and defaults to
+    ``spec_for`` is a tower lookup (see :class:`LevelSpec`) and defaults to
     the built-in construction.  Refuses levels whose vertex count exceeds the
     budget; level 4 of the built-in tower is already around 7e13 vertices and
     must never be materialized.
     """
     if spec_for is None:
         spec_for = build_level_spec
-    estimate = estimate_vertex_count(n, spec_for)
-    if estimate > vertex_budget:
-        raise BudgetExceeded(f"materialize level {n}", required=estimate,
-                             budget=vertex_budget)
-    spec = spec_for(n)
-    lengths = spec.cycle_lengths
-    if any(length < 2 for length in lengths):
-        raise StructuralError(f"level {n} has a cycle of length {min(lengths)} "
-                              "(need at least 2)")
+    lengths = spec_for(n).cycle_lengths
     starts = []
     next_id = 1
     for length in lengths:
         starts.append(next_id)
         next_id += length - 1
     vertex_count = next_id
+    if vertex_count > vertex_budget:
+        raise BudgetExceeded(f"materialize level {n}", required=vertex_count,
+                             budget=vertex_budget)
+    if any(length < 2 for length in lengths):
+        raise StructuralError(f"level {n} has a cycle of length {min(lengths)} "
+                              "(need at least 2)")
 
     # Edges come out in ascending packed order, which the graph keeps as is:
     # the base's edges by target, then each cycle's edges by source id (a

@@ -99,16 +99,9 @@ def _spec_for(cover: str | None):
         raise UsageError(f"cannot read cover file: {exc}")
     doc = dsl.parse(text)
     try:
-        tower = dsl.document_tower(doc)
+        return dsl.document_tower(doc).__getitem__
     except ChaoscopeError as exc:
         raise UsageError(str(exc))
-
-    def from_tower(level: int) -> bouquet.LevelSpec:
-        if level >= len(tower):
-            raise UsageError(f"cover document ends at level {len(tower) - 1}")
-        return tower[level]
-
-    return from_tower
 
 
 def cmd_levels(args) -> int:

@@ -42,7 +42,7 @@ from .bouquet import (
     Run,
     build_level_spec,
 )
-from .errors import ChaoscopeError
+from .errors import ChaoscopeError, StructuralError
 
 class DslSyntaxError(ChaoscopeError):
     """First-error diagnostic with 1-based line and column."""
@@ -541,14 +541,27 @@ def validate_document(doc: CoverDocument) -> list[Violation]:
     return _resolve(doc)[1]
 
 
-def document_tower(doc: CoverDocument) -> list[LevelSpec]:
-    """Resolve a valid document into level specs (index = level); raises
+class Tower(tuple):
+    """A document's level specs, index = level.  Unlike a plain tuple, a
+    lookup outside ``0..len - 1`` raises :class:`StructuralError`, as the
+    built-in tower does for a negative level."""
+
+    def __getitem__(self, level: int) -> LevelSpec:
+        if level < 0:
+            raise StructuralError(f"level must be >= 0, got {level}")
+        if level >= len(self):
+            raise StructuralError(f"cover document ends at level {len(self) - 1}")
+        return tuple.__getitem__(self, level)
+
+
+def document_tower(doc: CoverDocument) -> Tower:
+    """Resolve a valid document into its :class:`Tower`; raises
     :class:`ChaoscopeError` naming the first violations otherwise."""
     tower, problems = _resolve(doc)
     if problems:
         raise ChaoscopeError("invalid cover document: " + "; ".join(
             str(v) for v in problems[:3]))
-    return tower
+    return Tower(tower)
 
 
 # ---------------------------------------------------------------------------

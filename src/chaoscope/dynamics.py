@@ -169,9 +169,6 @@ class DistanceValue:
         k = self.level if self.exact else self.level + 1
         return Fraction(1, 2**k)
 
-    def value(self) -> float:
-        return float(self.bound())
-
     def __str__(self) -> str:
         if self.exact:
             return f"2^-{self.level}"
@@ -230,8 +227,9 @@ class OrbitCursor:
         self.handle = handle
         self.time = handle.offset
         self.column = column_of(handle)
-        self._lengths = [build_level_spec(lvl).cycle_lengths
-                         for lvl in range(handle.spine_level + 1)]
+        # level n's lengths are spec n-1's formula lengths (see cycle_length)
+        self._lengths = [()] + [[f.length for f in build_level_spec(lvl).image_formulas]
+                                for lvl in range(handle.spine_level)]
 
     def advance(self) -> None:
         col = self.column
@@ -313,7 +311,6 @@ def random_handle(spine_level: int = DEFAULT_SPINE_LEVEL,
         rng = random.Random(0)
     if spine_level < 1:
         raise StructuralError("random handles need at least one cycle")
-    spec = build_level_spec(spine_level)
     if spine_level == 1 or rng.random() < cycle_one_weight:
         cycle = 1
     else:
@@ -322,7 +319,7 @@ def random_handle(spine_level: int = DEFAULT_SPINE_LEVEL,
         lo, hi = CYCLE_ONE_BAND if cycle == 1 else HIGH_CYCLE_BAND
     else:
         lo, hi = band
-    hi = min(hi, spec.cycle_lengths[cycle - 1] - 1 - reserve)
+    hi = min(hi, cycle_length(spine_level, cycle) - 1 - reserve)
     if hi < lo:
         raise StructuralError(
             f"cycle {cycle} at level {spine_level} is too short for "

@@ -9,7 +9,6 @@ import pytest
 from chaoscope import (
     StructuralError,
     build_level_spec,
-    classify_pair,
     column_of,
     degree_of_column,
     degree_stability_check,
@@ -25,11 +24,6 @@ from chaoscope import (
     representable,
     return_length_differences,
     step,
-)
-from chaoscope.analysis import (
-    VERDICT_EXPECTED_LI_YORKE,
-    VERDICT_FIXED,
-    VERDICT_IDENTICAL,
 )
 from chaoscope.bouquet import find_occurrences
 from chaoscope.verify import degree_corpus
@@ -205,42 +199,6 @@ def test_window_min_bounded_by_degree_plus_one():
             continue
         result = degree_window_min(h, deg.index + 1, 0, 2000)
         assert result.index is not None and result.index <= deg.index + 1
-
-
-# -- pair classification -----------------------------------------------------------
-
-def test_fixed_pair_classified_fixed():
-    c = classify_pair(fixed_point(6), fixed_point(6), attach_witnesses=False)
-    assert c.verdict == VERDICT_FIXED
-
-
-def test_same_point_classified_identical():
-    h = new_handle(8, 1, 999)
-    c = classify_pair(h, h, attach_witnesses=False)
-    assert c.verdict == VERDICT_IDENTICAL
-
-
-def test_distinct_degrees_cite_the_degree_gap():
-    a = new_handle(8, 1, 1_200_000)
-    b = new_handle(8, 2, 31337)
-    c = classify_pair(a, b, horizon=3000)
-    assert c.verdict == VERDICT_EXPECTED_LI_YORKE
-    assert c.deg_a.index == 1 and c.deg_b.index == 2
-    assert any("exactly 1" in s for s in c.citations)
-    assert c.report is not None
-
-
-def test_equal_degrees_cite_equal_degree_exclusion():
-    a = new_handle(8, 1, 1_000_001)
-    b = new_handle(8, 1, 1_000_003)
-    c = classify_pair(a, b, attach_witnesses=False)
-    assert any("equal finite degree" in s for s in c.citations)
-
-
-def test_fixed_vs_point_cites_fixed_point_exclusion():
-    c = classify_pair(new_handle(8, 1, 1_000_001), fixed_point(8),
-                      attach_witnesses=False)
-    assert any("fixed point" in s for s in c.citations)
 
 
 def test_no_early_column_recurrence():

@@ -21,7 +21,6 @@ from chaoscope import (
     column_of,
     cycle_length,
     document_tower,
-    estimate_vertex_count,
     find_occurrences,
     level_spec_json,
     lift_choices,
@@ -328,6 +327,28 @@ def test_lift_totals_partition_level_two():
     assert total == 1 + (695 - 1) + (90 - 1)
 
 
+@pytest.mark.parametrize("target, total", [(VertexAddr(4, 2, 5), 4),
+                                            (VertexAddr(4, 3, 7), 6)])
+def test_lift_skips_block_sums_without_the_target_cycle(target, total, monkeypatch):
+    # the cycle-1 formula of level 5 has about 1.4e14 blocks, none holding
+    # cycle 2 or 3: a walk through them never returns
+    calls = [0]
+    real_count_at = BlockTerm.count_at
+
+    def bounded_count_at(self, j):
+        calls[0] += 1
+        if calls[0] > 10**4:
+            raise AssertionError("walked into a block sum without the target cycle")
+        return real_count_at(self, j)
+
+    monkeypatch.setattr(BlockTerm, "count_at", bounded_count_at)
+    report = lift_choices(target)
+    assert report.total == total and not report.truncated
+    assert len(set(report.choices)) == total
+    for choice in report.choices:
+        assert project_addr(choice) == target
+
+
 # -- occurrence scans ---------------------------------------------------------
 
 def test_occurrences_level_one_to_two():
@@ -384,11 +405,6 @@ def test_materialized_sizes(materialized):
     assert materialized[3].graph.vertex_count == 3_434_380
 
 
-def test_vertex_estimate_matches_materialization(materialized):
-    for n in range(4):
-        assert estimate_vertex_count(n) == materialized[n].graph.vertex_count
-
-
 def test_materialization_budget_refuses_level_four():
     with pytest.raises(BudgetExceeded) as err:
         materialize_graph(4)
@@ -417,9 +433,7 @@ def test_spec_json_uses_decimal_strings():
 def test_spec_cache_is_safe_under_concurrent_builders():
     import threading
 
-    from chaoscope.bouquet import _spec_cache
-
-    _spec_cache.clear()
+    build_level_spec.cache_clear()
     results = []
 
     def build():

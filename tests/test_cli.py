@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -181,6 +182,25 @@ def test_levels_prints_lengths_past_the_int_digit_limit(capsys):
     assert int(rows[16]["k"]) == 2 * (1 + sum(top))
 
 
+def test_levels_formulas_bytes_are_pinned(capsys):
+    # the built-in tower's specs of levels 0-6, byte for byte
+    code, out = run(capsys, "levels", "--max", "6", "--formulas")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9c93773c55a903dca050be2a6ea16f6b4452d5cba5d73a5573d04e90ae074da7")
+
+
+def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys):
+    path = tmp_path / "builtin.cover"
+    path.write_text(serialize(builtin_document(5)))
+    code, from_cover = run(capsys, "levels", "--max", "5", "--format", "json",
+                           "--cover", str(path))
+    assert code == 0
+    code, builtin = run(capsys, "levels", "--max", "5", "--format", "json")
+    assert code == 0
+    assert from_cover == builtin
+
+
 @pytest.mark.parametrize("argv, expected", [
     ("levels --max -2", 2),
     ("levels --max 21", 2),  # past SOFT_LEVEL_LIMIT: refused before any level is built
@@ -198,6 +218,8 @@ def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatc
     assert main(argv.split()) == expected
     err = capsys.readouterr().err
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    if "one.cover" in argv:
+        assert err == "error: cover document ends at level 1\n"
 
 
 def test_unknown_subcommand_is_usage_error():

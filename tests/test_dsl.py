@@ -9,6 +9,8 @@ import pytest
 from chaoscope import (
     DslSyntaxError,
     Formula,
+    StructuralError,
+    build_level_spec,
     builtin_document,
     builtin_equivalence,
     document_json,
@@ -190,6 +192,25 @@ def test_document_tower_materializes():
     tower = document_tower(doc)
     level = materialize_graph(2, spec_for=lambda n: tower[n])
     assert level.graph.vertex_count == 784
+
+
+def test_document_tower_refuses_levels_it_lacks():
+    tower = document_tower(parse(MINIMAL))  # specs of levels 0 and 1
+    assert len(tower) == 2 and tower[1].cycle_lengths == (10,)
+    negative = "level must be >= 0, got -1"
+    past_end = "cover document ends at level 1"
+    cases = [
+        (lambda: tower[-1], negative),
+        (lambda: tower[len(tower)], past_end),
+        (lambda: materialize_graph(-1, spec_for=tower.__getitem__), negative),
+        (lambda: materialize_graph(len(tower), spec_for=tower.__getitem__), past_end),
+        # the built-in tower keeps the same contract for a negative level
+        (lambda: build_level_spec(-1), negative),
+        (lambda: materialize_graph(-1), negative),
+    ]
+    for lookup, message in cases:
+        with pytest.raises(StructuralError, match=message):
+            lookup()
 
 
 def test_document_tower_builds_one_formula_per_cycle(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from chaoscope import (
     SpineExhausted,
     VertexAddr,
     base_addr,
+    build_level_spec,
     column_of,
     cycle_length,
     distance,
@@ -99,7 +101,7 @@ def test_distance_exact_at_first_differing_level():
     d = distance(a, b)
     assert d.exact
     assert 1 <= d.level <= 3
-    assert d.value() == 2.0 ** -d.level
+    assert d.bound() == Fraction(1, 2**d.level)
 
 
 def test_distance_to_fixed_point_detects_spine_difference():
@@ -112,7 +114,7 @@ def test_distance_exact_at_level_three():
     # from the fixed point is the level-3 coordinate itself
     d = distance(new_handle(3, 1, 1), fixed_point(3))
     assert d.exact and d.level == 3
-    assert d.value() == 0.125
+    assert d.bound() == Fraction(1, 8)
 
 
 def test_identical_handles_have_no_witnessed_difference():
@@ -201,6 +203,28 @@ def test_spine_extension_by_lift_survives_exhaustion():
     beyond = step(extended, 5)
     assert column_of(beyond, 2)[2] == base_addr(2)  # the old spine's base-hit
     assert not column_of(step(extended, 100))[3].is_base
+
+
+def test_spine_sixteen_work_builds_no_level_seventeen(monkeypatch):
+    # level 17's cycle lengths (about 398,000 bits) are spec 16's formula
+    # lengths; spine-16 work needs level 16's, which spec 15 holds
+    from chaoscope import bouquet
+
+    widest = []
+    real_init = bouquet.Formula.__init__
+
+    def recording_init(self, items, lengths):
+        widest.append(len(lengths))
+        real_init(self, items, lengths)
+
+    monkeypatch.setattr(bouquet.Formula, "__init__", recording_init)
+    build_level_spec.cache_clear()
+    h = new_handle(16, 1, 1_500_000)
+    column_of(h)
+    OrbitCursor(h).advance()
+    random_handle(16, random.Random(16))
+    assert max(widest) == 15  # level 16's formulas, over level 15's cycles
+    assert build_level_spec.cache_info().currsize == 16
 
 
 def test_random_handles_are_reproducible():
