@@ -12,6 +12,10 @@ reproduce it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import count, islice
+from math import gcd
+from typing import Iterator
 
 from .bouquet import (
     DEFAULT_SCAN_BUDGET,
@@ -21,12 +25,12 @@ from .bouquet import (
 )
 from .dynamics import (
     DistanceValue,
-    OrbitCursor,
     PointHandle,
     column_of,
     distance,
     exhaustion_time,
     next_base_time,
+    orbit_rows,
     step,
 )
 from .errors import StructuralError
@@ -169,30 +173,22 @@ def _find_proximal(a: PointHandle, b: PointHandle, depth: int,
         t += max(da, db, 1)
     # the jumps can leapfrog a short overlap of the two base-dwell windows;
     # finish with an exhaustive cursor walk so a miss is a real miss
-    ca = OrbitCursor(a)
-    cb = OrbitCursor(b)
-    for t in range(horizon + 1):
-        if all(ca.column[lvl].is_base and cb.column[lvl].is_base
+    for (t, col_a), (_, col_b) in zip(orbit_rows(a, depth, horizon),
+                                      orbit_rows(b, depth, horizon)):
+        if all(col_a[lvl].is_base and col_b[lvl].is_base
                for lvl in range(1, depth + 1)):
             return t, distance(step(a, t), step(b, t))
-        if t < horizon:
-            ca.advance()
-            cb.advance()
     return None
 
 
 def _find_separation(a: PointHandle, b: PointHandle, depth: int,
                      horizon: int) -> tuple[int, DistanceValue] | None:
-    ca = OrbitCursor(a)
-    cb = OrbitCursor(b)
     limit = min(depth, a.spine_level, b.spine_level)
-    for t in range(horizon + 1):
+    for (t, col_a), (_, col_b) in zip(orbit_rows(a, limit, horizon),
+                                      orbit_rows(b, limit, horizon)):
         for level in range(1, limit + 1):
-            if ca.column[level] != cb.column[level]:
+            if col_a[level] != col_b[level]:
                 return t, DistanceValue(exact=True, level=level)
-        if t < horizon:
-            ca.advance()
-            cb.advance()
     return None
 
 
@@ -308,16 +304,23 @@ def return_length_differences(report: OccurrenceReport) -> set[int]:
 # Numerical semigroup arithmetic.
 # ---------------------------------------------------------------------------
 
-def representable(n: int, generators: tuple[int, ...]) -> bool:
-    """Whether ``n`` is a nonnegative integer combination of the generators."""
-    reachable = bytearray(n + 1)
-    reachable[0] = 1
-    for v in range(1, n + 1):
+def _reachable(generators: tuple[int, ...]) -> Iterator[int]:
+    """1 or 0 for v = 0, 1, 2, ...: whether v is a nonnegative integer
+    combination of the generators, read off the table of smaller values."""
+    reachable = bytearray([1])
+    yield 1
+    for v in count(1):
+        reachable.append(0)
         for g in generators:
             if g <= v and reachable[v - g]:
                 reachable[v] = 1
                 break
-    return bool(reachable[n])
+        yield reachable[v]
+
+
+def representable(n: int, generators: tuple[int, ...]) -> bool:
+    """Whether ``n`` is a nonnegative integer combination of the generators."""
+    return bool(next(islice(_reachable(generators), n, None)))
 
 
 def frobenius_number(generators: tuple[int, ...]) -> int:
@@ -326,30 +329,19 @@ def frobenius_number(generators: tuple[int, ...]) -> int:
     Brute force: scan upward until ``min(generators)`` consecutive
     representable values appear; everything past that run is representable.
     """
-    from math import gcd
-    from functools import reduce
-
     if reduce(gcd, generators) != 1:
         raise StructuralError("generators must be coprime overall")
     lo = min(generators)
-    reachable = bytearray(1)
-    reachable[0] = 1
     run = 0
     last_missing = 0
-    v = 0
-    while run < lo:
-        v += 1
-        reachable.append(0)
-        for g in generators:
-            if g <= v and reachable[v - g]:
-                reachable[v] = 1
-                break
-        if reachable[v]:
+    for v, hit in enumerate(_reachable(generators)):
+        if hit:
             run += 1
+            if run >= lo:
+                return last_missing
         else:
             run = 0
             last_missing = v
-    return last_missing
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +396,9 @@ def degree_window_min(h: PointHandle, level: int, start: int,
     ``start..start+window`` (inclusive)."""
     if not (0 <= level <= h.spine_level):
         raise StructuralError(f"level {level} outside [0, {h.spine_level}]")
-    cursor = OrbitCursor(step(h, start))
     best: int | None = None
-    for t in range(window + 1):
-        cycle = cursor.column[level].cycle
+    for _, column in orbit_rows(step(h, start), level, window):
+        cycle = column[level].cycle
         if cycle and (best is None or cycle < best):
             best = cycle
-        if t < window:
-            cursor.advance()
     return DegreeValue(best)

@@ -48,6 +48,12 @@ DEFAULT_SCAN_BUDGET = 10**8
 SOFT_LEVEL_LIMIT = 20
 
 
+class LevelLimitWarning(UserWarning):
+    """A built-in level past ``SOFT_LEVEL_LIMIT`` is about to be built.  A
+    class of its own lets the command line refuse such a level without
+    turning any other warning into an error."""
+
+
 # ---------------------------------------------------------------------------
 # Formula terms.
 # ---------------------------------------------------------------------------
@@ -369,13 +375,13 @@ class LevelSpec:
 def build_level_spec(n: int) -> LevelSpec:
     """Level spec for level ``n`` of the built-in tower; memoized, built on
     the spec below it."""
-    if n < 0:
-        raise StructuralError(f"level must be >= 0, got {n}")
+    if type(n) is not int or n < 0:
+        raise StructuralError(f"level must be >= 0, got {n!r}")
     if n > SOFT_LEVEL_LIMIT:
         warnings.warn(
             f"level {n} exceeds the practical limit {SOFT_LEVEL_LIMIT}; "
             "cycle lengths roughly double in bit size per level",
-            stacklevel=2)
+            LevelLimitWarning, stacklevel=2)
     if n == 0:
         formula = Formula([Run(0, INITIAL_CYCLE_LENGTH)], lengths=())
         return LevelSpec(0, (), 2, (formula,))
@@ -505,8 +511,10 @@ class LiftReport:
 def lift_choices(a: VertexAddr, max_results: int = 64) -> LiftReport:
     """All level-(n+1) addresses projecting onto ``a``, in increasing
     (cycle, position) order, truncated to ``max_results``."""
-    check_addr(a)
+    # spec a.level first: past the level limit it warns before check_addr
+    # builds spec a.level - 1, which at the limit takes seconds
     spec = build_level_spec(a.level)
+    check_addr(a)
     up = a.level + 1
     total = 0
     choices: list[VertexAddr] = []

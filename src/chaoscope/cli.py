@@ -18,6 +18,7 @@ import io
 import json
 import random
 import sys
+import warnings
 from pathlib import Path
 
 from . import analysis, bouquet, dsl, dynamics, graphs, verify
@@ -46,10 +47,6 @@ def parse_handle(spec: str) -> PointHandle:
         offset = int(off) if off else 0
     except ValueError:
         raise UsageError(f"bad handle spec {spec!r}, expected SPINE:CYCLE:POS[@T]")
-    if cycle == 0:
-        if pos != 0:
-            raise UsageError("the base handle needs pos 0")
-        return dynamics.step(dynamics.fixed_point(spine), offset)
     return dynamics.new_handle(spine, cycle, pos, offset)
 
 
@@ -105,11 +102,10 @@ def _spec_for(cover: str | None):
 
 
 def cmd_levels(args) -> int:
-    if args.max > bouquet.SOFT_LEVEL_LIMIT:
-        # printing the lengths takes about four times longer per level
-        raise UsageError(f"--max {args.max} exceeds the level limit "
-                         f"{bouquet.SOFT_LEVEL_LIMIT}")
     spec_for = _spec_for(args.cover)
+    # the deepest level first, so a built-in level past the limit is
+    # refused before any level is built
+    spec_for(args.max)
     rows = []
     for n in range(0, args.max + 1):
         spec = spec_for(n)
@@ -358,9 +354,8 @@ def cmd_check(args) -> int:
 # Argument wiring.
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, out=True, seed=False, cover=False):
-    if out:
-        sub.add_argument("--out", help="write artifacts (plus manifest.json) here")
+def _add_common(sub, seed=False, cover=False):
+    sub.add_argument("--out", help="write artifacts (plus manifest.json) here")
     if seed:
         sub.add_argument("--seed", type=int, default=0)
     if cover:
@@ -486,18 +481,19 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # lengths past level 12 exceed 4300 digits
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (UsageError, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SpineExhausted, StructuralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except dsl.DslSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # a built-in level past the limit is refused, before it is built
+        warnings.simplefilter("error", bouquet.LevelLimitWarning)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except (UsageError, BudgetExceeded, SpineExhausted, StructuralError,
+                bouquet.LevelLimitWarning) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except dsl.DslSyntaxError as exc:
+            print(f"syntax error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

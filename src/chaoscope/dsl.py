@@ -384,70 +384,65 @@ def document_json(doc: CoverDocument) -> dict:
 # Validation and resolution.
 # ---------------------------------------------------------------------------
 
-def _first_atom(el: DocElement) -> DocTerm | None:
+def _end_atom(el: DocElement, end: int) -> DocTerm | None:
+    """The atom an element starts with (``end`` 0) or ends with (``end``
+    -1), looking into sums; None for an empty sum body."""
     while isinstance(el, DocSum):
         if not el.body:
             return None
-        el = el.body[0]
+        el = el.body[end]
     return el
 
 
-def _last_atom(el: DocElement) -> DocTerm | None:
-    while isinstance(el, DocSum):
-        if not el.body:
-            return None
-        el = el.body[-1]
-    return el
-
-
-def _convert_terms(terms: tuple[DocElement, ...], k_below: int,
-                   below_cycles: int, errs: list[str]) -> list[FormulaItem]:
+def _convert_terms(terms: tuple[DocElement, ...], k_below: int, below_cycles: int,
+                   errs: list[tuple[str, str]]) -> list[FormulaItem]:
     """Turn document elements into formula items, resolving 'k' bounds and
-    shifting comprehension ranges to start at 1."""
+    shifting comprehension ranges to start at 1.  Each problem found is
+    appended to ``errs`` as a (violation code, message) pair."""
     items: list[FormulaItem] = []
     for el in terms:
         if isinstance(el, DocTerm):
             if not isinstance(el.coef, int):
-                errs.append(f"loop variable {el.coef!r} used outside a sum")
+                errs.append(("BadTerm", f"loop variable {el.coef!r} used outside a sum"))
                 continue
             if el.coef < 1:
-                errs.append(f"count {el.coef} must be positive")
+                errs.append(("BadTerm", f"count {el.coef} must be positive"))
                 continue
             if el.atom > below_cycles:
-                errs.append(f"unknown cycle c{el.atom} (level below has "
-                            f"{below_cycles})")
+                errs.append(("UnknownCycle", f"unknown cycle c{el.atom} (level "
+                                             f"below has {below_cycles})"))
                 continue
             items.append(Run(el.atom, el.coef))
             continue
         bound = k_below if el.bound is None else el.bound
         if el.lo < 1:
-            errs.append(f"sum must start at 1 or later, got {el.lo}")
+            errs.append(("BadTerm", f"sum must start at 1 or later, got {el.lo}"))
             continue
         if bound < el.lo:
-            errs.append(f"empty sum: {el.lo}..{bound}")
+            errs.append(("EmptySum", f"empty sum: {el.lo}..{bound}"))
             continue
         body: list[BlockTerm] = []
         shift = el.lo - 1  # rewrite sum(j=lo..b) as sum(j'=1..b-lo+1)
         for sub in el.body:
             if isinstance(sub, DocSum):
-                errs.append("nested sums are not supported")
+                errs.append(("NestedSum", "nested sums are not supported"))
                 body = []
                 break
             if sub.atom > below_cycles:
-                errs.append(f"unknown cycle c{sub.atom} (level below has "
-                            f"{below_cycles})")
+                errs.append(("UnknownCycle", f"unknown cycle c{sub.atom} (level "
+                                             f"below has {below_cycles})"))
                 body = []
                 break
             if isinstance(sub.coef, int):
                 if sub.coef < 1:
-                    errs.append(f"count {sub.coef} must be positive")
+                    errs.append(("BadTerm", f"count {sub.coef} must be positive"))
                     body = []
                     break
                 body.append(BlockTerm(sub.atom, sub.coef, 0))
             else:
                 if sub.coef != el.var:
-                    errs.append(f"unknown variable {sub.coef!r} in sum over "
-                                f"{el.var!r}")
+                    errs.append(("BadTerm", f"unknown variable {sub.coef!r} in "
+                                            f"sum over {el.var!r}"))
                     body = []
                     break
                 body.append(BlockTerm(sub.atom, shift, 1))
@@ -490,15 +485,12 @@ def _resolve(doc: CoverDocument) -> tuple[list[LevelSpec], list[Violation]]:
         formulas: list[Formula] = []
         new_lengths = []
         for cyc in block.cycles:
-            errs: list[str] = []
+            errs: list[tuple[str, str]] = []
             items = _convert_terms(cyc.terms, k_below, len(below_lengths), errs)
-            for msg in errs:
-                code = "UnknownCycle" if "unknown cycle" in msg else (
-                    "NestedSum" if "nested" in msg else (
-                        "EmptySum" if "empty sum" in msg else "BadTerm"))
-                violations.append(Violation(code, msg, block.level, cyc.index))
-            first = _first_atom(cyc.terms[0])
-            last = _last_atom(cyc.terms[-1])
+            violations.extend(Violation(code, msg, block.level, cyc.index)
+                              for code, msg in errs)
+            first = _end_atom(cyc.terms[0], 0)
+            last = _end_atom(cyc.terms[-1], -1)
             if first is None or first.atom != 0 or last is None or last.atom != 0:
                 violations.append(Violation(
                     "EdgeBoundViolation",
@@ -568,7 +560,7 @@ def document_tower(doc: CoverDocument) -> Tower:
 # The built-in construction as a document.
 # ---------------------------------------------------------------------------
 
-def builtin_document(max_level: int, name: str = "builtin") -> CoverDocument:
+def builtin_document(max_level: int) -> CoverDocument:
     """The tower's own definition, written in the DSL up to ``max_level``."""
     blocks = []
     for n in range(1, max_level + 1):
@@ -592,7 +584,7 @@ def builtin_document(max_level: int, name: str = "builtin") -> CoverDocument:
             top = (n + 1) ** 2 * sum(below.cycle_lengths)
             cycles.append(CycleDecl(n, (DocTerm(top, 0),)))
         blocks.append(LevelBlock(n, tuple(cycles)))
-    return CoverDocument(name, "bouquet", tuple(blocks))
+    return CoverDocument("builtin", "bouquet", tuple(blocks))
 
 
 def _normalize_items(items: tuple[FormulaItem, ...]) -> tuple[FormulaItem, ...]:

@@ -291,8 +291,7 @@ def write_orbit_jsonl(out: TextIO, h: PointHandle, depth: int, horizon: int) -> 
 # Reproducible point corpora.
 # ---------------------------------------------------------------------------
 
-def random_handle(spine_level: int = DEFAULT_SPINE_LEVEL,
-                  rng: random.Random | None = None,
+def random_handle(spine_level: int, rng: random.Random,
                   band: tuple[int, int] | None = None,
                   reserve: int = DEFAULT_POSITION_RESERVE,
                   cycle_one_weight: float = 0.75) -> PointHandle:
@@ -307,8 +306,6 @@ def random_handle(spine_level: int = DEFAULT_SPINE_LEVEL,
     nothing shallow ever separates.  The default position bands (see module
     constants) are chosen so sampled orbits have observable behavior.
     """
-    if rng is None:
-        rng = random.Random(0)
     if spine_level < 1:
         raise StructuralError("random handles need at least one cycle")
     if spine_level == 1 or rng.random() < cycle_one_weight:
@@ -327,12 +324,10 @@ def random_handle(spine_level: int = DEFAULT_SPINE_LEVEL,
     return new_handle(spine_level, cycle, rng.randrange(lo, hi + 1))
 
 
-def random_pair(spine_level: int, rng: random.Random,
-                band: tuple[int, int] | None = None,
-                reserve: int = DEFAULT_POSITION_RESERVE) -> tuple[PointHandle, PointHandle]:
+def random_pair(spine_level: int, rng: random.Random) -> tuple[PointHandle, PointHandle]:
     """Two distinct seeded handles at the same spine level."""
-    a = random_handle(spine_level, rng, band, reserve)
+    a = random_handle(spine_level, rng)
     while True:
-        b = random_handle(spine_level, rng, band, reserve)
+        b = random_handle(spine_level, rng)
         if b.address != a.address:
             return a, b

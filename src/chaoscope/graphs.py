@@ -218,7 +218,7 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
 # Exports.
 # ---------------------------------------------------------------------------
 
-def write_dot(g: MaterializedGraph, out: TextIO, name: str = "G") -> None:
+def write_dot(g: MaterializedGraph, out: TextIO, name: str) -> None:
     """DOT rendering, one line per edge; the base vertex 0 is labeled v0."""
     out.write(f"digraph {name} {{\n")
     out.write('  0 [label="v0"];\n')
@@ -227,15 +227,11 @@ def write_dot(g: MaterializedGraph, out: TextIO, name: str = "G") -> None:
     out.write("}\n")
 
 
-def graph_stats(g: MaterializedGraph, level: int | None = None,
-                cycle_lengths: Sequence[int] | None = None) -> dict:
-    """JSON-ready stats record for a materialized graph."""
-    record: dict = {
+def graph_stats(g: MaterializedGraph, level: int, cycle_lengths: Sequence[int]) -> dict:
+    """JSON-ready stats record for a materialized graph of one level."""
+    return {
         "vertex_count": g.vertex_count,
         "edge_count": g.edge_count,
+        "level": level,
+        "cycle_lengths": [str(length) for length in cycle_lengths],
     }
-    if level is not None:
-        record["level"] = level
-    if cycle_lengths is not None:
-        record["cycle_lengths"] = [str(length) for length in cycle_lengths]
-    return record

@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
+from functools import cache
 
 from . import analysis, bouquet, dsl, dynamics, graphs
 from .bouquet import MaterializedLevel, VertexAddr, build_level_spec, cycle_length
-from .dynamics import PointHandle, column_of, fixed_point, new_handle, step
+from .dynamics import PointHandle, column_of, fixed_point, step
 
 EXPECTED_LENGTHS = {(1, 1): 10, (2, 1): 695, (2, 2): 90,
                     (3, 1): 3_421_640, (3, 2): 182, (3, 3): 12_560}
@@ -36,13 +37,9 @@ class CriterionResult:
         return f"criterion {self.number:2d} [{status}] {self.name}: {self.detail}"
 
 
-_mat_cache: dict[int, MaterializedLevel] = {}
-
-
+@cache
 def _materialized(n: int) -> MaterializedLevel:
-    if n not in _mat_cache:
-        _mat_cache[n] = bouquet.materialize_graph(n)
-    return _mat_cache[n]
+    return bouquet.materialize_graph(n)
 
 
 def _successor_array(g: graphs.MaterializedGraph) -> array:
@@ -112,10 +109,10 @@ def check_length_table() -> CriterionResult:
 # 2. Cover axioms on materialized levels.
 # ---------------------------------------------------------------------------
 
-def check_cover_axioms(max_level: int = 3) -> CriterionResult:
+def check_cover_axioms() -> CriterionResult:
     ok = True
     counts = []
-    for n in range(0, max_level + 1):
+    for n in range(4):
         level = _materialized(n)
         surj = graphs.validate_edge_surjective(level.graph)
         ok &= not surj
@@ -133,7 +130,8 @@ def check_cover_axioms(max_level: int = 3) -> CriterionResult:
 # 3. Symbolic projection vs materialized vertex maps.
 # ---------------------------------------------------------------------------
 
-def check_projection_oracle(samples: int = 10_000, seed: int = 0) -> CriterionResult:
+def check_projection_oracle() -> CriterionResult:
+    samples, seed = 10_000, 0
     ok = True
     checked = 0
     for n in (1, 2):
@@ -166,8 +164,8 @@ def check_projection_oracle(samples: int = 10_000, seed: int = 0) -> CriterionRe
 # 4. Fixed point.
 # ---------------------------------------------------------------------------
 
-def check_fixed_point(spine: int = 12,
-                      deltas: tuple[int, ...] = (1, 10**6, 10**12)) -> CriterionResult:
+def check_fixed_point() -> CriterionResult:
+    spine, deltas = 12, (1, 10**6, 10**12)
     p = fixed_point(spine)
     ok = True
     for delta in deltas:
@@ -182,8 +180,8 @@ def check_fixed_point(spine: int = 12,
 # 5. Invertibility at desk scale.
 # ---------------------------------------------------------------------------
 
-def check_invertibility(count: int = 10_000, seed: int = 0, spine: int = 8,
-                        max_delta: int = 10**6) -> CriterionResult:
+def check_invertibility() -> CriterionResult:
+    count, seed, spine, max_delta = 10_000, 0, 8, 10**6
     rng = random.Random(seed)
     ok = True
     for _ in range(count):
@@ -199,12 +197,12 @@ def check_invertibility(count: int = 10_000, seed: int = 0, spine: int = 8,
 # 6. Mixing claims.
 # ---------------------------------------------------------------------------
 
-def check_mixing_claims(budget: int = bouquet.DEFAULT_SCAN_BUDGET) -> CriterionResult:
-    r1 = analysis.mixing_gap_report(1, 1, budget)
+def check_mixing_claims() -> CriterionResult:
+    r1 = analysis.mixing_gap_report(1, 1)
     gaps1 = set(r1.realized_gaps)
     ok = gaps1 == {0} | set(range(2, 23))
     ok &= r1.prefix_matches and r1.suffix_within_bound
-    r2 = analysis.mixing_gap_report(1, 2, budget)
+    r2 = analysis.mixing_gap_report(1, 2)
     gaps2 = set(r2.realized_gaps)
     ok &= {0, 2, 3} <= gaps2
     ok &= set(range(5, 101)) <= gaps2
@@ -220,7 +218,8 @@ def check_mixing_claims(budget: int = bouquet.DEFAULT_SCAN_BUDGET) -> CriterionR
 # 7. Cofinite return-length differences.
 # ---------------------------------------------------------------------------
 
-def check_semigroup(extra_range: int = 1000) -> CriterionResult:
+def check_semigroup() -> CriterionResult:
+    extra_range = 1000
     report = bouquet.find_occurrences(1, 2, 1, 1)
     diffs = analysis.return_length_differences(report)
     ok = set(SEMIGROUP_GENERATORS) <= diffs
@@ -238,9 +237,9 @@ def check_semigroup(extra_range: int = 1000) -> CriterionResult:
 # 8. Proximality windows.
 # ---------------------------------------------------------------------------
 
-def check_proximality(handles: int = 100, spine: int = 8, target_level: int = 2,
-                      windows: int = 10, window_len: int = 700,
-                      seed: int = 0) -> CriterionResult:
+def check_proximality() -> CriterionResult:
+    handles, spine, target_level, seed = 100, 8, 2, 0
+    windows, window_len = 10, 700
     rng = random.Random(seed)
     spans = [(w * 1000, window_len) for w in range(windows)]
     hit_all = 0
@@ -260,16 +259,14 @@ def check_proximality(handles: int = 100, spine: int = 8, target_level: int = 2,
 # 9. Li-Yorke sampling.
 # ---------------------------------------------------------------------------
 
-def check_li_yorke(pairs: int = 100, spine: int = 8, horizon: int = 10_000,
-                   seed: int = 0, prox_depth: int = analysis.DEFAULT_PROX_DEPTH,
-                   sep_depth: int = analysis.DEFAULT_SEP_DEPTH,
-                   sep_rate: float = 0.9) -> CriterionResult:
+def check_li_yorke() -> CriterionResult:
+    pairs, spine, horizon, seed, sep_rate = 100, 8, 10_000, 0, 0.9
     rng = random.Random(seed)
     prox_found = 0
     sep_found = 0
     for _ in range(pairs):
         a, b = dynamics.random_pair(spine, rng)
-        report = analysis.li_yorke_test(a, b, horizon, prox_depth, sep_depth)
+        report = analysis.li_yorke_test(a, b, horizon)
         prox_found += report.proximal_witness is not None
         sep_found += report.separation_witness is not None
     ok = prox_found == pairs and sep_found >= sep_rate * pairs
@@ -283,22 +280,17 @@ def check_li_yorke(pairs: int = 100, spine: int = 8, horizon: int = 10_000,
 # 10. Degree properties.
 # ---------------------------------------------------------------------------
 
-def degree_corpus(count: int, spine: int, seed: int,
-                  max_pos: int = 100_000) -> list[PointHandle]:
+def degree_corpus(count: int, spine: int, seed: int) -> list[PointHandle]:
     """Handles with small cycle positions: every coordinate then sits in the
     dense early region of its expansion, which keeps degree scan windows
     short."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        cycle = 1 if rng.random() < 0.5 else rng.randrange(2, spine + 1)
-        out.append(new_handle(spine, cycle, rng.randrange(1, max_pos + 1)))
-    return out
+    return [dynamics.random_handle(spine, rng, band=(1, 100_000), reserve=0,
+                                   cycle_one_weight=0.5) for _ in range(count)]
 
 
-def check_degree_properties(samples: int = 10_000, corpus_size: int = 100,
-                            spine: int = 8, seed: int = 0,
-                            window: int = 2000) -> CriterionResult:
+def check_degree_properties() -> CriterionResult:
+    samples, corpus_size, spine, seed, window = 10_000, 100, 8, 0, 2000
     rng = random.Random(seed)
     mono_ok = True
     for _ in range(samples):
@@ -392,7 +384,8 @@ def rejection_stage(text: str, max_level: int) -> str | None:
     return None
 
 
-def check_dsl(max_level: int = 5) -> CriterionResult:
+def check_dsl() -> CriterionResult:
+    max_level = 5
     doc = dsl.builtin_document(max_level)
     text = dsl.serialize(doc)
     ok = dsl.parse(text) == doc

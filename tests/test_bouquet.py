@@ -245,6 +245,8 @@ def test_non_integer_coordinates_are_structural_errors():
         project_addr(VertexAddr(3, 1, 2.5))
     with pytest.raises(StructuralError):
         lift_choices(VertexAddr(3, 1, 2.5))
+    with pytest.raises(StructuralError):
+        lift_choices(VertexAddr("3", 1, 2))  # the level is read before check_addr
 
 
 def test_projection_agrees_with_materialized_maps(materialized):

@@ -204,6 +204,8 @@ def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys
 @pytest.mark.parametrize("argv, expected", [
     ("levels --max -2", 2),
     ("levels --max 21", 2),  # past SOFT_LEVEL_LIMIT: refused before any level is built
+    ("degree --handle 22:3:5", 2),  # needs spec 21: refused, not warned about
+    ("lift --level 21 --cycle 1 --pos 1", 2),  # refused before spec 20 is built
     ("liyorke --pairs -3", 2),
     ("orbit --spine 2 --cycle 1 --pos 1 --obs 1 --horizon -5", 2),
     ("levels", 0),  # CHAOSCOPE_BUDGET is no longer read

@@ -88,6 +88,12 @@ level 2 { c1 := e + 2 c1 + e; c2 := e + 2 c3 + e; }
     assert "UnknownCycle" in codes
 
 
+def test_violation_code_does_not_depend_on_a_variable_name():
+    # a loop variable outside a sum is a BadTerm, whatever it is called
+    doc = parse("cover x mode bouquet level 1 { c1 := e + nested e + e; }")
+    assert [v.code for v in validate_document(doc)] == ["BadTerm"]
+
+
 def test_round_trip_is_structural_identity():
     for depth in (1, 2, 5):
         doc = builtin_document(depth)
