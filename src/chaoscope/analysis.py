@@ -318,9 +318,10 @@ def _reachable(generators: tuple[int, ...]) -> Iterator[int]:
         yield reachable[v]
 
 
-def representable(n: int, generators: tuple[int, ...]) -> bool:
-    """Whether ``n`` is a nonnegative integer combination of the generators."""
-    return bool(next(islice(_reachable(generators), n, None)))
+def representable(generators: tuple[int, ...], upto: int) -> bytes:
+    """Byte v is 1 when v is a nonnegative integer combination of the
+    generators, else 0, for v = 0..upto: one walk of the table."""
+    return bytes(islice(_reachable(generators), upto + 1))
 
 
 def frobenius_number(generators: tuple[int, ...]) -> int:

@@ -537,10 +537,8 @@ def lift_choices(a: VertexAddr, max_results: int = 64) -> LiftReport:
 # ---------------------------------------------------------------------------
 
 def _run_stream(level_from: int, cycle: int, level_to: int) -> Iterator[Run]:
-    """Literal runs at ``level_to`` for one full traversal of the given cycle."""
-    if level_from == level_to:
-        yield Run(cycle, 1)
-        return
+    """Literal runs at ``level_to`` (below ``level_from``) for one full
+    traversal of the given cycle."""
     spec = build_level_spec(level_from - 1)
     for run in spec.image_formulas[cycle - 1].iter_runs():
         if run.cycle == 0 or level_from - 1 == level_to:

@@ -50,40 +50,38 @@ def parse_handle(spec: str) -> PointHandle:
     return dynamics.new_handle(spine, cycle, pos, offset)
 
 
-class Emitter:
-    """Collects named artifacts; writes them to --out with a manifest, or
-    prints the primary one to stdout."""
+def _write_artifacts(args, artifacts: dict[str, str]) -> None:
+    """Print the artifacts to stdout, or write each to its file under --out
+    with a manifest.json of the command, every option and each file's hash."""
+    out = getattr(args, "out", None)  # check has no --out
+    if not out:
+        for text in artifacts.values():
+            sys.stdout.write(text)
+        return
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records = []
+    for name, text in artifacts.items():
+        data = text.encode("utf-8")
+        (out_dir / name).write_bytes(data)
+        records.append({"path": name, "bytes": len(data),
+                        "sha256": hashlib.sha256(data).hexdigest()})
+    # ints as decimal strings, as in the artifacts; bools stay booleans
+    config = {key: str(value) if type(value) is int else value
+              for key, value in vars(args).items()
+              if key not in ("func", "out", "command")}
+    manifest = {"command": args.command, "config": config, "artifacts": records}
+    (out_dir / "manifest.json").write_text(_json(manifest))
+    print(f"wrote {len(records)} artifact(s) to {out_dir}")
 
-    def __init__(self, out_dir: str | None, command: str, config: dict):
-        self.out_dir = Path(out_dir) if out_dir else None
-        self.command = command
-        self.config = config
-        self.artifacts: list[tuple[str, str]] = []
 
-    def add(self, name: str, text: str) -> None:
-        self.artifacts.append((name, text))
-
-    def flush(self) -> None:
-        if self.out_dir is None:
-            for _, text in self.artifacts:
-                sys.stdout.write(text)
-            return
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        records = []
-        for name, text in self.artifacts:
-            data = text.encode("utf-8")
-            (self.out_dir / name).write_bytes(data)
-            records.append({"path": name, "bytes": len(data),
-                            "sha256": hashlib.sha256(data).hexdigest()})
-        manifest = {"command": self.command, "config": self.config,
-                    "artifacts": records}
-        (self.out_dir / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        print(f"wrote {len(records)} artifact(s) to {self.out_dir}")
+def _json(record) -> str:
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations.  Each returns the process exit code.
+# Subcommand implementations.  Each returns the process exit code and its
+# artifacts, {file name: text} in output order, for _write_artifacts.
 # ---------------------------------------------------------------------------
 
 def _spec_for(cover: str | None):
@@ -101,7 +99,7 @@ def _spec_for(cover: str | None):
         raise UsageError(str(exc))
 
 
-def cmd_levels(args) -> int:
+def cmd_levels(args) -> tuple[int, dict[str, str]]:
     spec_for = _spec_for(args.cover)
     # the deepest level first, so a built-in level past the limit is
     # refused before any level is built
@@ -114,20 +112,16 @@ def cmd_levels(args) -> int:
         else:
             rows.append({"level": n, "k": str(spec.k_value),
                          "cycle_lengths": [str(x) for x in spec.cycle_lengths]})
-    emit = Emitter(args.out, "levels", {"max": args.max, "cover": args.cover})
     if args.format == "json" or args.formulas:
-        emit.add("levels.json", json.dumps(rows, sort_keys=True, indent=2) + "\n")
-    else:
-        lines = [f"{'level':>5}  {'k':>12}  cycle lengths"]
-        for row in rows:
-            lines.append(f"{row['level']:>5}  {row['k']:>12}  "
-                         + (", ".join(row["cycle_lengths"]) or "-"))
-        emit.add("levels.txt", "\n".join(lines) + "\n")
-    emit.flush()
-    return 0
+        return 0, {"levels.json": _json(rows)}
+    lines = [f"{'level':>5}  {'k':>12}  cycle lengths"]
+    for row in rows:
+        lines.append(f"{row['level']:>5}  {row['k']:>12}  "
+                     + (", ".join(row["cycle_lengths"]) or "-"))
+    return 0, {"levels.txt": "\n".join(lines) + "\n"}
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, dict[str, str]]:
     spec_for = _spec_for(args.cover)
     failures = 0
     lines = []
@@ -144,30 +138,22 @@ def cmd_validate(args) -> int:
                      f"{level.graph.edge_count} edges, "
                      f"violations: surjectivity {len(surj)}, homomorphism "
                      f"{len(hom)}, bidirectionality {len(bd)}")
-    emit = Emitter(args.out, "validate",
-                   {"max_level": args.max_level, "cover": args.cover})
-    emit.add("validate.txt", "\n".join(lines) + "\n")
-    emit.flush()
-    return 0 if failures == 0 else 1
+    return (0 if failures == 0 else 1), {"validate.txt": "\n".join(lines) + "\n"}
 
 
-def cmd_materialize(args) -> int:
+def cmd_materialize(args) -> tuple[int, dict[str, str]]:
     level = bouquet.materialize_graph(args.level, args.vertex_budget,
                                       spec_for=_spec_for(args.cover))
-    emit = Emitter(args.out, "materialize",
-                   {"level": args.level, "cover": args.cover, "dot": args.dot})
     stats = graphs.graph_stats(level.graph, level.level, level.cycle_lengths)
-    emit.add(f"level{args.level}.stats.json",
-             json.dumps(stats, sort_keys=True, indent=2) + "\n")
+    artifacts = {f"level{args.level}.stats.json": _json(stats)}
     if args.dot:
         buf = io.StringIO()
         graphs.write_dot(level.graph, buf, name=f"level_{args.level}")
-        emit.add(f"level{args.level}.dot", buf.getvalue())
-    emit.flush()
-    return 0
+        artifacts[f"level{args.level}.dot"] = buf.getvalue()
+    return 0, artifacts
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> tuple[int, dict[str, str]]:
     if args.base:
         handle = dynamics.fixed_point(args.spine)
     else:
@@ -177,41 +163,27 @@ def cmd_orbit(args) -> int:
     depth = args.obs if args.obs is not None else args.spine
     if depth > args.spine:
         raise UsageError("--obs cannot exceed --spine")
-    emit = Emitter(args.out, "orbit",
-                   {"spine": args.spine, "cycle": args.cycle, "pos":
-                    str(args.pos), "obs": depth, "horizon": args.horizon,
-                    "format": args.format, "base": args.base})
     buf = io.StringIO()
     if args.format == "jsonl":
         dynamics.write_orbit_jsonl(buf, handle, depth, args.horizon)
-        emit.add("orbit.jsonl", buf.getvalue())
     else:
         dynamics.write_orbit_csv(buf, handle, depth, args.horizon)
-        emit.add("orbit.csv", buf.getvalue())
-    emit.flush()
-    return 0
+    return 0, {f"orbit.{args.format}": buf.getvalue()}
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> tuple[int, dict[str, str]]:
     a = parse_handle(args.a)
     b = parse_handle(args.b)
     d = dynamics.distance(a, b)
-    record = {"a": a.to_json(), "b": b.to_json(),
-              "exact": d.exact, "level": d.level, "distance": str(d)}
-    emit = Emitter(args.out, "distance", {"a": args.a, "b": args.b})
     if args.format == "json":
-        emit.add("distance.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
-    else:
-        emit.add("distance.txt", f"d({args.a}, {args.b}) = {d}\n")
-    emit.flush()
-    return 0
+        record = {"a": a.to_json(), "b": b.to_json(),
+                  "exact": d.exact, "level": d.level, "distance": str(d)}
+        return 0, {"distance.json": _json(record)}
+    return 0, {"distance.txt": f"d({args.a}, {args.b}) = {d}\n"}
 
 
-def cmd_degree(args) -> int:
+def cmd_degree(args) -> tuple[int, dict[str, str]]:
     handle = parse_handle(args.handle)
-    emit = Emitter(args.out, "degree",
-                   {"handle": args.handle, "obs": args.obs,
-                    "window": args.window, "level": args.level})
     deg = analysis.degree_of_column(handle, args.obs)
     record = {"handle": handle.to_json(), "degree": str(deg)}
     if args.window is not None:
@@ -221,26 +193,19 @@ def cmd_degree(args) -> int:
                                           args.window)
         record["window_min"] = {"level": args.level, "start": str(args.start),
                                 "window": str(args.window), "min": str(wmin)}
-    emit.add("degree.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
-    emit.flush()
-    return 0
+    return 0, {"degree.json": _json(record)}
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> tuple[int, dict[str, str]]:
     addr = VertexAddr(args.level, args.cycle, args.pos)
     report = bouquet.lift_choices(addr, args.max)
     record = {"address": str(addr), "total": str(report.total),
               "truncated": report.truncated,
               "choices": [str(c) for c in report.choices]}
-    emit = Emitter(args.out, "lift",
-                   {"level": args.level, "cycle": args.cycle,
-                    "pos": str(args.pos), "max": args.max})
-    emit.add("lift.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
-    emit.flush()
-    return 0
+    return 0, {"lift.json": _json(record)}
 
 
-def cmd_proximal(args) -> int:
+def cmd_proximal(args) -> tuple[int, dict[str, str]]:
     rng = random.Random(args.seed)
     spans = [(w * args.window_stride, args.window_len)
              for w in range(args.windows)]
@@ -251,17 +216,11 @@ def cmd_proximal(args) -> int:
         report = analysis.proximal_certificate(h, args.level, spans)
         all_ok &= report.all_hit
         results.append(report.to_json())
-    emit = Emitter(args.out, "proximal",
-                   {"level": args.level, "handles": args.handles,
-                    "windows": args.windows, "window_len": args.window_len,
-                    "spine": args.spine, "seed": args.seed})
-    emit.add("proximal.json", json.dumps(
-        {"all_hit": all_ok, "reports": results}, sort_keys=True, indent=2) + "\n")
-    emit.flush()
-    return 0 if all_ok else 1
+    record = {"all_hit": all_ok, "reports": results}
+    return (0 if all_ok else 1), {"proximal.json": _json(record)}
 
 
-def cmd_liyorke(args) -> int:
+def cmd_liyorke(args) -> tuple[int, dict[str, str]]:
     rng = random.Random(args.seed)
     reports = []
     prox = sep = 0
@@ -277,40 +236,25 @@ def cmd_liyorke(args) -> int:
                "separation_found": sep, "sep_rate_required": args.sep_rate,
                "passed": ok, "seed": args.seed, "horizon": args.horizon,
                "spine": args.spine, "reports": reports}
-    emit = Emitter(args.out, "liyorke",
-                   {"pairs": args.pairs, "seed": args.seed,
-                    "spine": args.spine, "horizon": args.horizon})
-    emit.add("liyorke.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    emit.flush()
     print(f"proximal {prox}/{args.pairs}, separated {sep}/{args.pairs}",
           file=sys.stderr)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"liyorke.json": _json(summary)}
 
 
-def cmd_mixing_gaps(args) -> int:
+def cmd_mixing_gaps(args) -> tuple[int, dict[str, str]]:
     report = analysis.mixing_gap_report(args.m, args.j, args.budget)
     ok = report.prefix_matches and report.suffix_within_bound
-    emit = Emitter(args.out, "mixing-gaps",
-                   {"m": args.m, "j": args.j, "budget": args.budget})
-    emit.add(f"mixing_m{args.m}_j{args.j}.json",
-             json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
-    emit.flush()
-    return 0 if ok else 1
+    return (0 if ok else 1), {f"mixing_m{args.m}_j{args.j}.json":
+                              _json(report.to_json())}
 
 
-def cmd_dsl_check(args) -> int:
+def cmd_dsl_check(args) -> tuple[int, dict[str, str]]:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {args.file}: {exc}")
-    try:
-        doc = dsl.parse(text)
-    except dsl.DslSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 1
+    doc = dsl.parse(text)
     tower, problems = dsl._resolve(doc)  # one walk for both checks
-    emit = Emitter(args.out, "dsl-check",
-                   {"file": args.file, "equivalence": args.equivalence})
     record = {"document": doc.name, "mode": doc.mode,
               "levels": len(doc.levels),
               "violations": [str(v) for v in problems]}
@@ -321,18 +265,16 @@ def cmd_dsl_check(args) -> int:
         ok &= equivalent
     if args.json:
         record["parsed"] = dsl.document_json(doc)
-    if args.canonical:
-        emit.add("canonical.cover", dsl.serialize(doc))
-    emit.add("dsl_check.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
-    emit.flush()
-    return 0 if ok else 1
+    artifacts = {"canonical.cover": dsl.serialize(doc)} if args.canonical else {}
+    artifacts["dsl_check.json"] = _json(record)
+    return (0 if ok else 1), artifacts
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict[str, str]]:
     if args.list:
-        for num, (name, _) in sorted(verify.ALL_CHECKS.items()):
-            print(f"{num:2d}  {name}")
-        return 0
+        return 0, {"checks.txt": "".join(
+            f"{num:2d}  {name}\n"
+            for num, (name, _) in sorted(verify.ALL_CHECKS.items()))}
     numbers = None
     if args.which:
         by_name = {name: num for num, (name, _) in verify.ALL_CHECKS.items()}
@@ -345,9 +287,9 @@ def cmd_check(args) -> int:
             else:
                 raise UsageError(f"unknown check {token!r} (try --list)")
     results = verify.run_checks(numbers)
-    for result in results:
-        print(result.line())
-    return 0 if all(r.passed for r in results) else 1
+    passed = all(r.passed for r in results)
+    return (0 if passed else 1), {"check.txt": "".join(
+        r.line() + "\n" for r in results)}
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +428,9 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("error", bouquet.LevelLimitWarning)
         try:
             args = parser.parse_args(argv)
-            return args.func(args)
+            code, artifacts = args.func(args)
+            _write_artifacts(args, artifacts)
+            return code
         except (UsageError, BudgetExceeded, SpineExhausted, StructuralError,
                 bouquet.LevelLimitWarning) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -224,9 +224,9 @@ def check_semigroup() -> CriterionResult:
     diffs = analysis.return_length_differences(report)
     ok = set(SEMIGROUP_GENERATORS) <= diffs
     frob = analysis.frobenius_number(SEMIGROUP_GENERATORS)
-    ok &= not analysis.representable(frob, SEMIGROUP_GENERATORS)
-    for v in range(frob + 1, frob + 1 + extra_range):
-        ok &= analysis.representable(v, SEMIGROUP_GENERATORS)
+    table = analysis.representable(SEMIGROUP_GENERATORS, frob + extra_range)
+    ok &= not table[frob]
+    ok &= all(table[frob + 1:])
     return CriterionResult(7, "cofinite semigroup", ok,
                            f"generators {SEMIGROUP_GENERATORS} from return-length "
                            f"differences, Frobenius bound {frob}, "

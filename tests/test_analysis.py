@@ -162,8 +162,11 @@ def test_return_length_differences_generate_the_semigroup():
 
 def test_frobenius_number_of_10_12_13():
     assert frobenius_number((10, 12, 13)) == 41
-    assert not representable(41, (10, 12, 13))
-    assert all(representable(v, (10, 12, 13)) for v in range(42, 142))
+    table = representable((10, 12, 13), 141)
+    sums = {10 * a + 12 * b + 13 * c
+            for a in range(15) for b in range(12) for c in range(11)}
+    assert [v for v in range(142) if table[v]] == sorted(v for v in sums if v < 142)
+    assert not table[41] and all(table[42:])
 
 
 def test_frobenius_requires_coprime_generators():

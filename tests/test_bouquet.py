@@ -99,18 +99,21 @@ def test_cycle_length_bounds_checked():
 
 def test_block_locate_matches_literal_expansion():
     # expand a small block sum literally and compare every offset
-    formula = Formula([BlockSum(5, (BlockTerm(0, 0, 1), BlockTerm(1, 2, 0))),
-                       Run(0, 1)], lengths=(10,))
-    offsets = []
-    for j in range(1, 6):
-        offsets.extend([(0, 0)] * j)
-        for _ in range(2):
-            offsets.extend((1, p) for p in range(1, 10))
-            offsets.append((0, 0))
-    offsets.append((0, 0))
-    assert formula.length == len(offsets)
-    for p, expected in enumerate(offsets, start=1):
-        assert formula.locate(p) == expected
+    for body, base_edges in [
+            ((BlockTerm(0, 0, 1), BlockTerm(1, 2, 0)), lambda j: j),
+            # the same length at every iteration: b == 0
+            ((BlockTerm(0, 1, 0), BlockTerm(1, 2, 0)), lambda j: 1)]:
+        formula = Formula([BlockSum(5, body), Run(0, 1)], lengths=(10,))
+        offsets = []
+        for j in range(1, 6):
+            offsets.extend([(0, 0)] * base_edges(j))
+            for _ in range(2):
+                offsets.extend((1, p) for p in range(1, 10))
+                offsets.append((0, 0))
+        offsets.append((0, 0))
+        assert formula.length == len(offsets)
+        for p, expected in enumerate(offsets, start=1):
+            assert formula.locate(p) == expected
 
 
 # Block bodies with b > 1: the per-iteration length grows by a whole cycle.

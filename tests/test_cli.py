@@ -224,6 +224,119 @@ def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatc
         assert err == "error: cover document ends at level 1\n"
 
 
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+# (argv, exit code, sha256 of stdout, stderr): each argv's output, byte for byte
+PINNED = [
+    ("levels --max 3", 0,
+     "1d012122e4f80d1bed45bd30ac96a817c65e528651cc86be698ff35a6dce1df7",
+     ""),
+    ("levels --max 2 --format json", 0,
+     "807d067c208604bfc5c1cd989af05179ede88deceaf4f981ce0e50d68e13552d",
+     ""),
+    ("levels --max 1 --formulas", 0,
+     "9d066ded2661b87fcced1f72500cf3946b9de2170516494869df11afb77c9588",
+     ""),
+    ("levels --max 21", 2,
+     EMPTY,
+     "error: level 21 exceeds the practical limit 20; cycle lengths roughly double"
+     " in bit size per level\n"),
+    ("levels --cover missing.cover", 2,
+     EMPTY,
+     "error: cannot read cover file: [Errno 2] No such file or directory: 'missing.cover'\n"),
+    ("validate --max-level 1", 0,
+     "fffaf4d7dd789ac2bb16dd6c86e7bdb7bf5758a07413ed566ccd4a184c689690",
+     ""),
+    ("materialize --level 1 --dot", 0,
+     "4e8c66bec4e625227b3a070386ecfc238276ebcbd23574b6334cc571efc40b5d",
+     ""),
+    ("materialize --level 1 --out out", 0,
+     "9b312bdde293b9162e60a202531f7dde6f55eca422e55cfb94e16d5ce4e52140",
+     ""),
+    ("orbit --spine 2 --cycle 1 --pos 1 --obs 1 --horizon 3", 0,
+     "4c1aeb2d2f338a3cbcaadb77c04513a4fb1c279790178125dcc90397b4b595f0",
+     ""),
+    ("orbit --spine 3 --base --horizon 4 --format jsonl", 0,
+     "bb216f75e75047b61a8dd60fdaf8eb1ad9419c6b5bfa41d087e69eeda9fb2aef",
+     ""),
+    ("orbit --spine 2 --cycle 1 --pos 1 --obs 3 --horizon 3", 2,
+     EMPTY,
+     "error: --obs cannot exceed --spine\n"),
+    ("orbit --spine 2 --horizon 3", 2,
+     EMPTY,
+     "error: orbit needs --cycle and --pos (or --base)\n"),
+    ("distance --a 2:1:1 --b 2:0:0", 0,
+     "97a5af0257f0241306966de010cc686d5a430dfcd0783a80ff930e1e4b089c28",
+     ""),
+    ("distance --a 2:1:1@4 --b 3:2:5 --format json", 0,
+     "598edffe74a95202004c16053d224ab88a3d4b0d5f6135ffee8eb216a7d48e94",
+     ""),
+    ("distance --a bad --b 2:0:0", 2,
+     EMPTY,
+     "error: bad handle spec 'bad', expected SPINE:CYCLE:POS[@T]\n"),
+    ("degree --handle 3:2:5", 0,
+     "7db69bc32746ca7819b248adde21f46b50cf83459030b717587a319f89c38833",
+     ""),
+    ("degree --handle 8:1:5000 --level 2 --start 100 --window 800", 0,
+     "86e8bc840585b1966b3fef40c9925120fcdadc7a56e4323d96d61e602b11e2a9",
+     ""),
+    ("degree --handle 8:1:5000 --window 10", 2,
+     EMPTY,
+     "error: --window needs --level\n"),
+    ("lift --level 1 --cycle 1 --pos 1 --max 5", 0,
+     "0e9d07f9c8e57ec264261306175a958b1800174a85305757cfcb486108a1ab9a",
+     ""),
+    ("proximal --level 1 --handles 2 --windows 2 --window-len 11", 0,
+     "9d8ce30bd3fac24223ccac9a688481648116f9c5e7f25be30434a7cce8834120",
+     ""),
+    ("liyorke --pairs 2 --horizon 2000 --seed 3", 0,
+     "16192e8048c5b293af6d3a32821c294ac5f1639f00aac8441f6b423e96a54b28",
+     "proximal 2/2, separated 2/2\n"),
+    ("mixing-gaps --m 1 --j 1", 0,
+     "595b32446081e2f8ceac9d92af3b0d748f04dfbefa2159aa23131c3bc57a347c",
+     ""),
+    ("mixing-gaps --m 1 --j 3 --budget 1000000", 2,
+     EMPTY,
+     "error: occurrence scan of cycle 1 at level 4: requires 70594865633727, budget"
+     " is 1000000 (rerun with a budget of at least 70594865633727)\n"),
+    ("dsl-check syntax.cover", 1,
+     EMPTY,
+     "syntax error: 1:38: expected 'e' or a cycle reference, found ';'\n"),
+    ("dsl-check bad.cover", 1,
+     "55324ce148ba6b1cbeba8b7602c3f47c7f132ee7a41fbb1ee86f953aac4a3859",
+     ""),
+    ("dsl-check builtin.cover --json --canonical --equivalence 3", 0,
+     "913875179029020414b87f3f53f56d9e2947863896f52a23f096bf99ba4966d9",
+     ""),
+    ("dsl-check missing.cover", 2,
+     EMPTY,
+     "error: cannot read missing.cover: [Errno 2] No such file or directory: 'missing.cover'\n"),
+    ("check --list", 0,
+     "0e43044695f13f0d0a75d1bef5ed74fa647a5c04e5a6558cbc64976d2ddb91ae",
+     ""),
+    ("check 7 fixed-point", 0,
+     "1f3e45a4b3fa7bd729f43feb0921696c7db3c79708dbee104b29d8323e088661",
+     ""),
+    ("check nope", 2,
+     EMPTY,
+     "error: unknown check 'nope' (try --list)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err", PINNED,
+                         ids=[pin[0] for pin in PINNED])
+def test_cli_output_is_pinned(argv, code, out_sha, err, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "syntax.cover").write_text("cover x mode bouquet level 1 { c1 := ; }")
+    (tmp_path / "bad.cover").write_text("cover x mode bouquet level 1 { c1 := c1 + e; }")
+    (tmp_path / "builtin.cover").write_text(serialize(builtin_document(3)))
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha
+    assert captured.err == err
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -267,3 +380,20 @@ def test_parse_handle_specs():
     assert parse_handle("4:0:0").address.is_base
     with pytest.raises(Exception):
         parse_handle("bad")
+
+
+@pytest.mark.parametrize("argv, option, values", [
+    ("proximal --level 1 --handles 2 --windows 2 --window-len 11",
+     "--window-stride", ("1000", "3000")),
+    ("liyorke --pairs 2 --horizon 2000", "--sep-depth", ("1", "2")),
+    ("degree --handle 8:1:5000 --level 2 --window 50", "--start", ("0", "7")),
+], ids=["proximal", "liyorke", "degree"])
+def test_manifest_records_every_option(argv, option, values, tmp_path, capsys):
+    configs = []
+    for value in values:
+        out = tmp_path / value
+        main([*argv.split(), option, value, "--out", str(out)])
+        capsys.readouterr()
+        configs.append(json.loads((out / "manifest.json").read_text())["config"])
+    assert configs[0] != configs[1]
+    assert configs[1][option[2:].replace("-", "_")] == values[1]

@@ -94,6 +94,25 @@ def test_violation_code_does_not_depend_on_a_variable_name():
     assert [v.code for v in validate_document(doc)] == ["BadTerm"]
 
 
+LEVEL_ONE = "cover x mode bouquet level 1 { c1 := 10 e; } "
+
+
+@pytest.mark.parametrize("text, expected", [
+    (LEVEL_ONE + "level 2 { c1 := e + sum(j=5..3){ j e + c1 } + e; }",
+     ["EmptySum (level 2, c1): empty sum: 5..3"]),
+    (LEVEL_ONE + "level 2 { c1 := e + sum(j=1..3){ e + sum(i=1..2){ i e } + c1 } + e; }",
+     ["NestedSum (level 2, c1): nested sums are not supported"]),
+    (LEVEL_ONE + "level 2 { c1 := e + sum(j=1..3){ 0 c1 + e } + e; }",
+     ["BadTerm (level 2, c1): count 0 must be positive"]),
+    (LEVEL_ONE + "level 2 { c1 := e + sum(j=1..3){ i e + c1 } + e; }",
+     ["BadTerm (level 2, c1): unknown variable 'i' in sum over 'j'"]),
+    ("cover x mode bouquet level 1 { c1 := e; }",
+     ["CycleTooShort (level 1, c1): cycle length 1 (need at least 2)"]),
+], ids=["empty-sum", "nested-sum", "zero-count", "unknown-variable", "one-edge-cycle"])
+def test_each_violation_path_reports_its_code(text, expected):
+    assert [str(v) for v in validate_document(parse(text))] == expected
+
+
 def test_round_trip_is_structural_identity():
     for depth in (1, 2, 5):
         doc = builtin_document(depth)
