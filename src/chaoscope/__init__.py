@@ -45,12 +45,12 @@ from .dsl import (
     DslSyntaxError,
     Violation,
     builtin_document,
-    builtin_equivalence,
     document_json,
     document_tower,
+    equals_builtin,
     parse,
+    resolve,
     serialize,
-    validate_document,
 )
 from .dynamics import (
     DistanceValue,

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import analysis, bouquet, dsl, dynamics, graphs, verify
 from .bouquet import DEFAULT_SCAN_BUDGET, VertexAddr, build_level_spec
 from .dynamics import PointHandle
-from .errors import BudgetExceeded, ChaoscopeError, SpineExhausted, StructuralError
+from .errors import ChaoscopeError
 
 class UsageError(ChaoscopeError):
     pass
@@ -59,19 +59,22 @@ def _write_artifacts(args, artifacts: dict[str, str]) -> None:
             sys.stdout.write(text)
         return
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for name, text in artifacts.items():
-        data = text.encode("utf-8")
-        (out_dir / name).write_bytes(data)
-        records.append({"path": name, "bytes": len(data),
-                        "sha256": hashlib.sha256(data).hexdigest()})
     # ints as decimal strings, as in the artifacts; bools stay booleans
     config = {key: str(value) if type(value) is int else value
               for key, value in vars(args).items()
               if key not in ("func", "out", "command")}
-    manifest = {"command": args.command, "config": config, "artifacts": records}
-    (out_dir / "manifest.json").write_text(_json(manifest))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts.items():
+            data = text.encode("utf-8")
+            (out_dir / name).write_bytes(data)
+            records.append({"path": name, "bytes": len(data),
+                            "sha256": hashlib.sha256(data).hexdigest()})
+        manifest = {"command": args.command, "config": config, "artifacts": records}
+        (out_dir / "manifest.json").write_text(_json(manifest))
+    except OSError as exc:
+        raise UsageError(f"cannot write to {out_dir}: {exc}")
     print(f"wrote {len(records)} artifact(s) to {out_dir}")
 
 
@@ -84,19 +87,21 @@ def _json(record) -> str:
 # artifacts, {file name: text} in output order, for _write_artifacts.
 # ---------------------------------------------------------------------------
 
+def _read_cover(path: str, label: str) -> dsl.CoverDocument:
+    """Parse a ``.cover`` file; a file that cannot be read or is not UTF-8
+    is a usage error that names ``label``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {label}: {exc}")
+    return dsl.parse(text)
+
+
 def _spec_for(cover: str | None):
     """Level lookup for ``--cover``: the built-in tower, or the document's."""
     if cover is None:
         return build_level_spec
-    try:
-        text = Path(cover).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read cover file: {exc}")
-    doc = dsl.parse(text)
-    try:
-        return dsl.document_tower(doc).__getitem__
-    except ChaoscopeError as exc:
-        raise UsageError(str(exc))
+    return dsl.document_tower(_read_cover(cover, "cover file")).__getitem__
 
 
 def cmd_levels(args) -> tuple[int, dict[str, str]]:
@@ -249,18 +254,14 @@ def cmd_mixing_gaps(args) -> tuple[int, dict[str, str]]:
 
 
 def cmd_dsl_check(args) -> tuple[int, dict[str, str]]:
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.file}: {exc}")
-    doc = dsl.parse(text)
-    tower, problems = dsl._resolve(doc)  # one walk for both checks
-    record = {"document": doc.name, "mode": doc.mode,
+    doc = _read_cover(args.file, args.file)
+    tower, problems = dsl.resolve(doc)  # one walk for both checks
+    record = {"document": doc.name, "mode": "bouquet",
               "levels": len(doc.levels),
               "violations": [str(v) for v in problems]}
     ok = not problems
     if args.equivalence is not None and ok:
-        equivalent = dsl._equals_builtin(tower, args.equivalence)
+        equivalent = dsl.equals_builtin(tower, args.equivalence)
         record["builtin_equivalent"] = equivalent
         ok &= equivalent
     if args.json:
@@ -431,13 +432,12 @@ def main(argv: list[str] | None = None) -> int:
             code, artifacts = args.func(args)
             _write_artifacts(args, artifacts)
             return code
-        except (UsageError, BudgetExceeded, SpineExhausted, StructuralError,
-                bouquet.LevelLimitWarning) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except dsl.DslSyntaxError as exc:
             print(f"syntax error: {exc}", file=sys.stderr)
             return 1
+        except (ChaoscopeError, bouquet.LevelLimitWarning) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -22,6 +22,13 @@ implicit; blocks must be contiguous from level 1.  The optional ``[length]``
 annotation declares the cycle's expected length and is checked against the
 formula.
 
+The public road: :func:`parse` turns text into a :class:`CoverDocument`;
+:func:`resolve` walks it once into its :class:`Tower` and every
+:class:`Violation`; :func:`document_tower` returns that tower, or raises when
+there are violations; :func:`equals_builtin` compares a valid tower with the
+built-in construction.  :func:`serialize` and :func:`document_json` write a
+document back out.
+
 Comprehensions are the one macro form and stay unexpanded through parse,
 serialize and JSON export; validation inverts their quadratic length prefix
 instead of expanding, so documents describing astronomically deep levels
@@ -90,7 +97,6 @@ class LevelBlock:
 @dataclass(frozen=True)
 class CoverDocument:
     name: str
-    mode: str
     levels: tuple[LevelBlock, ...]
 
 
@@ -158,9 +164,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # isdigit() also admits '²', which int() rejects
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), start_line, start_col))
             col += j - i
@@ -179,7 +185,7 @@ def _tokenize(text: str) -> list[_Token]:
                 tokens.append(_Token("kbound", word, start_line, start_col))
             elif word in _KEYWORDS:
                 tokens.append(_Token("kw", word, start_line, start_col))
-            elif word[0] == "c" and word[1:].isdigit():
+            elif word[0] == "c" and word[1:].isdecimal():
                 tokens.append(_Token("cycle", int(word[1:]), start_line, start_col))
             else:
                 tokens.append(_Token("ident", word, start_line, start_col))
@@ -243,7 +249,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "eof":
             raise self.fail("expected 'level' or end of input")
-        return CoverDocument(name, "bouquet", tuple(levels))
+        return CoverDocument(name, tuple(levels))
 
     def level_block(self) -> LevelBlock:
         self.expect_kw("level")
@@ -345,7 +351,7 @@ def _render_element(el: DocElement) -> str:
 
 def serialize(doc: CoverDocument) -> str:
     """Canonical text form; ``parse(serialize(doc))`` is structurally ``doc``."""
-    lines = [f"cover {doc.name} mode {doc.mode}", ""]
+    lines = [f"cover {doc.name} mode bouquet", ""]
     for block in doc.levels:
         lines.append(f"level {block.level} {{")
         for cyc in block.cycles:
@@ -367,7 +373,7 @@ def document_json(doc: CoverDocument) -> dict:
 
     return {
         "cover": doc.name,
-        "mode": doc.mode,
+        "mode": "bouquet",
         "levels": [
             {"level": b.level,
              "cycles": [
@@ -451,18 +457,29 @@ def _convert_terms(terms: tuple[DocElement, ...], k_below: int, below_cycles: in
     return items
 
 
-def _resolve(doc: CoverDocument) -> tuple[list[LevelSpec], list[Violation]]:
-    """Walk the document once: level specs (index = level) and every
-    violation found.  Each cycle's terms become a :class:`Formula` exactly
-    once; the specs mean something only when there are no violations.
+class Tower(tuple):
+    """A document's level specs, index = level.  Unlike a plain tuple, a
+    lookup outside ``0..len - 1`` raises :class:`StructuralError`, as the
+    built-in tower does for a negative level."""
+
+    def __getitem__(self, level: int) -> LevelSpec:
+        if level < 0:
+            raise StructuralError(f"level must be >= 0, got {level}")
+        if level >= len(self):
+            raise StructuralError(f"cover document ends at level {len(self) - 1}")
+        return tuple.__getitem__(self, level)
+
+
+def resolve(doc: CoverDocument) -> tuple[Tower, list[Violation]]:
+    """Walk the document once: its :class:`Tower` and every violation found
+    (empty = valid).  Each cycle's terms become a :class:`Formula` exactly
+    once; the tower means something only when there are no violations.
 
     Spec ``n`` carries level ``n``'s cycle lengths and the formulas of level
     ``n+1``'s cycles; the deepest spec has no formulas (the document ends).
     """
     violations: list[Violation] = []
-    if doc.mode != "bouquet":
-        violations.append(Violation("BadMode", f"unknown mode {doc.mode!r}"))
-    tower: list[LevelSpec] = []
+    specs: list[LevelSpec] = []
     below_lengths: tuple[int, ...] = ()
     k_below = 2
     for expected, block in enumerate(doc.levels, start=1):
@@ -520,40 +537,22 @@ def _resolve(doc: CoverDocument) -> tuple[list[LevelSpec], list[Violation]]:
                     block.level, cyc.index))
             formulas.append(formula)
             new_lengths.append(formula.length)
-        tower.append(LevelSpec(block.level - 1, below_lengths, k_below,
+        specs.append(LevelSpec(block.level - 1, below_lengths, k_below,
                                tuple(formulas)))
         below_lengths = tuple(new_lengths)
         k_below = 2 * (1 + sum(below_lengths))
-    tower.append(LevelSpec(len(doc.levels), below_lengths, k_below, ()))
-    return tower, violations
-
-
-def validate_document(doc: CoverDocument) -> list[Violation]:
-    """Structural validation; returns every violation found (empty = valid)."""
-    return _resolve(doc)[1]
-
-
-class Tower(tuple):
-    """A document's level specs, index = level.  Unlike a plain tuple, a
-    lookup outside ``0..len - 1`` raises :class:`StructuralError`, as the
-    built-in tower does for a negative level."""
-
-    def __getitem__(self, level: int) -> LevelSpec:
-        if level < 0:
-            raise StructuralError(f"level must be >= 0, got {level}")
-        if level >= len(self):
-            raise StructuralError(f"cover document ends at level {len(self) - 1}")
-        return tuple.__getitem__(self, level)
+    specs.append(LevelSpec(len(doc.levels), below_lengths, k_below, ()))
+    return Tower(specs), violations
 
 
 def document_tower(doc: CoverDocument) -> Tower:
     """Resolve a valid document into its :class:`Tower`; raises
     :class:`ChaoscopeError` naming the first violations otherwise."""
-    tower, problems = _resolve(doc)
+    tower, problems = resolve(doc)
     if problems:
         raise ChaoscopeError("invalid cover document: " + "; ".join(
             str(v) for v in problems[:3]))
-    return Tower(tower)
+    return tower
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +583,7 @@ def builtin_document(max_level: int) -> CoverDocument:
             top = (n + 1) ** 2 * sum(below.cycle_lengths)
             cycles.append(CycleDecl(n, (DocTerm(top, 0),)))
         blocks.append(LevelBlock(n, tuple(cycles)))
-    return CoverDocument("builtin", "bouquet", tuple(blocks))
+    return CoverDocument("builtin", tuple(blocks))
 
 
 def _normalize_items(items: tuple[FormulaItem, ...]) -> tuple[FormulaItem, ...]:
@@ -598,16 +597,10 @@ def _normalize_items(items: tuple[FormulaItem, ...]) -> tuple[FormulaItem, ...]:
     return tuple(out)
 
 
-def builtin_equivalence(doc: CoverDocument, up_to_level: int) -> bool:
-    """Whether the document's term lists match the programmatic generator for
-    every level up to ``up_to_level`` (after run merging and bound
+def equals_builtin(tower: Tower, up_to_level: int) -> bool:
+    """Whether a valid document's tower matches the programmatic generator
+    for every level up to ``up_to_level`` (after run merging and bound
     resolution)."""
-    tower, problems = _resolve(doc)
-    return not problems and _equals_builtin(tower, up_to_level)
-
-
-def _equals_builtin(tower: list[LevelSpec], up_to_level: int) -> bool:
-    """:func:`builtin_equivalence` on the specs of a valid document."""
     if len(tower) <= up_to_level:
         return False
     for n in range(1, up_to_level + 1):

@@ -376,10 +376,10 @@ def rejection_stage(text: str, max_level: int) -> str | None:
         doc = dsl.parse(text)
     except dsl.DslSyntaxError:
         return "syntax"
-    tower, problems = dsl._resolve(doc)  # one walk for both stages
+    tower, problems = dsl.resolve(doc)  # one walk for both stages
     if problems:
         return "validation"
-    if not dsl._equals_builtin(tower, min(len(doc.levels), max_level)):
+    if not dsl.equals_builtin(tower, min(len(doc.levels), max_level)):
         return "equivalence"
     return None
 
@@ -389,7 +389,7 @@ def check_dsl() -> CriterionResult:
     doc = dsl.builtin_document(max_level)
     text = dsl.serialize(doc)
     ok = dsl.parse(text) == doc
-    ok &= dsl.builtin_equivalence(doc, max_level)  # False on any violation
+    ok &= rejection_stage(text, max_level) is None  # valid and generator-equal
     ok &= dsl.serialize(dsl.parse(text)) == text  # canonical form is a fixpoint
 
     stages: dict[str, int] = {}

@@ -211,12 +211,21 @@ def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys
     ("levels", 0),  # CHAOSCOPE_BUDGET is no longer read
     ("validate --cover bad.cover", 2),
     ("levels --max 5 --cover one.cover", 2),
+    ("dsl-check bin.cover", 2),  # not UTF-8
+    ("levels --cover bin.cover", 2),
+    ("dsl-check sup.cover", 1),  # '\u00b2' is a digit int() cannot read
+    ("distance --a 2:1:1 --b 2:0:0 --out afile", 2),  # --out names a file
+    ("distance --a 2:1:1 --b 2:0:0 --out afile/x", 2),
 ])
 def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CHAOSCOPE_BUDGET", "abc")
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cover").write_text("cover x mode bouquet level 1 { c1 := c1 + e; }")
     (tmp_path / "one.cover").write_text("cover tiny mode bouquet level 1 { c1 := 4 e; }")
+    (tmp_path / "bin.cover").write_bytes(b"\xff\xfe bad")
+    (tmp_path / "sup.cover").write_text("cover x mode bouquet level 1 { c1 := \u00b2 e; }",
+                                        encoding="utf-8")
+    (tmp_path / "afile").write_text("")
     assert main(argv.split()) == expected
     err = capsys.readouterr().err
     assert len(err.splitlines()) <= 1 and "Traceback" not in err

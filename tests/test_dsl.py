@@ -12,13 +12,13 @@ from chaoscope import (
     StructuralError,
     build_level_spec,
     builtin_document,
-    builtin_equivalence,
     document_json,
     document_tower,
+    equals_builtin,
     materialize_graph,
     parse,
+    resolve,
     serialize,
-    validate_document,
 )
 from chaoscope.dsl import CycleDecl, DocSum, DocTerm
 from chaoscope.verify import DSL_MUTATIONS, rejection_stage
@@ -34,9 +34,10 @@ level 1 {
 
 def test_minimal_document_parses():
     doc = parse(MINIMAL)
-    assert doc.name == "demo" and doc.mode == "bouquet"
+    assert doc.name == "demo"
+    assert serialize(doc).startswith("cover demo mode bouquet")
     assert doc.levels[0].cycles == (CycleDecl(1, (DocTerm(10, 0),)),)
-    assert validate_document(doc) == []
+    assert resolve(doc)[1] == []
 
 
 def test_comprehension_expands_to_695():
@@ -49,7 +50,7 @@ level 2 {
 }
 """
     doc = parse(text)
-    assert validate_document(doc) == []
+    assert resolve(doc)[1] == []
     tower = document_tower(doc)
     assert tower[1].image_formulas[0].length == 695
     assert tower[2].cycle_lengths == (695, 90)
@@ -57,7 +58,7 @@ level 2 {
 
 def test_formula_must_be_edge_bounded():
     doc = parse("cover x mode bouquet level 1 { c1 := c1 + e; }")
-    codes = {v.code for v in validate_document(doc)}
+    codes = {v.code for v in resolve(doc)[1]}
     assert "EdgeBoundViolation" in codes
 
 
@@ -68,6 +69,23 @@ def test_syntax_error_carries_location():
     assert "found" in str(err.value)
 
 
+@pytest.mark.parametrize("formula, message, col", [
+    ("c1 := \u00b2 e;", "unexpected character '\u00b2'", 38),
+    ("c\u00b2 := 10 e;", "expected a cycle declaration like 'c1', found 'c\u00b2'", 32),
+], ids=["superscript-count", "superscript-cycle"])
+def test_digits_int_cannot_read_are_syntax_errors(formula, message, col):
+    # '\u00b2'.isdigit() is true, but int('\u00b2') raises ValueError
+    with pytest.raises(DslSyntaxError) as err:
+        parse(f"cover x mode bouquet level 1 {{ {formula} }}")
+    assert (err.value.line, err.value.col) == (1, col)
+    assert str(err.value) == f"1:{col}: {message}"
+
+
+def test_decimal_digits_of_any_script_are_integers():
+    doc = parse("cover x mode bouquet level 1 { c1 := \u0663 e; }")  # Arabic-Indic 3
+    assert doc.levels[0].cycles == (CycleDecl(1, (DocTerm(3, 0),)),)
+
+
 def test_comments_and_whitespace_are_insignificant():
     text = "cover x mode bouquet  # header\nlevel 1 {\n  # the only cycle\n  c1:=10 e;\n}"
     assert parse(text) == parse("cover x mode bouquet level 1 { c1 := 10 e; }")
@@ -75,7 +93,7 @@ def test_comments_and_whitespace_are_insignificant():
 
 def test_declared_length_mismatch():
     doc = parse("cover x mode bouquet level 1 { c1[696] := 10 e; }")
-    codes = {v.code for v in validate_document(doc)}
+    codes = {v.code for v in resolve(doc)[1]}
     assert codes == {"LengthMismatch"}
 
 
@@ -84,14 +102,14 @@ def test_unknown_cycle_reference():
 level 1 { c1 := 10 e; }
 level 2 { c1 := e + 2 c1 + e; c2 := e + 2 c3 + e; }
 """)
-    codes = {v.code for v in validate_document(doc)}
+    codes = {v.code for v in resolve(doc)[1]}
     assert "UnknownCycle" in codes
 
 
 def test_violation_code_does_not_depend_on_a_variable_name():
     # a loop variable outside a sum is a BadTerm, whatever it is called
     doc = parse("cover x mode bouquet level 1 { c1 := e + nested e + e; }")
-    assert [v.code for v in validate_document(doc)] == ["BadTerm"]
+    assert [v.code for v in resolve(doc)[1]] == ["BadTerm"]
 
 
 LEVEL_ONE = "cover x mode bouquet level 1 { c1 := 10 e; } "
@@ -110,7 +128,7 @@ LEVEL_ONE = "cover x mode bouquet level 1 { c1 := 10 e; } "
      ["CycleTooShort (level 1, c1): cycle length 1 (need at least 2)"]),
 ], ids=["empty-sum", "nested-sum", "zero-count", "unknown-variable", "one-edge-cycle"])
 def test_each_violation_path_reports_its_code(text, expected):
-    assert [str(v) for v in validate_document(parse(text))] == expected
+    assert [str(v) for v in resolve(parse(text))[1]] == expected
 
 
 def test_round_trip_is_structural_identity():
@@ -122,7 +140,7 @@ def test_round_trip_is_structural_identity():
 def test_levelless_document_serializes_to_header_only():
     from chaoscope.dsl import CoverDocument
 
-    assert serialize(CoverDocument("empty", "bouquet", ())) == \
+    assert serialize(CoverDocument("empty", ())) == \
         "cover empty mode bouquet\n\n"
 
 
@@ -141,19 +159,24 @@ def test_comprehension_survives_round_trip_unexpanded():
 
 def test_builtin_document_levels_up_to_five_are_equivalent():
     doc = builtin_document(5)
-    assert validate_document(doc) == []
-    assert builtin_equivalence(doc, 5)
+    tower, problems = resolve(doc)
+    assert problems == []
+    assert equals_builtin(tower, 5)
 
 
 def test_literal_k_equal_to_derived_k_is_still_equivalent():
     # writing the resolved bound 22 instead of "k" is the same construction
     text = serialize(builtin_document(2)).replace("sum(j=1..k)", "sum(j=1..22)")
-    assert builtin_equivalence(parse(text), 2)
+    tower, problems = resolve(parse(text))
+    assert problems == []
+    assert equals_builtin(tower, 2)
 
 
 def test_split_edge_runs_normalize_before_comparison():
     text = serialize(builtin_document(2)).replace("+ e + e;", "+ 2 e;")
-    assert builtin_equivalence(parse(text), 2)
+    tower, problems = resolve(parse(text))
+    assert problems == []
+    assert equals_builtin(tower, 2)
 
 
 def test_every_mutant_is_rejected():
@@ -196,8 +219,8 @@ def test_random_documents_round_trip():
             cycles = tuple(CycleDecl(i, random_formula(n - 1, var_ok=True))
                            for i in range(1, n + 1))
             blocks.append(LevelBlock(n, cycles))
-        doc = CoverDocument("fuzz", "bouquet", tuple(blocks))
-        assert validate_document(doc) == []
+        doc = CoverDocument("fuzz", tuple(blocks))
+        assert resolve(doc)[1] == []
         text = serialize(doc)
         assert parse(text) == doc
         assert serialize(parse(text)) == text

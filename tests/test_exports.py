@@ -26,3 +26,26 @@ def test_every_export_is_used_in_src_or_named_in_the_readme():
                 used.add(node.attr)
     named = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
     assert sorted(exported - used - named) == []
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # a `_`-prefixed name is its own module's business; other modules go
+    # through the public surface
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    reads = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()  # names bound to sibling modules, e.g. `from . import dsl`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        aliases.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        reads.append(f"{path.name}: from .{node.module} import {alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                reads.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert reads == []
