@@ -161,7 +161,9 @@ class LiYorkeReport:
 def _find_proximal(a: PointHandle, b: PointHandle, depth: int,
                    horizon: int) -> tuple[int, DistanceValue] | None:
     # jump between synchronized base-hit times: both coordinates at the base
-    # through `depth` bounds the distance by 2^-(depth+1)
+    # through `depth` bounds the distance by 2^-(depth+1).  The jumps skip
+    # no joint hit, so a miss is a real miss: next_base_time is the first
+    # hit, and before t + max(da, db) one of the two is off the base
     t = 0
     while t <= horizon:
         ha = step(a, t)
@@ -170,14 +172,7 @@ def _find_proximal(a: PointHandle, b: PointHandle, depth: int,
         db = next_base_time(hb, depth)
         if da == 0 and db == 0:
             return t, distance(ha, hb)
-        t += max(da, db, 1)
-    # the jumps can leapfrog a short overlap of the two base-dwell windows;
-    # finish with an exhaustive cursor walk so a miss is a real miss
-    for (t, col_a), (_, col_b) in zip(orbit_rows(a, depth, horizon),
-                                      orbit_rows(b, depth, horizon)):
-        if all(col_a[lvl].is_base and col_b[lvl].is_base
-               for lvl in range(1, depth + 1)):
-            return t, distance(step(a, t), step(b, t))
+        t += max(da, db)
     return None
 
 
@@ -198,9 +193,9 @@ def li_yorke_test(a: PointHandle, b: PointHandle,
                   sep_depth: int = DEFAULT_SEP_DEPTH) -> LiYorkeReport:
     """Search one horizon for both halves of Li-Yorke behavior.
 
-    The proximal search synchronizes base-hit times (it never scans step by
-    step unless the jumps degenerate); the separation search walks the
-    orbits comparing columns down to ``sep_depth``.
+    The proximal search jumps between base-hit times and never scans step
+    by step; the separation search walks the orbits comparing columns down
+    to ``sep_depth``.
     """
     for h in (a, b):
         ex = exhaustion_time(h)

@@ -31,7 +31,6 @@ base itself and is represented as the base address, never stored.
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -45,13 +44,7 @@ from .graphs import CoverMap, MaterializedGraph
 INITIAL_CYCLE_LENGTH = 10
 DEFAULT_VERTEX_BUDGET = 10**7
 DEFAULT_SCAN_BUDGET = 10**8
-SOFT_LEVEL_LIMIT = 20
-
-
-class LevelLimitWarning(UserWarning):
-    """A built-in level past ``SOFT_LEVEL_LIMIT`` is about to be built.  A
-    class of its own lets the command line refuse such a level without
-    turning any other warning into an error."""
+LEVEL_LIMIT = 20
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +367,14 @@ class LevelSpec:
 @cache
 def build_level_spec(n: int) -> LevelSpec:
     """Level spec for level ``n`` of the built-in tower; memoized, built on
-    the spec below it."""
+    the spec below it.  A level past ``LEVEL_LIMIT`` is a
+    :class:`StructuralError`, raised before anything is built."""
     if type(n) is not int or n < 0:
         raise StructuralError(f"level must be >= 0, got {n!r}")
-    if n > SOFT_LEVEL_LIMIT:
-        warnings.warn(
-            f"level {n} exceeds the practical limit {SOFT_LEVEL_LIMIT}; "
-            "cycle lengths roughly double in bit size per level",
-            LevelLimitWarning, stacklevel=2)
+    if n > LEVEL_LIMIT:
+        raise StructuralError(
+            f"level {n} exceeds the practical limit {LEVEL_LIMIT}; "
+            "cycle lengths roughly double in bit size per level")
     if n == 0:
         formula = Formula([Run(0, INITIAL_CYCLE_LENGTH)], lengths=())
         return LevelSpec(0, (), 2, (formula,))
@@ -511,7 +504,7 @@ class LiftReport:
 def lift_choices(a: VertexAddr, max_results: int = 64) -> LiftReport:
     """All level-(n+1) addresses projecting onto ``a``, in increasing
     (cycle, position) order, truncated to ``max_results``."""
-    # spec a.level first: past the level limit it warns before check_addr
+    # spec a.level first: past the level limit it raises before check_addr
     # builds spec a.level - 1, which at the limit takes seconds
     spec = build_level_spec(a.level)
     check_addr(a)

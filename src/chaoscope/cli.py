@@ -18,7 +18,6 @@ import io
 import json
 import random
 import sys
-import warnings
 from pathlib import Path
 
 from . import analysis, bouquet, dsl, dynamics, graphs, verify
@@ -36,6 +35,17 @@ def _count(text: str) -> int:
     if not text.isdecimal():
         raise UsageError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _rate(text: str) -> float:
+    """argparse type of --sep-rate: a fraction of pairs, in [0, 1]."""
+    try:
+        rate = float(text)
+        if 0 <= rate <= 1:  # false for nan
+            return rate
+    except ValueError:
+        pass
+    raise UsageError(f"expected a rate in [0, 1], got {text!r}")
 
 
 def parse_handle(spec: str) -> PointHandle:
@@ -315,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("levels", help="cycle length / k table")
     p.add_argument("--max", type=_count, default=3,
-                   help=f"deepest level, at most {bouquet.SOFT_LEVEL_LIMIT}")
+                   help=f"deepest level, at most {bouquet.LEVEL_LIMIT}")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--formulas", action="store_true",
                    help="emit full level specs (implies JSON)")
@@ -389,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_count, default=analysis.DEFAULT_HORIZON)
     p.add_argument("--prox-depth", type=_count, default=analysis.DEFAULT_PROX_DEPTH)
     p.add_argument("--sep-depth", type=_count, default=analysis.DEFAULT_SEP_DEPTH)
-    p.add_argument("--sep-rate", type=float, default=0.9)
+    p.add_argument("--sep-rate", type=_rate, default=0.9)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_liyorke)
 
@@ -424,20 +434,17 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # lengths past level 12 exceed 4300 digits
     parser = build_parser()
-    with warnings.catch_warnings():
-        # a built-in level past the limit is refused, before it is built
-        warnings.simplefilter("error", bouquet.LevelLimitWarning)
-        try:
-            args = parser.parse_args(argv)
-            code, artifacts = args.func(args)
-            _write_artifacts(args, artifacts)
-            return code
-        except dsl.DslSyntaxError as exc:
-            print(f"syntax error: {exc}", file=sys.stderr)
-            return 1
-        except (ChaoscopeError, bouquet.LevelLimitWarning) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        args = parser.parse_args(argv)
+        code, artifacts = args.func(args)
+        _write_artifacts(args, artifacts)
+        return code
+    except dsl.DslSyntaxError as exc:
+        print(f"syntax error: {exc}", file=sys.stderr)
+        return 1
+    except ChaoscopeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

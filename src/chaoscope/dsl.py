@@ -16,11 +16,12 @@ over the symbols of the level below.  Grammar (EBNF)::
 
 ``e`` is the base self-loop of the level below, ``cI`` its cycle ``I``; a
 coefficient repeats the atom.  ``k`` resolves to twice the total edge count
-of the level below.  Integers are decimal and unbounded, whitespace is
-insignificant, ``#`` starts a comment.  Level 0 (the single base vertex) is
-implicit; blocks must be contiguous from level 1.  The optional ``[length]``
-annotation declares the cycle's expected length and is checked against the
-formula.
+of the level below.  Integers are decimal; one longer than Python's
+int-digit limit is a syntax error (the command line lifts the limit).
+Whitespace is insignificant, ``#`` starts a comment.  Level 0 (the single
+base vertex) is implicit; blocks must be contiguous from level 1.  The
+optional ``[length]`` annotation declares the cycle's expected length and
+is checked against the formula.
 
 The public road: :func:`parse` turns text into a :class:`CoverDocument`;
 :func:`resolve` walks it once into its :class:`Tower` and every
@@ -38,6 +39,7 @@ stay cheap to check.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .bouquet import (
@@ -168,7 +170,13 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), start_line, start_col))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than Python's int-digit limit
+                raise DslSyntaxError(
+                    f"integer of {j - i} digits exceeds Python's int-digit "
+                    f"limit {sys.get_int_max_str_digits()}", start_line, start_col)
+            tokens.append(_Token("int", value, start_line, start_col))
             col += j - i
             i = j
             continue

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, TextIO
 
 from .bouquet import (
@@ -165,10 +164,6 @@ class DistanceValue:
     exact: bool
     level: int
 
-    def bound(self) -> Fraction:
-        k = self.level if self.exact else self.level + 1
-        return Fraction(1, 2**k)
-
     def __str__(self) -> str:
         if self.exact:
             return f"2^-{self.level}"
@@ -192,6 +187,11 @@ def next_base_time(h: PointHandle, target_level: int) -> int:
 
     The coordinate's forward walk around its cycle is forced, so the answer
     is the distance to the end of the current cycle copy; no scan happens.
+
+    The answer never exceeds ``exhaustion_time(h)``: at that offset the
+    spine coordinate is at the base, covers map the base to the base, so
+    every lower coordinate is at the base too, and a forced walk reaches
+    the base first at this answer.
     """
     if not (0 <= target_level <= h.spine_level):
         raise StructuralError(
@@ -201,13 +201,7 @@ def next_base_time(h: PointHandle, target_level: int) -> int:
         addr = project_addr(addr)
     if addr.is_base:
         return 0
-    d = cycle_length(target_level, addr.cycle) - addr.pos
-    ex = exhaustion_time(h)
-    if ex is not None and d > ex:
-        raise SpineExhausted(
-            f"spine exhausts at +{ex} before the level-{target_level} "
-            f"base-hit at +{d}", first_invalid_offset=h.offset + ex)
-    return d
+    return cycle_length(target_level, addr.cycle) - addr.pos
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ from chaoscope import (
     mixing_gap_report,
     new_handle,
     next_base_time,
+    orbit_rows,
     proximal_certificate,
     random_handle,
+    random_pair,
     representable,
     return_length_differences,
     step,
@@ -84,7 +86,33 @@ def test_any_point_is_proximal_to_the_fixed_point():
         report = li_yorke_test(h, fixed_point(8), horizon=2000)
         assert report.proximal_witness is not None
         t, d = report.proximal_witness
-        assert d.bound() <= 2 ** -3
+        assert (d.level if d.exact else d.level + 1) >= 3  # d <= 2^-3
+
+
+def _first_joint_base_time(a, b, depth, horizon):
+    """Reference for the proximal jumps: walk both orbits step by step."""
+    for (t, col_a), (_, col_b) in zip(orbit_rows(a, depth, horizon),
+                                      orbit_rows(b, depth, horizon)):
+        if all(col_a[lvl].is_base and col_b[lvl].is_base
+               for lvl in range(1, depth + 1)):
+            return t
+    return None
+
+
+def test_proximal_jumps_equal_an_exhaustive_walk():
+    rng = random.Random(2016)
+    late_hits = misses = 0
+    for depth in (1, 2, 3):
+        for horizon in (50, 400, 2000):
+            for _ in range(4):
+                a, b = random_pair(8, rng)
+                witness = li_yorke_test(a, b, horizon, prox_depth=depth).proximal_witness
+                expected = _first_joint_base_time(a, b, depth, horizon)
+                assert (None if witness is None else witness[0]) == expected
+                late_hits += bool(expected)
+                misses += expected is None
+    # the sample reaches both a joint hit after time 0 and a real miss
+    assert late_hits and misses
 
 
 def test_identical_handles_never_separate():

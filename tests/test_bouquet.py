@@ -366,6 +366,30 @@ def test_occurrences_level_one_to_two():
     assert report.gaps_all_base
 
 
+def test_occurrences_with_other_cycles_after_the_last_copy():
+    # level 3's cycle 1 over level 2: blocks j = 1..k of j base edges and 2
+    # copies of cycle 1, then e + 2 c2 + e
+    k = build_level_spec(2).k_value
+    report = find_occurrences(2, 3, target_cycle=1, source_cycle=1)
+    assert report.copy_count == 2 * k == 3144
+    assert report.prefix_length == 1 and report.prefix_all_base
+    assert report.suffix_length == 2 + 2 * cycle_length(2, 2) == 182
+    assert not report.suffix_all_base
+    assert report.realized_gaps() == (0,) + tuple(range(2, k + 1))
+
+
+def test_occurrences_with_other_cycles_before_the_first_copy():
+    # the same path: the 2 copies of cycle 2 follow every block and one e
+    k = build_level_spec(2).k_value
+    report = find_occurrences(2, 3, target_cycle=2, source_cycle=1)
+    assert report.copy_count == 2
+    prefix = k * (k + 1) // 2 + 2 * k * cycle_length(2, 1) + 1
+    assert report.prefix_length == prefix == 3_421_459
+    assert not report.prefix_all_base
+    assert report.suffix_length == 1 and report.suffix_all_base
+    assert report.realized_gaps() == (0,)
+
+
 def test_occurrences_none_in_pure_base_cycle():
     report = find_occurrences(1, 2, target_cycle=1, source_cycle=2)
     assert report.copy_count == 0

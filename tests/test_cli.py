@@ -7,7 +7,13 @@ import json
 
 import pytest
 
-from chaoscope import builtin_document, serialize
+from chaoscope import (
+    StructuralError,
+    bouquet,
+    build_level_spec,
+    builtin_document,
+    serialize,
+)
 from chaoscope.cli import main, parse_handle
 
 
@@ -203,10 +209,13 @@ def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys
 
 @pytest.mark.parametrize("argv, expected", [
     ("levels --max -2", 2),
-    ("levels --max 21", 2),  # past SOFT_LEVEL_LIMIT: refused before any level is built
+    ("levels --max 21", 2),  # past LEVEL_LIMIT: refused before any level is built
     ("degree --handle 22:3:5", 2),  # needs spec 21: refused, not warned about
     ("lift --level 21 --cycle 1 --pos 1", 2),  # refused before spec 20 is built
     ("liyorke --pairs -3", 2),
+    ("liyorke --pairs 2 --horizon 2000 --sep-rate -1", 2),  # a rate is in [0, 1]
+    ("liyorke --pairs 2 --horizon 2000 --sep-rate nan", 2),
+    ("liyorke --pairs 2 --horizon 2000 --sep-rate 2", 2),
     ("orbit --spine 2 --cycle 1 --pos 1 --obs 1 --horizon -5", 2),
     ("levels", 0),  # CHAOSCOPE_BUDGET is no longer read
     ("validate --cover bad.cover", 2),
@@ -231,6 +240,22 @@ def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatc
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
     if "one.cover" in argv:
         assert err == "error: cover document ends at level 1\n"
+
+
+def test_level_limit_is_one_error_for_library_and_cli(monkeypatch, capsys):
+    # the refusal does not depend on what the process built before
+    monkeypatch.setattr(bouquet, "LEVEL_LIMIT", 3)
+    build_level_spec.cache_clear()
+    try:
+        message = ("level 4 exceeds the practical limit 3; "
+                   "cycle lengths roughly double in bit size per level")
+        with pytest.raises(StructuralError) as err:
+            build_level_spec(4)
+        assert str(err.value) == message
+        assert main(["levels", "--max", "4"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    finally:
+        build_level_spec.cache_clear()
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -79,6 +80,25 @@ def test_digits_int_cannot_read_are_syntax_errors(formula, message, col):
         parse(f"cover x mode bouquet level 1 {{ {formula} }}")
     assert (err.value.line, err.value.col) == (1, col)
     assert str(err.value) == f"1:{col}: {message}"
+
+
+@pytest.mark.parametrize("limit", [4300, 0], ids=["limit-in-force", "limit-lifted"])
+def test_integer_past_the_digit_limit(limit):
+    # the command line lifts the limit (0); a library caller may keep it
+    text = "cover x mode bouquet level 1 { c1 := " + "1" * 5000 + " e; }"
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        if limit:
+            with pytest.raises(DslSyntaxError) as err:
+                parse(text)
+            assert (err.value.line, err.value.col) == (1, 38)
+            assert "5000 digits exceeds Python's int-digit limit 4300" in str(err.value)
+        else:
+            coef = int("1" * 5000)
+            assert parse(text).levels[0].cycles == (CycleDecl(1, (DocTerm(coef, 0),)),)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_decimal_digits_of_any_script_are_integers():

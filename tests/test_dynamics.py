@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -101,7 +100,6 @@ def test_distance_exact_at_first_differing_level():
     d = distance(a, b)
     assert d.exact
     assert 1 <= d.level <= 3
-    assert d.bound() == Fraction(1, 2**d.level)
 
 
 def test_distance_to_fixed_point_detects_spine_difference():
@@ -114,7 +112,6 @@ def test_distance_exact_at_level_three():
     # from the fixed point is the level-3 coordinate itself
     d = distance(new_handle(3, 1, 1), fixed_point(3))
     assert d.exact and d.level == 3
-    assert d.bound() == Fraction(1, 8)
 
 
 def test_identical_handles_have_no_witnessed_difference():
@@ -129,6 +126,25 @@ def test_next_base_time_examples():
     assert next_base_time(new_handle(2, 1, 2), 1) == 9
     assert next_base_time(new_handle(2, 2, 7), 1) == 0
     assert next_base_time(fixed_point(6), 3) == 0
+
+
+def test_next_base_time_never_passes_exhaustion():
+    # at the exhaustion offset the spine, so every level below it, is at the
+    # base; positions near both cycle ends included
+    rng = random.Random(31)
+    for spine in range(1, 9):
+        for cycle in range(1, spine + 1):
+            last = cycle_length(spine, cycle) - 1
+            positions = {1, last}
+            for _ in range(4):
+                positions.add(rng.randint(1, min(last, 300)))
+                positions.add(rng.randint(max(1, last - 300), last))
+            for pos in positions:
+                h = new_handle(spine, cycle, pos)
+                ex = exhaustion_time(h)
+                assert next_base_time(h, spine) == ex
+                for level in range(spine):
+                    assert next_base_time(h, level) <= ex
 
 
 def test_next_base_time_is_the_first_hit():
