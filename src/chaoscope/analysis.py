@@ -188,7 +188,7 @@ def _find_separation(a: PointHandle, b: PointHandle, depth: int,
 
 
 def li_yorke_test(a: PointHandle, b: PointHandle,
-                  horizon: int = DEFAULT_HORIZON,
+                  horizon: int,
                   prox_depth: int = DEFAULT_PROX_DEPTH,
                   sep_depth: int = DEFAULT_SEP_DEPTH) -> LiYorkeReport:
     """Search one horizon for both halves of Li-Yorke behavior.
@@ -344,46 +344,29 @@ def frobenius_number(generators: tuple[int, ...]) -> int:
 # Degree invariance along orbits.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StabilityResult:
-    handle: PointHandle
-    cycle: int | None       # stable cycle index at the spine (None: fixed point)
-    stable_from: int | None  # smallest level of the all-one-cycle tail
-    ok: bool
-
-
-@dataclass
-class StabilityReport:
-    results: list[StabilityResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.results)
-
-
-def degree_stability_check(handles: list[PointHandle]) -> StabilityReport:
-    """One-step degree invariance on the cycle-stable tail of each column.
+def degree_stability_check(handles: list[PointHandle]) -> list[PointHandle]:
+    """One-step degree invariance on the cycle-stable tail of each column;
+    returns the handles that break it (empty: all stable).
 
     For a column whose levels ``N..M`` all sit on cycle ``i``, one step keeps
     levels ``N+1..M`` on cycle ``i`` (image formulas start and end with base
     edges, so a coordinate can only fall to the base if the one below it is
     already there).  The fixed point is trivially stable.
     """
-    results = []
+    unstable = []
     for h in handles:
         col = column_of(h)
         top = h.spine_level
         i = col[top].cycle
         if i == 0:
-            results.append(StabilityResult(h, None, None, ok=True))
             continue
         stable_from = top
         while stable_from > 1 and col[stable_from - 1].cycle == i:
             stable_from -= 1
         col2 = column_of(step(h, 1))
-        ok = all(col2[lvl].cycle == i for lvl in range(stable_from + 1, top + 1))
-        results.append(StabilityResult(h, i, stable_from, ok))
-    return StabilityReport(results)
+        if any(col2[lvl].cycle != i for lvl in range(stable_from + 1, top + 1)):
+            unstable.append(h)
+    return unstable
 
 
 def degree_window_min(h: PointHandle, level: int, start: int,

@@ -44,6 +44,7 @@ from .graphs import CoverMap, MaterializedGraph
 INITIAL_CYCLE_LENGTH = 10
 DEFAULT_VERTEX_BUDGET = 10**7
 DEFAULT_SCAN_BUDGET = 10**8
+MAX_OFFSETS = 200_000  # copy offsets an OccurrenceReport keeps
 LEVEL_LIMIT = 20
 
 
@@ -331,10 +332,6 @@ class Formula:
                         if cnt:
                             yield Run(term.cycle, cnt)
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Formula) and self.items == other.items
-                and self.lengths == other.lengths)
-
     def __repr__(self) -> str:
         return f"Formula({len(self.items)} items, length={self.length})"
 
@@ -589,8 +586,7 @@ class OccurrenceReport:
 
 
 def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
-                     budget: int = DEFAULT_SCAN_BUDGET,
-                     max_offsets: int = 200_000) -> OccurrenceReport:
+                     budget: int = DEFAULT_SCAN_BUDGET) -> OccurrenceReport:
     """Scan the projection of one source-cycle traversal for complete copies
     of the target cycle.
 
@@ -636,7 +632,7 @@ def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
                 prev_end = start + copy_length
                 clean_since_prev = True
                 copy_count += 1
-                if len(offsets) < max_offsets:
+                if len(offsets) < MAX_OFFSETS:
                     offsets.append(start)
                 else:
                     truncated = True
@@ -750,9 +746,8 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         vm = array("q", bytes(8 * vertex_count))  # zero-filled: base image
         prev_spec = spec_for(n - 1)
         blocks: dict[int, array] = {}
-        for i in range(1, n + 1):
-            formula = prev_spec.image_formulas[i - 1]
-            vid = starts[i - 1]  # id of the vertex one edge past the walk cursor
+        for formula, vid in zip(prev_spec.image_formulas, starts):
+            # vid: id of the vertex one edge past the walk cursor
             for run in formula.iter_runs():
                 if run.cycle == 0:
                     vid += run.count  # base positions: image stays 0

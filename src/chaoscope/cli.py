@@ -29,6 +29,14 @@ class UsageError(ChaoscopeError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors (subparsers inherit the class) become a
+    UsageError, so main reports them in one line with exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _count(text: str) -> int:
     """argparse type of counts, horizons and levels: a non-negative int."""
     # argparse passes UsageError through (not ValueError) to main's one-line report
@@ -286,12 +294,12 @@ def cmd_check(args) -> tuple[int, dict[str, str]]:
         return 0, {"checks.txt": "".join(
             f"{num:2d}  {name}\n"
             for num, (name, _) in sorted(verify.ALL_CHECKS.items()))}
-    numbers = None
+    numbers = sorted(verify.ALL_CHECKS)
     if args.which:
         by_name = {name: num for num, (name, _) in verify.ALL_CHECKS.items()}
         numbers = []
         for token in args.which:
-            if token.isdigit() and int(token) in verify.ALL_CHECKS:
+            if token.isdecimal() and int(token) in verify.ALL_CHECKS:
                 numbers.append(int(token))
             elif token in by_name:
                 numbers.append(by_name[token])
@@ -307,17 +315,15 @@ def cmd_check(args) -> tuple[int, dict[str, str]]:
 # Argument wiring.
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, seed=False, cover=False):
+def _add_out(sub):
     sub.add_argument("--out", help="write artifacts (plus manifest.json) here")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0)
-    if cover:
-        sub.add_argument("--cover", help=".cover document instead of the "
-                                         "built-in construction")
+
+
+_COVER_HELP = ".cover document instead of the built-in construction"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaoscope",
         description="Exact orbits and chaos-property verification on the "
                     "bouquet-cover Cantor system.")
@@ -329,14 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--formulas", action="store_true",
                    help="emit full level specs (implies JSON)")
-    _add_common(p, cover=True)
+    _add_out(p)
+    p.add_argument("--cover", help=_COVER_HELP)
     p.set_defaults(func=cmd_levels)
 
     p = subs.add_parser("validate", help="cover axioms on materializable levels")
     p.add_argument("--max-level", type=_count, default=3)
     p.add_argument("--vertex-budget", type=_count,
                    default=bouquet.DEFAULT_VERTEX_BUDGET)
-    _add_common(p, cover=True)
+    _add_out(p)
+    p.add_argument("--cover", help=_COVER_HELP)
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("materialize", help="explicit graph exports")
@@ -344,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="emit DOT")
     p.add_argument("--vertex-budget", type=_count,
                    default=bouquet.DEFAULT_VERTEX_BUDGET)
-    _add_common(p, cover=True)
+    _add_out(p)
+    p.add_argument("--cover", help=_COVER_HELP)
     p.set_defaults(func=cmd_materialize)
 
     p = subs.add_parser("orbit", help="orbit trace export")
@@ -355,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", type=_count, help="observation depth (default: spine)")
     p.add_argument("--horizon", type=_count, required=True)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_orbit)
 
     p = subs.add_parser("distance", help="metric distance between two handles")
     p.add_argument("--a", required=True, metavar="SPINE:CYCLE:POS[@T]")
     p.add_argument("--b", required=True, metavar="SPINE:CYCLE:POS[@T]")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_distance)
 
     p = subs.add_parser("degree", help="degree of a handle's column")
@@ -372,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--window", type=_count,
                    help="also report the windowed degree minimum")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_degree)
 
     p = subs.add_parser("lift", help="preimages of an address one level up")
@@ -380,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", type=int, required=True)
     p.add_argument("--pos", type=int, required=True)
     p.add_argument("--max", type=_count, default=64)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_lift)
 
     p = subs.add_parser("proximal", help="base-hit certificates in windows")
@@ -390,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-len", type=_count, default=700)
     p.add_argument("--window-stride", type=_count, default=1000)
     p.add_argument("--spine", type=_count, default=dynamics.DEFAULT_SPINE_LEVEL)
-    _add_common(p, seed=True)
+    _add_out(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_proximal)
 
     p = subs.add_parser("liyorke", help="proximal + separation scan on pairs")
@@ -400,14 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prox-depth", type=_count, default=analysis.DEFAULT_PROX_DEPTH)
     p.add_argument("--sep-depth", type=_count, default=analysis.DEFAULT_SEP_DEPTH)
     p.add_argument("--sep-rate", type=_rate, default=0.9)
-    _add_common(p, seed=True)
+    _add_out(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_liyorke)
 
     p = subs.add_parser("mixing-gaps", help="gap scan across cover levels")
     p.add_argument("--m", type=_count, required=True)
     p.add_argument("--j", type=_count, required=True)
     p.add_argument("--budget", type=_count, default=DEFAULT_SCAN_BUDGET)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_mixing_gaps)
 
     p = subs.add_parser("dsl-check", help="parse and validate a .cover file")
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the canonical form")
     p.add_argument("--json", action="store_true",
                    help="include the parsed document as JSON")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_dsl_check)
 
     p = subs.add_parser("check", help="run acceptance criteria")

@@ -96,7 +96,8 @@ def _spine_position(h: PointHandle) -> int:
     pos = h.address.pos + h.offset
     length = cycle_length(h.spine_level, h.address.cycle)
     if not (1 <= pos <= length - 1):
-        bad = h.offset
+        # the spine reaches the base at position `length` going forward, 0 going back
+        bad = length - h.address.pos if pos > 0 else -h.address.pos
         raise SpineExhausted(
             f"offset {h.offset} drives spine position to {pos}, outside "
             f"[1, {length - 1}] on cycle {h.address.cycle} of level {h.spine_level}",

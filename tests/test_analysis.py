@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from chaoscope import analysis
 from chaoscope import (
     StructuralError,
     build_level_spec,
@@ -206,15 +207,22 @@ def test_frobenius_requires_coprime_generators():
 
 def test_stability_on_seeded_corpus():
     corpus = degree_corpus(100, spine=8, seed=3)
-    report = degree_stability_check(corpus)
-    assert report.passed
-    assert len(report.results) == 100
+    assert len(corpus) == 100
+    assert degree_stability_check(corpus) == []
 
 
 def test_fixed_point_is_trivially_stable():
-    report = degree_stability_check([fixed_point(5)])
-    assert report.passed
-    assert report.results[0].cycle is None
+    assert degree_stability_check([fixed_point(5)]) == []
+
+
+def test_stability_check_reports_a_column_that_leaves_its_cycle(monkeypatch):
+    # handles whose two top levels share a cycle; a step that drops every
+    # level to the base breaks the invariance on each of them
+    corpus = degree_corpus(100, spine=8, seed=3)
+    tails = [h for h in corpus if column_of(h)[8].cycle == column_of(h)[7].cycle != 0]
+    assert tails
+    monkeypatch.setattr(analysis, "step", lambda h, delta: fixed_point(h.spine_level))
+    assert degree_stability_check(tails) == tails
 
 
 def test_window_min_zero_window_reads_current_degree():

@@ -402,8 +402,9 @@ def test_occurrences_prefix_deepens_with_level():
     assert report.total_length == 3_421_640
 
 
-def test_occurrence_offsets_truncate_but_histogram_does_not():
-    report = find_occurrences(1, 3, 1, 1, max_offsets=100)
+def test_occurrence_offsets_truncate_but_histogram_does_not(monkeypatch):
+    monkeypatch.setattr(bouquet, "MAX_OFFSETS", 100)
+    report = find_occurrences(1, 3, 1, 1)
     assert report.offsets_truncated
     assert len(report.offsets) == 100
     assert report.copy_count == 138_336

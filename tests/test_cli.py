@@ -225,6 +225,13 @@ def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys
     ("dsl-check sup.cover", 1),  # '\u00b2' is a digit int() cannot read
     ("distance --a 2:1:1 --b 2:0:0 --out afile", 2),  # --out names a file
     ("distance --a 2:1:1 --b 2:0:0 --out afile/x", 2),
+    ("check \u00b2", 2),  # isdigit() admits '\u00b2', which int() rejects
+    # argparse's own errors
+    ("liyorke --seed x", 2),
+    ("orbit --spine 2 --cycle x --pos 1 --horizon 3", 2),
+    ("orbit --spine 2", 2),  # no --horizon
+    ("levels --bogus", 2),
+    ("frobnicate", 2),
 ])
 def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CHAOSCOPE_BUDGET", "abc")
@@ -240,6 +247,17 @@ def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatc
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
     if "one.cover" in argv:
         assert err == "error: cover document ends at level 1\n"
+
+
+def test_validate_a_cover_with_fewer_cycles_than_levels(tmp_path, capsys):
+    path = tmp_path / "few.cover"
+    path.write_text("cover few mode bouquet\n"
+                    "level 1 { c1 := 4 e; }\n"
+                    "level 2 { c1 := e + c1 + e; }\n")
+    code, out = run(capsys, "validate", "--cover", str(path), "--max-level", "2")
+    assert code == 0
+    assert len(out.splitlines()) == 3
+    assert out.splitlines()[2].startswith("level 2: 6 vertices, 7 edges")
 
 
 def test_level_limit_is_one_error_for_library_and_cli(monkeypatch, capsys):
@@ -371,10 +389,11 @@ def test_cli_output_is_pinned(argv, code, out_sha, err, tmp_path, capsys, monkey
     assert captured.err == err
 
 
-def test_unknown_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["frobnicate"])
-    assert err.value.code == 2
+def test_unknown_subcommand_is_usage_error(capsys):
+    assert main(["frobnicate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument command: invalid choice: 'frobnicate'")
+    assert len(err.splitlines()) == 1
 
 
 def test_artifacts_are_deterministic(tmp_path, capsys):

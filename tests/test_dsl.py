@@ -11,6 +11,7 @@ from chaoscope import (
     DslSyntaxError,
     Formula,
     StructuralError,
+    VertexAddr,
     build_level_spec,
     builtin_document,
     document_json,
@@ -260,6 +261,21 @@ def test_document_tower_materializes():
     tower = document_tower(doc)
     level = materialize_graph(2, spec_for=lambda n: tower[n])
     assert level.graph.vertex_count == 784
+
+
+def test_materialized_cover_maps_every_cycle_the_document_declares():
+    # level 2 has three cycles here, not two: cycle 3 is mapped as well
+    tower = document_tower(parse("""\
+cover many mode bouquet
+level 1 { c1 := 4 e; c2 := 3 e; }
+level 2 { c1 := e + c1 + e; c2 := e + c2 + e; c3 := e + c1 + e + c2 + e; }
+"""))
+    level1, level2 = (materialize_graph(n, spec_for=tower.__getitem__) for n in (1, 2))
+    assert level2.cycle_lengths == (6, 5, 10)
+    for vid in range(1, level2.graph.vertex_count):
+        addr = level2.id_to_addr(vid)
+        cycle, pos = tower[1].image_formulas[addr.cycle - 1].locate(addr.pos)
+        assert level2.cover.vertex_map[vid] == level1.addr_to_id(VertexAddr(1, cycle, pos))
 
 
 def test_document_tower_refuses_levels_it_lacks():

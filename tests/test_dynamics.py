@@ -77,6 +77,16 @@ def test_step_past_exhaustion_raises_with_offset():
     assert err.value.first_invalid_offset == 694
 
 
+def test_exhaustion_offset_is_the_first_invalid_one_for_any_step():
+    h = new_handle(2, 1, 5)
+    assert exhaustion_time(h) == 690
+    for delta, first_invalid in ((10**12, 690), (-10, -5)):
+        with pytest.raises(SpineExhausted) as err:
+            step(h, delta)
+        assert err.value.first_invalid_offset == first_invalid
+        assert f"offset {delta} " in str(err.value)  # the message names the request
+
+
 def test_backward_validity_bound():
     h = new_handle(2, 1, 5)
     assert step(h, -4).offset == -4  # position 1, still valid
