@@ -311,11 +311,12 @@ def random_handle(spine_level: int, rng: random.Random,
         lo, hi = CYCLE_ONE_BAND if cycle == 1 else HIGH_CYCLE_BAND
     else:
         lo, hi = band
-    hi = min(hi, cycle_length(spine_level, cycle) - 1 - reserve)
+    length = cycle_length(spine_level, cycle)
+    hi = min(hi, length - 1 - reserve)
     if hi < lo:
         raise StructuralError(
-            f"cycle {cycle} at level {spine_level} is too short for "
-            f"positions in [{lo}, {hi}] with a reserve of {reserve}")
+            f"cycle {cycle} at level {spine_level} has length {length}; a draw "
+            f"needs a position of at least {lo} plus a reserve of {reserve} steps")
     return new_handle(spine_level, cycle, rng.randrange(lo, hi + 1))
 
 

@@ -427,7 +427,3 @@ ALL_CHECKS = {
     10: ("degree", check_degree_properties),
     11: ("dsl", check_dsl),
 }
-
-
-def run_checks(numbers: list[int]) -> list[CriterionResult]:
-    return [ALL_CHECKS[n][1]() for n in numbers]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoscope import bouquet
 from chaoscope import (
@@ -114,6 +116,46 @@ def test_block_locate_matches_literal_expansion():
         assert formula.length == len(offsets)
         for p, expected in enumerate(offsets, start=1):
             assert formula.locate(p) == expected
+
+
+@st.composite
+def small_formulas(draw):
+    """Formulas over 0-3 source cycles of length 2-7: runs, and block sums
+    whose iterations may be empty (an all-zero body gets a base edge)."""
+    lengths = draw(st.lists(st.integers(2, 7), max_size=3))
+    cycles = st.integers(0, len(lengths))
+    term = st.builds(BlockTerm, cycles, st.integers(0, 3), st.integers(0, 2))
+
+    def block_sum(bound, body):
+        if not any(t.const or t.coef for t in body):
+            body.append(BlockTerm(0, 1, 0))
+        return BlockSum(bound, tuple(body))
+
+    item = st.one_of(
+        st.builds(Run, cycles, st.integers(1, 4)),
+        st.builds(block_sum, st.integers(1, 6), st.lists(term, min_size=1, max_size=3)))
+    return Formula(draw(st.lists(item, min_size=1, max_size=4)), lengths)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_formulas())
+def test_formula_queries_match_the_literal_walk(formula):
+    # the vertex at every offset, edge by edge over iter_runs()
+    walk = [(0, 0)]
+    for run in formula.iter_runs():
+        clen = formula.lengths[run.cycle - 1] if run.cycle else 1
+        for _ in range(run.count):
+            walk.extend((run.cycle, p) for p in range(1, clen))
+            walk.append((0, 0))
+    assert [formula.locate(o) for o in range(formula.length + 1)] == walk
+    hits: dict[tuple[int, int], list[int]] = {}
+    for o in range(1, formula.length):
+        hits.setdefault(walk[o], []).append(o)
+    for cycle in range(len(formula.lengths) + 1):
+        for pos in range(1, formula.lengths[cycle - 1]) if cycle else (0,):
+            expected = hits.get((cycle, pos), [])
+            assert list(formula.iter_occurrences(cycle, pos)) == expected
+            assert formula.count_occurrences(cycle) == len(expected)
 
 
 # Block bodies with b > 1: the per-iteration length grows by a whole cycle.
@@ -247,9 +289,10 @@ def test_non_integer_coordinates_are_structural_errors():
     with pytest.raises(StructuralError):
         project_addr(VertexAddr(3, 1, 2.5))
     with pytest.raises(StructuralError):
-        lift_choices(VertexAddr(3, 1, 2.5))
+        lift_choices(VertexAddr(3, 1, 2.5), max_results=64)
     with pytest.raises(StructuralError):
-        lift_choices(VertexAddr("3", 1, 2))  # the level is read before check_addr
+        # the level is read before check_addr
+        lift_choices(VertexAddr("3", 1, 2), max_results=64)
 
 
 def test_projection_agrees_with_materialized_maps(materialized):
@@ -297,6 +340,11 @@ def test_lift_counts_doubled_blocks():
     assert report.total == 44
     assert report.truncated
     assert len(report.choices) == 10
+
+
+def test_negative_max_results_lists_nothing_but_counts_all():
+    report = lift_choices(VertexAddr(1, 1, 1), max_results=-1)
+    assert report.choices == () and report.total == 44 and report.truncated
 
 
 def test_lift_base_includes_first_position_of_next_cycle():
@@ -347,7 +395,7 @@ def test_lift_skips_block_sums_without_the_target_cycle(target, total, monkeypat
         return real_count_at(self, j)
 
     monkeypatch.setattr(BlockTerm, "count_at", bounded_count_at)
-    report = lift_choices(target)
+    report = lift_choices(target, max_results=64)
     assert report.total == total and not report.truncated
     assert len(set(report.choices)) == total
     for choice in report.choices:

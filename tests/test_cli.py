@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from chaoscope import (
     build_level_spec,
     builtin_document,
     serialize,
+    verify,
 )
 from chaoscope.cli import main, parse_handle
 
@@ -226,6 +228,7 @@ def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys
     ("distance --a 2:1:1 --b 2:0:0 --out afile", 2),  # --out names a file
     ("distance --a 2:1:1 --b 2:0:0 --out afile/x", 2),
     ("check \u00b2", 2),  # isdigit() admits '\u00b2', which int() rejects
+    ("liyorke --pairs 1 --spine 1 --horizon 5", 2),  # cycle 1 of level 1 is too short
     # argparse's own errors
     ("liyorke --seed x", 2),
     ("orbit --spine 2 --cycle x --pos 1 --horizon 3", 2),
@@ -247,6 +250,8 @@ def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatc
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
     if "one.cover" in argv:
         assert err == "error: cover document ends at level 1\n"
+    if "--spine 1" in argv:
+        assert "has length 10" in err and not re.search(r"-\d", err)
 
 
 def test_validate_a_cover_with_fewer_cycles_than_levels(tmp_path, capsys):
@@ -426,6 +431,21 @@ def test_check_subcommand_single_criterion(capsys):
     code, out = run(capsys, "check", "semigroup")
     assert code == 0
     assert "criterion  7 [PASS]" in out
+
+
+def test_check_runs_a_repeated_criterion_once(capsys, monkeypatch):
+    name, check = verify.ALL_CHECKS[4]
+    calls = []
+
+    def counting_check():
+        calls.append(1)
+        return check()
+
+    monkeypatch.setitem(verify.ALL_CHECKS, 4, (name, counting_check))
+    code, out = run(capsys, "check", "4", "4", "fixed-point")
+    assert code == 0
+    assert len(calls) == 1
+    assert out.count("criterion  4 [PASS]") == 1 and len(out.splitlines()) == 1
 
 
 def test_parse_handle_specs():
