@@ -450,6 +450,9 @@ def check_addr(a: VertexAddr) -> None:
     if a.cycle == 0:
         if a.pos != 0:
             raise StructuralError(f"base address must have pos 0: {a}")
+        if a.level > LEVEL_LIMIT + 1:  # no cycle address is deeper
+            raise StructuralError(f"level {a.level} is past {LEVEL_LIMIT + 1}, "
+                                  "the deepest level an address can have")
         return
     if not (1 <= a.cycle <= a.level):
         raise StructuralError(f"cycle {a.cycle} does not exist at level {a.level}")
@@ -596,7 +599,6 @@ def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
     gaps_all_base = True
     prefix_length = -1
     prefix_all_base = True
-    suffix_all_base = True
     prev_end = -1
     clean_since_prev = True  # no foreign cycle edges since the last copy end
     for run in _run_stream(m_prime, source_cycle, m):
@@ -630,7 +632,7 @@ def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
         suffix_length = total_length
     else:
         suffix_length = total_length - prev_end
-        suffix_all_base = clean_since_prev
+    suffix_all_base = clean_since_prev
     return OccurrenceReport(
         source_level=m_prime, source_cycle=source_cycle,
         target_level=m, target_cycle=target_cycle,

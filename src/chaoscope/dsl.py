@@ -39,6 +39,8 @@ stay cheap to check.
 from __future__ import annotations
 
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -122,8 +124,11 @@ class Violation:
 # ---------------------------------------------------------------------------
 
 _KEYWORDS = {"cover", "mode", "level", "sum", "bouquet"}
-_PUNCT_2 = (":=", "..")
-_PUNCT_1 = "{}()[];+="
+_WORD_KINDS = {"e": "edge", "k": "kbound", **dict.fromkeys(_KEYWORDS, "kw")}
+# On str patterns \d is str.isdecimal() and \w is str.isalnum() plus '_'
+# (isdigit() would also admit '\u00b2', which int() rejects).
+_TOKEN = re.compile(r"(?P<skip>[ \t\r\n]+|#[^\n]*)|(?P<punct>:=|\.\.|[{}()\[\];+=])"
+                    r"|(?P<int>\d+)|(?P<word>\w+)")
 
 
 @dataclass(frozen=True)
@@ -134,72 +139,42 @@ class _Token:
     col: int
 
 
+def _word_kind(word: str) -> tuple[str, object]:
+    """A word's token kind and value: edge, k, keyword, cycle or identifier."""
+    if word[0] == "c" and word[1:].isdecimal():
+        return "cycle", int(word[1:])
+    return _WORD_KINDS.get(word, "ident"), word
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        kind = match.lastgroup if match else None
+        col = pos - line_start + 1
+        if kind is None or kind == "word" and not (text[pos].isalpha() or text[pos] == "_"):
+            raise DslSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        value: object = match.group()
+        pos = match.end()
+        if kind == "skip":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = text.rindex("\n", 0, pos) + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        two = text[i:i + 2]
-        if two in _PUNCT_2:
-            tokens.append(_Token("punct", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT_1:
-            tokens.append(_Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal():  # isdigit() also admits '²', which int() rejects
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
+        if kind == "int":
             try:
-                value = int(text[i:j])
+                value = int(value)
             except ValueError:  # more digits than Python's int-digit limit
                 raise DslSyntaxError(
-                    f"integer of {j - i} digits exceeds Python's int-digit "
-                    f"limit {sys.get_int_max_str_digits()}", start_line, start_col)
-            tokens.append(_Token("int", value, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            if word == "e":
-                tokens.append(_Token("edge", word, start_line, start_col))
-            elif word == "k":
-                tokens.append(_Token("kbound", word, start_line, start_col))
-            elif word in _KEYWORDS:
-                tokens.append(_Token("kw", word, start_line, start_col))
-            elif word[0] == "c" and word[1:].isdecimal():
-                tokens.append(_Token("cycle", int(word[1:]), start_line, start_col))
-            else:
-                tokens.append(_Token("ident", word, start_line, start_col))
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", None, line, col))
+                    f"integer of {pos - match.start()} digits exceeds Python's "
+                    f"int-digit limit {sys.get_int_max_str_digits()}", line, col)
+        elif kind == "word":
+            kind, value = _word_kind(value)
+        tokens.append(_Token(kind, value, line, col))
+    # end of input sits where a trailing comment starts, if there is one
+    end = text.find("#", line_start)
+    tokens.append(_Token("eof", None, line, (pos if end < 0 else end) - line_start + 1))
     return tokens
 
 
@@ -212,124 +187,93 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, message: str) -> DslSyntaxError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         shown = "end of input" if tok.kind == "eof" else repr(tok.value)
         return DslSyntaxError(f"{message}, found {shown}", tok.line, tok.col)
 
-    def expect_punct(self, value: str) -> None:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            raise self.fail(f"expected {value!r}")
-        self.next()
+    def accept(self, kind: str, value: object) -> _Token | None:
+        """Consume and return the next token if it has this kind and, unless
+        ``value`` is None, this value."""
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or value is not None and tok.value != value:
+            return None
+        self.pos += 1
+        return tok
 
-    def expect_kw(self, value: str) -> None:
-        tok = self.peek()
-        if tok.kind != "kw" or tok.value != value:
-            raise self.fail(f"expected keyword {value!r}")
-        self.next()
+    def expect(self, kind: str, message: str) -> object:
+        tok = self.accept(kind, None)
+        if tok is None:
+            raise self.fail(message)
+        return tok.value
 
-    def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise self.fail("expected an integer")
-        return self.next().value
+    def expect_symbol(self, value: str) -> None:
+        """Consume a keyword or a punctuation mark."""
+        kind = "kw" if value in _KEYWORDS else "punct"
+        if not self.accept(kind, value):
+            raise self.fail(("expected keyword " if kind == "kw" else "expected ") + repr(value))
 
     def document(self) -> CoverDocument:
-        self.expect_kw("cover")
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail("expected a document name")
-        name = self.next().value
-        self.expect_kw("mode")
-        self.expect_kw("bouquet")
+        self.expect_symbol("cover")
+        name = self.expect("ident", "expected a document name")
+        self.expect_symbol("mode")
+        self.expect_symbol("bouquet")
+        self.expect_symbol("level")
         levels = [self.level_block()]
-        while self.peek().kind == "kw" and self.peek().value == "level":
+        while self.accept("kw", "level"):
             levels.append(self.level_block())
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.fail("expected 'level' or end of input")
+        self.expect("eof", "expected 'level' or end of input")
         return CoverDocument(name, tuple(levels))
 
     def level_block(self) -> LevelBlock:
-        self.expect_kw("level")
-        index = self.expect_int()
-        self.expect_punct("{")
+        """A level's number and cycles, after its 'level' keyword."""
+        index = self.expect("int", "expected an integer")
+        self.expect_symbol("{")
         cycles = [self.cycle_decl()]
-        while self.peek().kind == "cycle":
+        while self.tokens[self.pos].kind == "cycle":
             cycles.append(self.cycle_decl())
-        self.expect_punct("}")
+        self.expect_symbol("}")
         return LevelBlock(index, tuple(cycles))
 
     def cycle_decl(self) -> CycleDecl:
-        tok = self.peek()
-        if tok.kind != "cycle":
-            raise self.fail("expected a cycle declaration like 'c1'")
-        index = self.next().value
+        index = self.expect("cycle", "expected a cycle declaration like 'c1'")
         declared = None
-        if self.peek().kind == "punct" and self.peek().value == "[":
-            self.next()
-            declared = self.expect_int()
-            self.expect_punct("]")
-        self.expect_punct(":=")
+        if self.accept("punct", "["):
+            declared = self.expect("int", "expected an integer")
+            self.expect_symbol("]")
+        self.expect_symbol(":=")
         terms = self.formula()
-        self.expect_punct(";")
+        self.expect_symbol(";")
         return CycleDecl(index, terms, declared)
 
     def formula(self) -> tuple[DocElement, ...]:
         terms = [self.term()]
-        while self.peek().kind == "punct" and self.peek().value == "+":
-            self.next()
+        while self.accept("punct", "+"):
             terms.append(self.term())
         return tuple(terms)
 
     def term(self) -> DocElement:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.value == "sum":
+        if self.accept("kw", "sum"):
             return self.comprehension()
-        coef: int | str = 1
-        if tok.kind == "int":
-            coef = self.next().value
-        elif tok.kind == "ident":
-            coef = self.next().value
-        tok = self.peek()
-        if tok.kind == "edge":
-            self.next()
+        tok = self.accept("int", None) or self.accept("ident", None)
+        coef = 1 if tok is None else tok.value
+        if self.accept("edge", None):
             return DocTerm(coef, 0)
-        if tok.kind == "cycle":
-            return DocTerm(coef, self.next().value)
-        raise self.fail("expected 'e' or a cycle reference")
+        return DocTerm(coef, self.expect("cycle", "expected 'e' or a cycle reference"))
 
     def comprehension(self) -> DocSum:
-        self.expect_kw("sum")
-        self.expect_punct("(")
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail("expected a loop variable")
-        var = self.next().value
-        self.expect_punct("=")
-        lo = self.expect_int()
-        self.expect_punct("..")
-        tok = self.peek()
-        if tok.kind == "kbound":
-            self.next()
-            bound: int | None = None
-        elif tok.kind == "int":
-            bound = self.next().value
-        else:
-            raise self.fail("expected an integer bound or 'k'")
-        self.expect_punct(")")
-        self.expect_punct("{")
+        """A sum's range and body, after its 'sum' keyword."""
+        self.expect_symbol("(")
+        var = self.expect("ident", "expected a loop variable")
+        self.expect_symbol("=")
+        lo = self.expect("int", "expected an integer")
+        self.expect_symbol("..")
+        bound = None if self.accept("kbound", None) else \
+            self.expect("int", "expected an integer bound or 'k'")
+        self.expect_symbol(")")
+        self.expect_symbol("{")
         body = self.formula()
-        self.expect_punct("}")
+        self.expect_symbol("}")
         return DocSum(var, lo, bound, body)
 
 
@@ -343,29 +287,42 @@ def parse(text: str) -> CoverDocument:
 # Canonical serialization.
 # ---------------------------------------------------------------------------
 
+def _decimal(value: int | str) -> str:
+    """``str(value)``.  An integer past Python's int-digit limit is one
+    :class:`StructuralError` naming its digit count, as :func:`parse`
+    reports one it reads."""
+    try:
+        return str(value)
+    except ValueError:  # the bit length leaves two digit counts; 10**d picks one
+        digits = int(abs(value).bit_length() * math.log10(2)) + 1
+        digits -= abs(value) < 10 ** (digits - 1)
+        raise StructuralError(f"integer of {digits} digits exceeds Python's "
+                              f"int-digit limit {sys.get_int_max_str_digits()}")
+
+
 def _render_atom(atom: int) -> str:
-    return "e" if atom == 0 else f"c{atom}"
+    return "e" if atom == 0 else f"c{_decimal(atom)}"
 
 
 def _render_element(el: DocElement) -> str:
     if isinstance(el, DocTerm):
         if el.coef == 1:
             return _render_atom(el.atom)
-        return f"{el.coef} {_render_atom(el.atom)}"
-    bound = "k" if el.bound is None else str(el.bound)
+        return f"{_decimal(el.coef)} {_render_atom(el.atom)}"
+    bound = "k" if el.bound is None else _decimal(el.bound)
     body = " + ".join(_render_element(t) for t in el.body)
-    return f"sum({el.var}={el.lo}..{bound}){{ {body} }}"
+    return f"sum({el.var}={_decimal(el.lo)}..{bound}){{ {body} }}"
 
 
 def serialize(doc: CoverDocument) -> str:
     """Canonical text form; ``parse(serialize(doc))`` is structurally ``doc``."""
     lines = [f"cover {doc.name} mode bouquet", ""]
     for block in doc.levels:
-        lines.append(f"level {block.level} {{")
+        lines.append(f"level {_decimal(block.level)} {{")
         for cyc in block.cycles:
-            ann = "" if cyc.declared_length is None else f"[{cyc.declared_length}]"
+            ann = "" if cyc.declared_length is None else f"[{_decimal(cyc.declared_length)}]"
             body = " + ".join(_render_element(t) for t in cyc.terms)
-            lines.append(f"  c{cyc.index}{ann} := {body};")
+            lines.append(f"  c{_decimal(cyc.index)}{ann} := {body};")
         lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -374,9 +331,9 @@ def document_json(doc: CoverDocument) -> dict:
     """JSON mirror of the parsed document, 1:1 with the grammar."""
     def element(el: DocElement) -> dict:
         if isinstance(el, DocTerm):
-            return {"coef": str(el.coef), "atom": _render_atom(el.atom)}
+            return {"coef": _decimal(el.coef), "atom": _render_atom(el.atom)}
         return {"sum": {"var": el.var, "from": el.lo,
-                        "to": "k" if el.bound is None else str(el.bound),
+                        "to": "k" if el.bound is None else _decimal(el.bound),
                         "body": [element(t) for t in el.body]}}
 
     return {
@@ -387,7 +344,7 @@ def document_json(doc: CoverDocument) -> dict:
              "cycles": [
                  {"index": c.index,
                   "declared_length": None if c.declared_length is None
-                  else str(c.declared_length),
+                  else _decimal(c.declared_length),
                   "formula": [element(t) for t in c.terms]}
                  for c in b.cycles]}
             for b in doc.levels],
@@ -440,28 +397,24 @@ def _convert_terms(terms: tuple[DocElement, ...], k_below: int, below_cycles: in
         for sub in el.body:
             if isinstance(sub, DocSum):
                 errs.append(("NestedSum", "nested sums are not supported"))
-                body = []
-                break
-            if sub.atom > below_cycles:
+            elif sub.atom > below_cycles:
                 errs.append(("UnknownCycle", f"unknown cycle c{sub.atom} (level "
                                              f"below has {below_cycles})"))
-                body = []
-                break
-            if isinstance(sub.coef, int):
-                if sub.coef < 1:
-                    errs.append(("BadTerm", f"count {sub.coef} must be positive"))
-                    body = []
-                    break
-                body.append(BlockTerm(sub.atom, sub.coef, 0))
-            else:
-                if sub.coef != el.var:
-                    errs.append(("BadTerm", f"unknown variable {sub.coef!r} in "
-                                            f"sum over {el.var!r}"))
-                    body = []
-                    break
+            elif isinstance(sub.coef, int):
+                if sub.coef >= 1:
+                    body.append(BlockTerm(sub.atom, sub.coef, 0))
+                    continue
+                errs.append(("BadTerm", f"count {sub.coef} must be positive"))
+            elif sub.coef == el.var:
                 body.append(BlockTerm(sub.atom, shift, 1))
-        if body:
-            items.append(BlockSum(bound - shift, tuple(body)))
+                continue
+            else:
+                errs.append(("BadTerm", f"unknown variable {sub.coef!r} in "
+                                        f"sum over {el.var!r}"))
+            break
+        else:
+            if body:
+                items.append(BlockSum(bound - shift, tuple(body)))
     return items
 
 

@@ -76,9 +76,9 @@ class PointHandle:
 
 def fixed_point(spine_level: int) -> PointHandle:
     """The unique fixed point, truncated at the given level."""
-    if spine_level < 0:
-        raise StructuralError("spine level must be >= 0")
-    return PointHandle(spine_level, base_addr(spine_level))
+    addr = base_addr(spine_level)
+    check_addr(addr)
+    return PointHandle(spine_level, addr)
 
 
 def new_handle(spine_level: int, cycle: int, pos: int, offset: int = 0) -> PointHandle:

@@ -444,6 +444,15 @@ def test_occurrences_none_in_pure_base_cycle():
     assert report.prefix_length == report.total_length == 90
 
 
+def test_occurrences_flags_agree_when_there_is_no_copy():
+    # no copy of level 2's cycle 1: prefix and suffix are the same 182-edge
+    # path, which holds two traversals of cycle 2
+    report = find_occurrences(2, 3, 1, 2)
+    assert report.copy_count == 0
+    assert report.prefix_length == report.suffix_length == 182
+    assert not report.prefix_all_base and not report.suffix_all_base
+
+
 def test_occurrences_prefix_deepens_with_level():
     report = find_occurrences(1, 3, target_cycle=1, source_cycle=1)
     assert report.prefix_length == 2 and report.prefix_all_base

@@ -229,6 +229,10 @@ def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys
     ("distance --a 2:1:1 --b 2:0:0 --out afile/x", 2),
     ("check \u00b2", 2),  # isdigit() admits '\u00b2', which int() rejects
     ("liyorke --pairs 1 --spine 1 --horizon 5", 2),  # cycle 1 of level 1 is too short
+    # a base address deeper than level 21, where no cycle address exists
+    ("degree --handle 22:0:0", 2),
+    ("orbit --spine 22 --base --horizon 0", 2),  # refused before spec 20 is built
+    ("distance --a 300000:0:0 --b 2:0:0", 2),
     # argparse's own errors
     ("liyorke --seed x", 2),
     ("orbit --spine 2 --cycle x --pos 1 --horizon 3", 2),

@@ -6,6 +6,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoscope import (
     DslSyntaxError,
@@ -325,3 +327,173 @@ def test_rejection_stage_builds_one_formula_per_cycle(monkeypatch):
     monkeypatch.setattr(dsl, "Formula", counting_formula)
     assert rejection_stage(text, 5) is None
     assert len(built) == 15
+
+
+# -- syntax diagnostics ---------------------------------------------------------
+
+HEAD = "cover x mode bouquet "
+CYCLE = HEAD + "level 1 { c1 := "
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mode x", "1:1: expected keyword 'cover', found 'mode'"),
+    ("cover mode bouquet", "1:7: expected a document name, found 'mode'"),
+    ("cover x bouquet", "1:9: expected keyword 'mode', found 'bouquet'"),
+    ("cover x mode level", "1:14: expected keyword 'bouquet', found 'level'"),
+    ("cover x mode bouquet\n  sum", "2:3: expected keyword 'level', found 'sum'"),
+    (HEAD + "level 1 { c1 := 10 e; } c2",
+     "1:46: expected 'level' or end of input, found 2"),
+    (HEAD + "level one {", "1:28: expected an integer, found 'one'"),
+    (HEAD + "level 1 c1", "1:30: expected '{', found 1"),
+    (HEAD + "level 1 { c1 := 10 e; ;", "1:44: expected '}', found ';'"),
+    (HEAD + "level 1 { c1[10 := 10 e; }", "1:38: expected ']', found ':='"),
+    (HEAD + "level 1 { c1 10 e; }", "1:35: expected ':=', found 10"),
+    (HEAD + "level 1 { c1 := 10 e }", "1:43: expected ';', found '}'"),
+    (HEAD + "level 1 { }", "1:32: expected a cycle declaration like 'c1', found '}'"),
+    (CYCLE + "10 ; }", "1:41: expected 'e' or a cycle reference, found ';'"),
+    (CYCLE + "sum j", "1:42: expected '(', found 'j'"),
+    (CYCLE + "sum(1", "1:42: expected a loop variable, found 1"),
+    (CYCLE + "sum(j 1", "1:44: expected '=', found 1"),
+    (CYCLE + "sum(j=1 k", "1:46: expected '..', found 'k'"),
+    (CYCLE + "sum(j=1..e", "1:47: expected an integer bound or 'k', found 'e'"),
+    (CYCLE + "sum(j=1..k{", "1:48: expected ')', found '{'"),
+    (CYCLE + "sum(j=1..k) j e", "1:50: expected '{', found 'j'"),
+    (CYCLE + "sum(j=1..k){ j e ;", "1:55: expected '}', found ';'"),
+    # a trailing comment does not move the end-of-input column
+    ("cover x mode bouquet  # no level", "1:23: expected keyword 'level', found end of input"),
+    ("cover x mode bouquet\nlevel 1 {\n  c1 := 10 e;\n\t# unclosed",
+     "4:2: expected '}', found end of input"),
+    (HEAD + "level 1 { c1 := 10 e; }\r\n  \tlevel 2 { c1 := e . c1 }",
+     "2:22: unexpected character '.'"),
+    (HEAD + "level 1 { c1 : 10 e; }", "1:35: unexpected character ':'"),
+    (HEAD + "\f", "1:22: unexpected character '\\x0c'"),
+    (HEAD + "level 1 { c1 := 1½ e; }", "1:39: unexpected character '½'"),
+], ids=["cover", "name", "mode", "bouquet", "level", "level-or-end", "integer",
+        "open-level", "close-level", "close-length", "define", "semicolon",
+        "cycle-decl", "atom", "open-sum", "loop-variable", "equals", "range",
+        "bound", "close-range", "open-body", "close-body", "end-after-comment",
+        "end-after-comment-line", "dot", "colon", "form-feed", "vulgar-half"])
+def test_each_syntax_diagnostic_names_its_place(text, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def _reference_tokenize(text):
+    """Reference lexer: the character-by-character walk the regular
+    expression replaced, returning (kind, value, line, col) tuples."""
+    keywords = {"cover", "mode", "level", "sum", "bouquet"}
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        two = text[i:i + 2]
+        if two in (":=", ".."):
+            tokens.append(("punct", two, start_line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in "{}()[];+=":
+            tokens.append(("punct", ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise DslSyntaxError(
+                    f"integer of {j - i} digits exceeds Python's int-digit "
+                    f"limit {sys.get_int_max_str_digits()}", start_line, start_col)
+            tokens.append(("int", value, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            col += j - i
+            i = j
+            if word == "e":
+                tokens.append(("edge", word, start_line, start_col))
+            elif word == "k":
+                tokens.append(("kbound", word, start_line, start_col))
+            elif word in keywords:
+                tokens.append(("kw", word, start_line, start_col))
+            elif word[0] == "c" and word[1:].isdecimal():
+                tokens.append(("cycle", int(word[1:]), start_line, start_col))
+            else:
+                tokens.append(("ident", word, start_line, start_col))
+            continue
+        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("eof", None, line, col))
+    return tokens
+
+
+# '\u0663' is a decimal digit; '\u00b2', '\u00bd' and '\u216b' are word
+# characters but neither letters nor decimal digits; '\u4e00' is a letter
+# with a numeric value
+LEXEMES = ["cover", "mode", "bouquet", "level", "sum", "e", "k", "c", "c1", "j", "x_",
+           "_", "0", "7", "12", "٣", "c٣", "²", "½", "一", "Ⅻ", "{", "}", "(", ")", "[",
+           "]", ";", "+", "=", ":", ":=", ".", "..", "#", " ", "\t", "\r", "\n", "\f"]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(LEXEMES), max_size=30).map("".join))
+def test_lexer_matches_the_reference_walk(text):
+    from chaoscope.dsl import _tokenize
+
+    def lex(tokenize, row):
+        try:
+            return [row(t) for t in tokenize(text)]
+        except DslSyntaxError as exc:
+            return str(exc)
+
+    assert lex(_tokenize, lambda t: (t.kind, t.value, t.line, t.col)) == \
+        lex(_reference_tokenize, tuple)
+
+
+@pytest.mark.parametrize("limit", [4300, 0], ids=["limit-in-force", "limit-lifted"])
+def test_serialize_an_integer_past_the_digit_limit(limit):
+    # the command line lifts the limit (0); a library caller may keep it
+    from chaoscope.dsl import CoverDocument, LevelBlock
+
+    cycle = CycleDecl(1, (DocTerm(10 ** 4999, 0),))
+    long_count = CoverDocument("x", (LevelBlock(1, (cycle,)),))
+    builtin = builtin_document(14)  # its top count has 7491 digits
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for doc, digits in ((long_count, 5000), (builtin, 7491)):
+            if limit:
+                for write in (serialize, document_json):
+                    with pytest.raises(StructuralError) as err:
+                        write(doc)
+                    assert str(err.value) == \
+                        f"integer of {digits} digits exceeds Python's int-digit limit 4300"
+            else:
+                assert parse(serialize(doc)) == doc
+                assert json.loads(json.dumps(document_json(doc)))["cover"] == doc.name
+    finally:
+        sys.set_int_max_str_digits(saved)
