@@ -62,6 +62,7 @@ from .dynamics import (
     fixed_point,
     new_handle,
     next_base_time,
+    next_exit_time,
     orbit_rows,
     random_handle,
     random_pair,

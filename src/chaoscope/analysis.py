@@ -21,6 +21,7 @@ from .bouquet import (
     DEFAULT_SCAN_BUDGET,
     OccurrenceReport,
     build_level_spec,
+    cycle_length,
     find_occurrences,
 )
 from .dynamics import (
@@ -30,7 +31,7 @@ from .dynamics import (
     distance,
     exhaustion_time,
     next_base_time,
-    orbit_rows,
+    next_exit_time,
     step,
 )
 from .errors import StructuralError
@@ -178,12 +179,25 @@ def _find_proximal(a: PointHandle, b: PointHandle, depth: int,
 
 def _find_separation(a: PointHandle, b: PointHandle, depth: int,
                      horizon: int) -> tuple[int, DistanceValue] | None:
+    # compare the columns at event times only.  Equal columns with the shared
+    # level-`limit` coordinate off the base walk together until it reaches
+    # the base; all-base columns stay equal until one of them leaves it
     limit = min(depth, a.spine_level, b.spine_level)
-    for (t, col_a), (_, col_b) in zip(orbit_rows(a, limit, horizon),
-                                      orbit_rows(b, limit, horizon)):
+    t = 0
+    while t <= horizon:
+        ha, hb = step(a, t), step(b, t)
+        col_a, col_b = column_of(ha, limit), column_of(hb, limit)
         for level in range(1, limit + 1):
             if col_a[level] != col_b[level]:
                 return t, DistanceValue(exact=True, level=level)
+        shared = col_a[limit]
+        if not shared.is_base:
+            t += cycle_length(limit, shared.cycle) - shared.pos
+            continue
+        exits = {next_exit_time(h, limit, horizon - t) for h in (ha, hb)} - {None}
+        if not exits:
+            return None
+        t += min(exits)
     return None
 
 
@@ -193,9 +207,9 @@ def li_yorke_test(a: PointHandle, b: PointHandle,
                   sep_depth: int = DEFAULT_SEP_DEPTH) -> LiYorkeReport:
     """Search one horizon for both halves of Li-Yorke behavior.
 
-    The proximal search jumps between base-hit times and never scans step
-    by step; the separation search walks the orbits comparing columns down
-    to ``sep_depth``.
+    Neither search walks step by step: the proximal search jumps between
+    base-hit times, the separation search between the times at which the
+    columns down to ``sep_depth`` can first differ.
     """
     for h in (a, b):
         ex = exhaustion_time(h)
@@ -372,12 +386,21 @@ def degree_stability_check(handles: list[PointHandle]) -> list[PointHandle]:
 def degree_window_min(h: PointHandle, level: int, start: int,
                       window: int) -> DegreeValue:
     """Minimum degree of the level-``level`` coordinate over times
-    ``start..start+window`` (inclusive)."""
+    ``start..start+window`` (inclusive).  The coordinate keeps one cycle
+    from a base exit to the next base hit, so the scan jumps between them
+    and stops at cycle 1, the lowest index."""
     if not (0 <= level <= h.spine_level):
         raise StructuralError(f"level {level} outside [0, {h.spine_level}]")
+    h = step(h, start)
+    step(h, window)  # a window past the spine's reach raises as a walk would
     best: int | None = None
-    for _, column in orbit_rows(step(h, start), level, window):
-        cycle = column[level].cycle
-        if cycle and (best is None or cycle < best):
-            best = cycle
+    d = 0
+    while d <= window and best != 1:
+        exit_time = next_exit_time(step(h, d), level, window - d)
+        if exit_time is None:
+            break
+        d += exit_time
+        addr = column_of(step(h, d), level)[level]
+        best = min(addr.cycle, best or addr.cycle)
+        d += cycle_length(level, addr.cycle) - addr.pos
     return DegreeValue(best)

@@ -180,27 +180,39 @@ class Formula:
             raise StructuralError(f"offset {offset} outside [0, {self.length}]")
         if offset == 0:
             return (0, 0)
+        cycle, r, _ = self._run_at(offset)
+        m = r % self._cycle_len(cycle) if cycle else 0
+        return (0, 0) if m == 0 else (cycle, m)
+
+    def next_off_base(self, offset: int) -> int | None:
+        """Smallest offset in ``(offset, length)`` whose vertex is off the
+        base, or None; an edge run or edge block term is skipped whole."""
+        q = offset + 1
+        while q < self.length:
+            cycle, r, run_length = self._run_at(q)
+            if cycle == 0:
+                q += run_length - r + 1
+            elif r % self._cycle_len(cycle) == 0:
+                q += 1
+            else:
+                return q
+        return None
+
+    def _run_at(self, offset: int) -> tuple[int, int, int]:
+        """The run or block term holding ``offset`` (in [1, length]): its
+        cycle, the offset's edge count ``r >= 1`` into it, and its length."""
         idx = bisect_left(self._ends, offset)
         r = offset - self._starts[idx]
         block = self._blocks[idx]
         if block is None:
-            return self._locate_in_run(self.items[idx].cycle, r)
-        return self._locate_in_block(self.items[idx], block, r)
-
-    def _locate_in_run(self, cycle: int, r: int) -> tuple[int, int]:
-        if cycle == 0:
-            return (0, 0)
-        m = r % self._cycle_len(cycle)
-        return (0, 0) if m == 0 else (cycle, m)
-
-    def _locate_in_block(self, bs: BlockSum, block: tuple, r: int) -> tuple[int, int]:
+            return self.items[idx].cycle, r, self._ends[idx] - self._starts[idx]
         j, before = self._block_iteration(block, r)
-        rr = r - before
-        for term in bs.body:
+        r -= before
+        for term in self.items[idx].body:
             tlen = term.count_at(j) * self._cycle_len(term.cycle)
-            if rr <= tlen:
-                return self._locate_in_run(term.cycle, rr)
-            rr -= tlen
+            if r <= tlen:
+                return term.cycle, r, tlen
+            r -= tlen
         raise AssertionError("offset walked past block iteration")
 
     def _block_iteration(self, block: tuple, r: int) -> tuple[int, int]:

@@ -142,7 +142,7 @@ class _Token:
 def _word_kind(word: str) -> tuple[str, object]:
     """A word's token kind and value: edge, k, keyword, cycle or identifier."""
     if word[0] == "c" and word[1:].isdecimal():
-        return "cycle", int(word[1:])
+        return "cycle", word[1:]  # digits: _tokenize converts them
     return _WORD_KINDS.get(word, "ident"), word
 
 
@@ -162,15 +162,15 @@ def _tokenize(text: str) -> list[_Token]:
                 line += value.count("\n")
                 line_start = text.rindex("\n", 0, pos) + 1
             continue
-        if kind == "int":
+        if kind == "word":
+            kind, value = _word_kind(value)
+        if kind in ("int", "cycle"):
             try:
                 value = int(value)
             except ValueError:  # more digits than Python's int-digit limit
                 raise DslSyntaxError(
-                    f"integer of {pos - match.start()} digits exceeds Python's "
+                    f"integer of {len(value)} digits exceeds Python's "
                     f"int-digit limit {sys.get_int_max_str_digits()}", line, col)
-        elif kind == "word":
-            kind, value = _word_kind(value)
         tokens.append(_Token(kind, value, line, col))
     # end of input sits where a trailing comment starts, if there is one
     end = text.find("#", line_start)

@@ -8,6 +8,7 @@ import pytest
 
 from chaoscope import analysis
 from chaoscope import (
+    SpineExhausted,
     StructuralError,
     build_level_spec,
     column_of,
@@ -20,6 +21,7 @@ from chaoscope import (
     mixing_gap_report,
     new_handle,
     next_base_time,
+    next_exit_time,
     orbit_rows,
     proximal_certificate,
     random_handle,
@@ -114,6 +116,78 @@ def test_proximal_jumps_equal_an_exhaustive_walk():
                 misses += expected is None
     # the sample reaches both a joint hit after time 0 and a real miss
     assert late_hits and misses
+
+
+def _first_separation(a, b, depth, horizon):
+    """Reference for the separation jumps: walk both orbits step by step."""
+    limit = min(depth, a.spine_level, b.spine_level)
+    for (t, col_a), (_, col_b) in zip(orbit_rows(a, limit, horizon),
+                                      orbit_rows(b, limit, horizon)):
+        for level in range(1, limit + 1):
+            if col_a[level] != col_b[level]:
+                return t, level
+    return None
+
+
+def test_separation_jumps_equal_an_exhaustive_walk():
+    rng = random.Random(14)
+    found = []
+    for depth in (1, 2, 3, 4):
+        for horizon in (100, 2000, 20_000):
+            a, b = random_pair(8, rng)
+            high = new_handle(8, 2 + depth % 3, rng.randrange(1, 10**6))
+            for pair in ((a, b), (a, fixed_point(8)), (high, b),
+                         (high, new_handle(8, 2 + (depth + 1) % 3, 5000))):
+                witness = li_yorke_test(*pair, horizon, sep_depth=depth).separation_witness
+                expected = _first_separation(*pair, depth, horizon)
+                assert (None if witness is None
+                        else (witness[0], witness[1].level)) == expected
+                found.append(expected)
+    # the sample holds separations at time 0, later ones and real misses
+    assert None in found
+    assert any(w and w[0] == 0 for w in found) and any(w and w[0] > 0 for w in found)
+
+
+def test_exit_time_equals_an_exhaustive_walk():
+    rng = random.Random(15)
+    handles = degree_corpus(12, spine=8, seed=15) + [fixed_point(8), new_handle(8, 2, 5000)]
+    exits = []
+    for h in handles:
+        for level in range(9):
+            within = rng.choice((0, 7, 400, 3000))
+            expected = next((t for t, col in orbit_rows(h, level, within)
+                             if not col[level].is_base), None)
+            assert next_exit_time(h, level, within) == expected
+            exits.append(expected)
+    assert None in exits and any(exits)
+
+
+def _window_min_by_walk(h, level, start, window):
+    cycles = [col[level].cycle for _, col in orbit_rows(step(h, start), level, window)]
+    return min((c for c in cycles if c), default=None)
+
+
+def test_window_min_equals_an_exhaustive_walk():
+    rng = random.Random(16)
+    # 8:2:5000 keeps level 2 at the base through the first window
+    cases = [(new_handle(8, 2, 5000), 2, 0, 3000), (new_handle(8, 2, 5000), 3, 10, 3000),
+             (fixed_point(8), 3, 5, 100)]
+    for h in degree_corpus(20, spine=8, seed=16):
+        for level in range(9):
+            cases.append((h, level, rng.randrange(100), rng.choice((0, 1, 50, 2000))))
+    for h, level, start, window in cases:
+        assert (degree_window_min(h, level, start, window).index
+                == _window_min_by_walk(h, level, start, window))
+
+
+@pytest.mark.parametrize("start", [0, 2, 4])
+def test_window_past_the_spine_raises_as_the_walk_does(start):
+    h = new_handle(2, 1, 690)  # exhausts after 4 steps
+    with pytest.raises(SpineExhausted) as walked:
+        _window_min_by_walk(h, 1, start, 10)
+    with pytest.raises(SpineExhausted) as jumped:
+        degree_window_min(h, 1, start, 10)
+    assert jumped.value.first_invalid_offset == walked.value.first_invalid_offset == 5
 
 
 def test_identical_handles_never_separate():

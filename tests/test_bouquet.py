@@ -156,6 +156,19 @@ def test_formula_queries_match_the_literal_walk(formula):
             expected = hits.get((cycle, pos), [])
             assert list(formula.iter_occurrences(cycle, pos)) == expected
             assert formula.count_occurrences(cycle) == len(expected)
+    # next_off_base from every offset, traversal boundaries included
+    off_base = [o for o in range(1, formula.length) if walk[o] != (0, 0)]
+    assert [formula.next_off_base(o) for o in range(formula.length + 1)] == \
+        [next((q for q in off_base if q > o), None) for o in range(formula.length + 1)]
+
+
+def test_next_off_base_skips_edges_and_boundaries():
+    edges = Formula([Run(0, 3), BlockSum(4, (BlockTerm(0, 1, 1),)), Run(0, 2)], lengths=(5,))
+    assert [edges.next_off_base(o) for o in range(edges.length + 1)] == [None] * (edges.length + 1)
+    # e, c1 (length 3), c1, e: offsets 2, 3 and 5, 6 are off the base
+    formula = Formula([Run(0, 1), Run(1, 2), Run(0, 1)], lengths=(3,))
+    assert [formula.next_off_base(o) for o in range(formula.length + 1)] == \
+        [2, 2, 3, 5, 5, 6, None, None, None]
 
 
 # Block bodies with b > 1: the per-iteration length grows by a whole cycle.

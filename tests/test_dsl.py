@@ -104,6 +104,19 @@ def test_integer_past_the_digit_limit(limit):
         sys.set_int_max_str_digits(saved)
 
 
+def test_cycle_index_past_the_digit_limit():
+    # the cycle word's digits end the same way as an integer token's
+    text = "cover x mode bouquet level 1 { c" + "1" * 5000 + " := 10 e; }"
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(DslSyntaxError) as err:
+            parse(text)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert str(err.value) == "1:32: integer of 5000 digits exceeds Python's int-digit limit 4300"
+
+
 def test_decimal_digits_of_any_script_are_integers():
     doc = parse("cover x mode bouquet level 1 { c1 := \u0663 e; }")  # Arabic-Indic 3
     assert doc.levels[0].cycles == (CycleDecl(1, (DocTerm(3, 0),)),)
