@@ -56,13 +56,13 @@ from .dynamics import (
     DistanceValue,
     OrbitCursor,
     PointHandle,
+    base_changes,
     column_of,
     distance,
     exhaustion_time,
     fixed_point,
     new_handle,
     next_base_time,
-    next_exit_time,
     orbit_rows,
     random_handle,
     random_pair,

@@ -11,6 +11,7 @@ reproduce it exactly.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count, islice
@@ -21,17 +22,16 @@ from .bouquet import (
     DEFAULT_SCAN_BUDGET,
     OccurrenceReport,
     build_level_spec,
-    cycle_length,
     find_occurrences,
 )
 from .dynamics import (
     DistanceValue,
     PointHandle,
+    base_changes,
     column_of,
     distance,
     exhaustion_time,
     next_base_time,
-    next_exit_time,
     step,
 )
 from .errors import StructuralError
@@ -179,25 +179,16 @@ def _find_proximal(a: PointHandle, b: PointHandle, depth: int,
 
 def _find_separation(a: PointHandle, b: PointHandle, depth: int,
                      horizon: int) -> tuple[int, DistanceValue] | None:
-    # compare the columns at event times only.  Equal columns with the shared
-    # level-`limit` coordinate off the base walk together until it reaches
-    # the base; all-base columns stay equal until one of them leaves it
+    # columns equal through `limit` stay equal until either handle's
+    # level-`limit` coordinate enters or leaves the base, so a first
+    # difference shows at t = 0 or at such a change
     limit = min(depth, a.spine_level, b.spine_level)
-    t = 0
-    while t <= horizon:
-        ha, hb = step(a, t), step(b, t)
-        col_a, col_b = column_of(ha, limit), column_of(hb, limit)
-        for level in range(1, limit + 1):
-            if col_a[level] != col_b[level]:
-                return t, DistanceValue(exact=True, level=level)
-        shared = col_a[limit]
-        if not shared.is_base:
-            t += cycle_length(limit, shared.cycle) - shared.pos
-            continue
-        exits = {next_exit_time(h, limit, horizon - t) for h in (ha, hb)} - {None}
-        if not exits:
-            return None
-        t += min(exits)
+    changes = heapq.merge(base_changes(a, limit, horizon), base_changes(b, limit, horizon),
+                          key=lambda change: change[0])
+    for t, _ in changes:
+        d = distance(step(a, t), step(b, t))
+        if d.exact and d.level <= limit:
+            return t, d
     return None
 
 
@@ -208,8 +199,9 @@ def li_yorke_test(a: PointHandle, b: PointHandle,
     """Search one horizon for both halves of Li-Yorke behavior.
 
     Neither search walks step by step: the proximal search jumps between
-    base-hit times, the separation search between the times at which the
-    columns down to ``sep_depth`` can first differ.
+    base-hit times, the separation search compares the columns only at the
+    times ``base_changes`` gives for either handle at level ``sep_depth``,
+    the only times at which they can first differ.
     """
     for h in (a, b):
         ex = exhaustion_time(h)
@@ -387,20 +379,14 @@ def degree_window_min(h: PointHandle, level: int, start: int,
                       window: int) -> DegreeValue:
     """Minimum degree of the level-``level`` coordinate over times
     ``start..start+window`` (inclusive).  The coordinate keeps one cycle
-    from a base exit to the next base hit, so the scan jumps between them
-    and stops at cycle 1, the lowest index."""
-    if not (0 <= level <= h.spine_level):
-        raise StructuralError(f"level {level} outside [0, {h.spine_level}]")
+    from a base exit to the next base hit, so the scan reads the cycle at
+    each of ``base_changes``' exits and stops at cycle 1, the lowest index."""
     h = step(h, start)
     step(h, window)  # a window past the spine's reach raises as a walk would
     best: int | None = None
-    d = 0
-    while d <= window and best != 1:
-        exit_time = next_exit_time(step(h, d), level, window - d)
-        if exit_time is None:
-            break
-        d += exit_time
-        addr = column_of(step(h, d), level)[level]
-        best = min(addr.cycle, best or addr.cycle)
-        d += cycle_length(level, addr.cycle) - addr.pos
+    for _, addr in base_changes(h, level, window):
+        if addr.cycle and (best is None or addr.cycle < best):
+            best = addr.cycle
+            if best == 1:
+                break
     return DegreeValue(best)

@@ -601,56 +601,46 @@ def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
         raise BudgetExceeded(
             f"occurrence scan of cycle {source_cycle} at level {m_prime}",
             required=total_length, budget=budget)
-    copy_length = cycle_length(m, target_cycle)
+    lengths = [1] + [cycle_length(m, c) for c in range(1, m + 1)]
+    copy_length = lengths[target_cycle]
 
-    offset = 0
+    # the path is stretches without a copy between runs of back-to-back
+    # copies: the first stretch is the prefix, the last the suffix and each
+    # one between a gap; the other gaps are the zero gaps inside the runs
+    offset = stretch_start = copy_count = 0
+    clean = True  # the current stretch holds no foreign cycle
     offsets: list[int] = []
-    copy_count = 0
-    truncated = False
     gap_histogram: dict[int, int] = {}
     gaps_all_base = True
-    prefix_length = -1
-    prefix_all_base = True
-    prev_end = -1
-    clean_since_prev = True  # no foreign cycle edges since the last copy end
     for run in _run_stream(m_prime, source_cycle, m):
-        if run.cycle == target_cycle:
-            for t in range(run.count):
-                start = offset + t * copy_length
-                if prev_end < 0:
-                    prefix_length = start
-                else:
-                    gap = start - prev_end
-                    gap_histogram[gap] = gap_histogram.get(gap, 0) + 1
-                    if not clean_since_prev:
-                        gaps_all_base = False
-                prev_end = start + copy_length
-                clean_since_prev = True
-                copy_count += 1
-                if len(offsets) < MAX_OFFSETS:
-                    offsets.append(start)
-                else:
-                    truncated = True
-            offset += run.count * copy_length
+        if run.cycle != target_cycle:
+            offset += run.count * lengths[run.cycle]
+            if run.cycle:
+                clean = False
+            continue
+        gap = offset - stretch_start
+        if copy_count:
+            gap_histogram[gap] = gap_histogram.get(gap, 0) + 1
+            gaps_all_base = gaps_all_base and clean
         else:
-            if run.cycle != 0:
-                if prev_end < 0:
-                    prefix_all_base = False
-                clean_since_prev = False
-            offset += run.count * (1 if run.cycle == 0
-                                   else cycle_length(m, run.cycle))
-    if prev_end < 0:
-        prefix_length = total_length
-        suffix_length = total_length
+            prefix_length, prefix_all_base = gap, clean
+        stretch_start = offset + run.count * copy_length
+        offsets += range(offset, stretch_start, copy_length)[:MAX_OFFSETS - len(offsets)]
+        copy_count += run.count
+        offset, clean = stretch_start, True
+    if copy_count:  # copy_count - 1 gaps in all
+        zero_gaps = copy_count - 1 - sum(gap_histogram.values())
+        if zero_gaps:
+            gap_histogram[0] = gap_histogram.get(0, 0) + zero_gaps
     else:
-        suffix_length = total_length - prev_end
-    suffix_all_base = clean_since_prev
+        prefix_length, prefix_all_base = total_length, clean
+    suffix_length, suffix_all_base = total_length - stretch_start, clean
     return OccurrenceReport(
         source_level=m_prime, source_cycle=source_cycle,
         target_level=m, target_cycle=target_cycle,
         total_length=total_length, copy_length=copy_length,
         copy_count=copy_count, offsets=tuple(offsets),
-        offsets_truncated=truncated, gap_histogram=gap_histogram,
+        offsets_truncated=copy_count > len(offsets), gap_histogram=gap_histogram,
         gaps_all_base=gaps_all_base,
         prefix_length=prefix_length, prefix_all_base=prefix_all_base,
         suffix_length=suffix_length, suffix_all_base=suffix_all_base,

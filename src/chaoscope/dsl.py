@@ -38,7 +38,6 @@ stay cheap to check.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
@@ -332,7 +331,7 @@ def document_json(doc: CoverDocument) -> dict:
     def element(el: DocElement) -> dict:
         if isinstance(el, DocTerm):
             return {"coef": _decimal(el.coef), "atom": _render_atom(el.atom)}
-        return {"sum": {"var": el.var, "from": el.lo,
+        return {"sum": {"var": el.var, "from": _decimal(el.lo),
                         "to": "k" if el.bound is None else _decimal(el.bound),
                         "body": [element(t) for t in el.body]}}
 

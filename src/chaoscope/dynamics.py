@@ -205,28 +205,35 @@ def next_base_time(h: PointHandle, target_level: int) -> int:
     return cycle_length(target_level, addr.cycle) - addr.pos
 
 
-def next_exit_time(h: PointHandle, level: int, within: int) -> int | None:
-    """Smallest ``d`` in ``[0, within]`` whose step puts the level-``level``
-    coordinate off the base, or None (always None for the fixed point).
+def base_changes(h: PointHandle, level: int,
+                 horizon: int) -> Iterator[tuple[int, VertexAddr]]:
+    """Yield ``(t, coordinate)`` for the level-``level`` coordinate at
+    ``t = 0`` and at each later ``t <= horizon`` where it enters or leaves
+    the base.
 
-    Every level between it and the lowest non-base level ``M`` above sits
-    at the base until the next off-base offset of ``M``'s image formula or
-    ``M``'s own base hit; the scan jumps to the earlier and never past
-    ``within``."""
+    An off-base coordinate walks its cycle to the base hit.  A base one
+    stays there, as does every level up to the lowest non-base level ``M``
+    above, until the next off-base offset of ``M``'s image formula or
+    ``M``'s own base hit; the walk jumps to the earlier.  Level 0 and the
+    fixed point never leave the base, so they yield once."""
     if not (0 <= level <= h.spine_level):
         raise StructuralError(f"level {level} outside [0, {h.spine_level}]")
-    t = 0
-    while level and t <= within:  # level 0 has no cycle to leave on
+    t, on_base = 0, None
+    while t <= horizon:
         column = column_of(step(h, t))
-        if not column[level].is_base:
-            return t
+        addr = column[level]
+        if addr.is_base != on_base:
+            yield t, addr
+            on_base = addr.is_base
+        if not on_base:
+            t += cycle_length(level, addr.cycle) - addr.pos
+            continue
         upper = next((a for a in column[level + 1:] if not a.is_base), None)
-        if upper is None:
-            return None
+        if not level or upper is None:
+            return
         formula = build_level_spec(upper.level - 1).image_formulas[upper.cycle - 1]
         q = formula.next_off_base(upper.pos)
         t += (formula.length if q is None else q) - upper.pos
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from chaoscope import analysis
 from chaoscope import (
     SpineExhausted,
     StructuralError,
+    base_changes,
     build_level_spec,
     column_of,
     degree_of_column,
@@ -21,7 +22,6 @@ from chaoscope import (
     mixing_gap_report,
     new_handle,
     next_base_time,
-    next_exit_time,
     orbit_rows,
     proximal_certificate,
     random_handle,
@@ -148,18 +148,33 @@ def test_separation_jumps_equal_an_exhaustive_walk():
     assert any(w and w[0] == 0 for w in found) and any(w and w[0] > 0 for w in found)
 
 
-def test_exit_time_equals_an_exhaustive_walk():
+def _base_changes_by_walk(h, level, horizon):
+    """Reference for base_changes: walk the orbit step by step."""
+    changes = []
+    for t, col in orbit_rows(h, level, horizon):
+        if not changes or col[level].is_base != changes[-1][1].is_base:
+            changes.append((t, col[level]))
+    return changes
+
+
+def test_base_changes_equal_an_exhaustive_walk():
     rng = random.Random(15)
     handles = degree_corpus(12, spine=8, seed=15) + [fixed_point(8), new_handle(8, 2, 5000)]
-    exits = []
+    lengths = []
     for h in handles:
         for level in range(9):
-            within = rng.choice((0, 7, 400, 3000))
-            expected = next((t for t, col in orbit_rows(h, level, within)
-                             if not col[level].is_base), None)
-            assert next_exit_time(h, level, within) == expected
-            exits.append(expected)
-    assert None in exits and any(exits)
+            horizon = rng.choice((0, 7, 400, 3000))
+            changes = list(base_changes(h, level, horizon))
+            assert changes == _base_changes_by_walk(h, level, horizon)
+            lengths.append(len(changes))
+    assert 1 in lengths and max(lengths) > 3
+    # 8:2:5000's level 2 sits at the base until 20493, so a horizon one step
+    # short ends inside a dwell that one jump crosses
+    h = new_handle(8, 2, 5000)
+    walked = _base_changes_by_walk(h, 2, 20493)
+    assert [t for t, _ in walked] == [0, 20493]
+    assert list(base_changes(h, 2, 20493)) == walked
+    assert list(base_changes(h, 2, 20492)) == walked[:1]
 
 
 def _window_min_by_walk(h, level, start, window):
@@ -178,6 +193,15 @@ def test_window_min_equals_an_exhaustive_walk():
     for h, level, start, window in cases:
         assert (degree_window_min(h, level, start, window).index
                 == _window_min_by_walk(h, level, start, window))
+
+
+def test_window_min_reads_past_a_higher_cycle_to_cycle_one():
+    # level 2 walks two copies of cycle 2 (the tail of a level-3 cycle-1
+    # copy), then cycle 1 from 152 on: the scan may stop at 1, not before
+    h = new_handle(4, 1, 3_421_491)
+    for window, expected in ((100, 2), (151, 2), (152, 1), (400, 1)):
+        assert degree_window_min(h, 2, 0, window).index == expected
+        assert _window_min_by_walk(h, 2, 0, window) == expected
 
 
 @pytest.mark.parametrize("start", [0, 2, 4])

@@ -481,6 +481,60 @@ def test_occurrence_offsets_truncate_but_histogram_does_not(monkeypatch):
     assert sum(report.gap_histogram.values()) == report.copy_count - 1
 
 
+def _occurrences_copy_by_copy(m, m_prime, target_cycle, source_cycle):
+    """Reference for find_occurrences: one step per copy, with sentinels."""
+    total_length = cycle_length(m_prime, source_cycle)
+    copy_length = cycle_length(m, target_cycle)
+    offset = copy_count = 0
+    offsets, truncated = [], False
+    gap_histogram, gaps_all_base = {}, True
+    prefix_length, prefix_all_base = -1, True
+    prev_end, clean_since_prev = -1, True
+    for run in bouquet._run_stream(m_prime, source_cycle, m):
+        if run.cycle == target_cycle:
+            for t in range(run.count):
+                start = offset + t * copy_length
+                if prev_end < 0:
+                    prefix_length = start
+                else:
+                    gap = start - prev_end
+                    gap_histogram[gap] = gap_histogram.get(gap, 0) + 1
+                    gaps_all_base &= clean_since_prev
+                prev_end = start + copy_length
+                clean_since_prev = True
+                copy_count += 1
+                if len(offsets) < bouquet.MAX_OFFSETS:
+                    offsets.append(start)
+                else:
+                    truncated = True
+            offset += run.count * copy_length
+        else:
+            if run.cycle != 0:
+                if prev_end < 0:
+                    prefix_all_base = False
+                clean_since_prev = False
+            offset += run.count * (1 if run.cycle == 0 else cycle_length(m, run.cycle))
+    if prev_end < 0:
+        prefix_length = suffix_length = total_length
+    else:
+        suffix_length = total_length - prev_end
+    return bouquet.OccurrenceReport(
+        m_prime, source_cycle, m, target_cycle, total_length, copy_length,
+        copy_count, tuple(offsets), truncated, gap_histogram, gaps_all_base,
+        prefix_length, prefix_all_base, suffix_length, clean_since_prev,
+        bouquet.DEFAULT_SCAN_BUDGET)
+
+
+@pytest.mark.parametrize("max_offsets", [bouquet.MAX_OFFSETS, 100])
+def test_occurrences_equal_the_copy_by_copy_scan(max_offsets, monkeypatch):
+    monkeypatch.setattr(bouquet, "MAX_OFFSETS", max_offsets)
+    for m, m_prime in ((1, 2), (1, 3), (2, 3)):
+        for target in range(1, m + 1):
+            for source in range(1, m_prime + 1):
+                assert vars(find_occurrences(m, m_prime, target, source)) == \
+                    vars(_occurrences_copy_by_copy(m, m_prime, target, source))
+
+
 def test_occurrence_budget_error_names_requirement():
     with pytest.raises(BudgetExceeded) as err:
         find_occurrences(1, 4, 1, 1, budget=10**8)

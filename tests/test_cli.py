@@ -368,7 +368,7 @@ PINNED = [
      "55324ce148ba6b1cbeba8b7602c3f47c7f132ee7a41fbb1ee86f953aac4a3859",
      ""),
     ("dsl-check builtin.cover --json --canonical --equivalence 3", 0,
-     "913875179029020414b87f3f53f56d9e2947863896f52a23f096bf99ba4966d9",
+     "eedfb52632daff6b649e864586e505b84a78ad92aa47b024db2c6739d102186c",
      ""),
     ("dsl-check missing.cover", 2,
      EMPTY,

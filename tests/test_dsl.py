@@ -494,11 +494,13 @@ def test_serialize_an_integer_past_the_digit_limit(limit):
 
     cycle = CycleDecl(1, (DocTerm(10 ** 4999, 0),))
     long_count = CoverDocument("x", (LevelBlock(1, (cycle,)),))
+    cycle = CycleDecl(1, (DocTerm(1, 0), DocSum("j", 10 ** 4999, None, (DocTerm("j", 0),))))
+    long_from = CoverDocument("x", (LevelBlock(1, (cycle,)),))
     builtin = builtin_document(14)  # its top count has 7491 digits
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
-        for doc, digits in ((long_count, 5000), (builtin, 7491)):
+        for doc, digits in ((long_count, 5000), (long_from, 5000), (builtin, 7491)):
             if limit:
                 for write in (serialize, document_json):
                     with pytest.raises(StructuralError) as err:

@@ -45,7 +45,25 @@ def test_src_lines_stay_within_the_roadmap_count():
     # the bound with its reason in CHANGES.md
     lines = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in PACKAGE.glob("*.py"))
-    assert lines <= 3352
+    assert lines <= 3334
+
+
+def test_every_module_level_import_is_read():
+    unread = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno}: {name}")
+    assert unread == []
 
 
 def test_no_module_reads_a_private_name_of_another():
