@@ -11,7 +11,6 @@ reproduce it exactly.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count, islice
@@ -181,14 +180,21 @@ def _find_separation(a: PointHandle, b: PointHandle, depth: int,
                      horizon: int) -> tuple[int, DistanceValue] | None:
     # columns equal through `limit` stay equal until either handle's
     # level-`limit` coordinate enters or leaves the base, so a first
-    # difference shows at t = 0 or at such a change
+    # difference shows at t = 0 or at such a change.  Each such time is
+    # compared once, and only a handle without a change then is projected
     limit = min(depth, a.spine_level, b.spine_level)
-    changes = heapq.merge(base_changes(a, limit, horizon), base_changes(b, limit, horizon),
-                          key=lambda change: change[0])
-    for t, _ in changes:
-        d = distance(step(a, t), step(b, t))
-        if d.exact and d.level <= limit:
-            return t, d
+    handles = (a, b)
+    streams = [base_changes(h, limit, horizon) for h in handles]
+    done = (horizon + 1, None)
+    heads = [next(stream, done) for stream in streams]
+    while (t := min(heads[0][0], heads[1][0])) <= horizon:
+        col_a, col_b = (column if s == t else column_of(step(h, t))
+                        for h, (s, column) in zip(handles, heads))
+        level = next((n for n in range(1, limit + 1) if col_a[n] != col_b[n]), None)
+        if level is not None:
+            return t, DistanceValue(exact=True, level=level)
+        heads = [next(stream, done) if head[0] == t else head
+                 for stream, head in zip(streams, heads)]
     return None
 
 
@@ -384,7 +390,8 @@ def degree_window_min(h: PointHandle, level: int, start: int,
     h = step(h, start)
     step(h, window)  # a window past the spine's reach raises as a walk would
     best: int | None = None
-    for _, addr in base_changes(h, level, window):
+    for _, column in base_changes(h, level, window):
+        addr = column[level]
         if addr.cycle and (best is None or addr.cycle < best):
             best = addr.cycle
             if best == 1:

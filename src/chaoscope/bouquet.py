@@ -23,7 +23,8 @@ a division finds the block when the offset is small next to the block
 coefficients, and an integer square root of the quadratic's discriminant
 otherwise.  Each formula computes its item offsets and block coefficients
 once, so a query costs what its offset needs, not what the cycle's size
-would.
+would.  Occurrence scans never expand a path either: they compose per-cycle
+summaries along the image formulas, a level at a time.
 
 Positions on a cycle count edges traversed from the base; position 0 is the
 base itself and is represented as the base address, never stored.
@@ -522,18 +523,6 @@ def lift_choices(a: VertexAddr, max_results: int) -> LiftReport:
 # Occurrence scanning.
 # ---------------------------------------------------------------------------
 
-def _run_stream(level_from: int, cycle: int, level_to: int) -> Iterator[Run]:
-    """Literal runs at ``level_to`` (below ``level_from``) for one full
-    traversal of the given cycle."""
-    spec = build_level_spec(level_from - 1)
-    for run in spec.image_formulas[cycle - 1].iter_runs():
-        if run.cycle == 0 or level_from - 1 == level_to:
-            yield run
-        else:
-            for _ in range(run.count):
-                yield from _run_stream(level_from - 1, run.cycle, level_to)
-
-
 @dataclass
 class OccurrenceReport:
     """Complete copies of a target cycle inside a projected source cycle.
@@ -581,14 +570,75 @@ class OccurrenceReport:
         }
 
 
+class _Summary:
+    """What one path contributes to an :class:`OccurrenceReport`: length,
+    copy count, prefix and suffix as ``(length, all_base)`` (both the whole
+    path while it holds no copy), gap histogram, ``gaps_all_base`` and the
+    first ``MAX_OFFSETS`` copy offsets.  A leaf is a base edge, a foreign
+    cycle or the target (one copy); :meth:`add` joins paths."""
+
+    __slots__ = ("length", "count", "prefix", "suffix", "gaps", "gaps_all_base", "offsets")
+
+    def __init__(self, length: int, count: int, all_base: bool):
+        self.length, self.count = length, count
+        self.prefix = self.suffix = (0 if count else length, all_base)
+        self.gaps: dict[int, int] = {}
+        self.gaps_all_base = True
+        self.offsets = [0] if count else []
+
+    def add(self, x: _Summary, r: int) -> None:
+        """Append ``r`` back-to-back copies of the path ``x``."""
+        if not x.count:
+            self.suffix = (self.suffix[0] + r * x.length, self.suffix[1] and x.suffix[1])
+            if not self.count:
+                self.prefix = self.suffix
+            self.length += r * x.length
+            return
+        # one gap at the seam with what came before (or, before any copy,
+        # the prefix) and r - 1 inner gaps between the copies of x
+        seam = (self.suffix[0] + x.prefix[0], self.suffix[1] and x.prefix[1])
+        inner = (x.suffix[0] + x.prefix[0], x.suffix[1] and x.prefix[1])
+        gaps = self.gaps
+        for gap, count in x.gaps.items():
+            gaps[gap] = gaps.get(gap, 0) + r * count
+        if r > 1:
+            gaps[inner[0]] = gaps.get(inner[0], 0) + r - 1
+        if self.count:
+            gaps[seam[0]] = gaps.get(seam[0], 0) + 1
+        else:
+            self.prefix = seam
+        self.gaps_all_base = (self.gaps_all_base and x.gaps_all_base
+                              and (r == 1 or inner[1]) and (not self.count or seam[1]))
+        for start in range(self.length, self.length + r * x.length, x.length):
+            room = MAX_OFFSETS - len(self.offsets)
+            if room <= 0:
+                break
+            self.offsets += map(start.__add__, x.offsets[:room])
+        self.suffix = x.suffix
+        self.count += r * x.count
+        self.length += r * x.length
+
+
+def _fold(formula: Formula, below: list[_Summary]) -> _Summary:
+    """Summary of one traversal of the cycle whose image is ``formula``;
+    ``below[c]`` summarizes symbol c of the formula's level."""
+    path = _Summary(0, 0, True)
+    for run in formula.iter_runs():
+        path.add(below[run.cycle], run.count)
+    return path
+
+
 def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
                      budget: int = DEFAULT_SCAN_BUDGET) -> OccurrenceReport:
     """Scan the projection of one source-cycle traversal for complete copies
     of the target cycle.
 
-    The walk is over symbolic run segments, never materialized; the budget
-    bounds the projected path's edge length (which equals the source cycle's
-    length, covers being edge-count preserving).
+    The scan composes summaries and never expands the path: each cycle of
+    levels m+1 .. m' gets a summary, its image formula's runs folded over
+    the summaries of the level below, kept for this call only.  The budget
+    bounds the projected path's edge length (which equals the source
+    cycle's length, covers being edge-count preserving), and with it the
+    runs the fold reads.
     """
     if not (0 <= m < m_prime):
         raise StructuralError(f"need 0 <= m < m', got {m}..{m_prime}")
@@ -601,49 +651,22 @@ def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
         raise BudgetExceeded(
             f"occurrence scan of cycle {source_cycle} at level {m_prime}",
             required=total_length, budget=budget)
-    lengths = [1] + [cycle_length(m, c) for c in range(1, m + 1)]
-    copy_length = lengths[target_cycle]
-
-    # the path is stretches without a copy between runs of back-to-back
-    # copies: the first stretch is the prefix, the last the suffix and each
-    # one between a gap; the other gaps are the zero gaps inside the runs
-    offset = stretch_start = copy_count = 0
-    clean = True  # the current stretch holds no foreign cycle
-    offsets: list[int] = []
-    gap_histogram: dict[int, int] = {}
-    gaps_all_base = True
-    for run in _run_stream(m_prime, source_cycle, m):
-        if run.cycle != target_cycle:
-            offset += run.count * lengths[run.cycle]
-            if run.cycle:
-                clean = False
-            continue
-        gap = offset - stretch_start
-        if copy_count:
-            gap_histogram[gap] = gap_histogram.get(gap, 0) + 1
-            gaps_all_base = gaps_all_base and clean
-        else:
-            prefix_length, prefix_all_base = gap, clean
-        stretch_start = offset + run.count * copy_length
-        offsets += range(offset, stretch_start, copy_length)[:MAX_OFFSETS - len(offsets)]
-        copy_count += run.count
-        offset, clean = stretch_start, True
-    if copy_count:  # copy_count - 1 gaps in all
-        zero_gaps = copy_count - 1 - sum(gap_histogram.values())
-        if zero_gaps:
-            gap_histogram[0] = gap_histogram.get(0, 0) + zero_gaps
-    else:
-        prefix_length, prefix_all_base = total_length, clean
-    suffix_length, suffix_all_base = total_length - stretch_start, clean
+    # the level-m leaves; entry 0 is the base edge at every level
+    below = [_Summary(1, 0, True)] + [
+        _Summary(cycle_length(m, c), int(c == target_cycle), c == target_cycle)
+        for c in range(1, m + 1)]
+    for n in range(m + 1, m_prime):
+        below = below[:1] + [_fold(f, below) for f in build_level_spec(n - 1).image_formulas]
+    path = _fold(build_level_spec(m_prime - 1).image_formulas[source_cycle - 1], below)
     return OccurrenceReport(
         source_level=m_prime, source_cycle=source_cycle,
         target_level=m, target_cycle=target_cycle,
-        total_length=total_length, copy_length=copy_length,
-        copy_count=copy_count, offsets=tuple(offsets),
-        offsets_truncated=copy_count > len(offsets), gap_histogram=gap_histogram,
-        gaps_all_base=gaps_all_base,
-        prefix_length=prefix_length, prefix_all_base=prefix_all_base,
-        suffix_length=suffix_length, suffix_all_base=suffix_all_base,
+        total_length=total_length, copy_length=cycle_length(m, target_cycle),
+        copy_count=path.count, offsets=tuple(path.offsets),
+        offsets_truncated=path.count > len(path.offsets), gap_histogram=path.gaps,
+        gaps_all_base=path.gaps_all_base,
+        prefix_length=path.prefix[0], prefix_all_base=path.prefix[1],
+        suffix_length=path.suffix[0], suffix_all_base=path.suffix[1],
         budget=budget)
 
 

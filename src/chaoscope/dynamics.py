@@ -206,9 +206,9 @@ def next_base_time(h: PointHandle, target_level: int) -> int:
 
 
 def base_changes(h: PointHandle, level: int,
-                 horizon: int) -> Iterator[tuple[int, VertexAddr]]:
-    """Yield ``(t, coordinate)`` for the level-``level`` coordinate at
-    ``t = 0`` and at each later ``t <= horizon`` where it enters or leaves
+                 horizon: int) -> Iterator[tuple[int, list[VertexAddr]]]:
+    """Yield ``(t, column_of(step(h, t)))`` at ``t = 0`` and at each later
+    ``t <= horizon`` where the level-``level`` coordinate enters or leaves
     the base.
 
     An off-base coordinate walks its cycle to the base hit.  A base one
@@ -223,7 +223,7 @@ def base_changes(h: PointHandle, level: int,
         column = column_of(step(h, t))
         addr = column[level]
         if addr.is_base != on_base:
-            yield t, addr
+            yield t, column
             on_base = addr.is_base
         if not on_base:
             t += cycle_length(level, addr.cycle) - addr.pos

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoscope import bouquet
@@ -481,6 +482,18 @@ def test_occurrence_offsets_truncate_but_histogram_does_not(monkeypatch):
     assert sum(report.gap_histogram.values()) == report.copy_count - 1
 
 
+def _run_stream(level_from, cycle, level_to):
+    """Literal runs at ``level_to`` (below ``level_from``) for one full
+    traversal of the given cycle."""
+    spec = build_level_spec(level_from - 1)
+    for run in spec.image_formulas[cycle - 1].iter_runs():
+        if run.cycle == 0 or level_from - 1 == level_to:
+            yield run
+        else:
+            for _ in range(run.count):
+                yield from _run_stream(level_from - 1, run.cycle, level_to)
+
+
 def _occurrences_copy_by_copy(m, m_prime, target_cycle, source_cycle):
     """Reference for find_occurrences: one step per copy, with sentinels."""
     total_length = cycle_length(m_prime, source_cycle)
@@ -490,7 +503,7 @@ def _occurrences_copy_by_copy(m, m_prime, target_cycle, source_cycle):
     gap_histogram, gaps_all_base = {}, True
     prefix_length, prefix_all_base = -1, True
     prev_end, clean_since_prev = -1, True
-    for run in bouquet._run_stream(m_prime, source_cycle, m):
+    for run in _run_stream(m_prime, source_cycle, m):
         if run.cycle == target_cycle:
             for t in range(run.count):
                 start = offset + t * copy_length
@@ -533,6 +546,86 @@ def test_occurrences_equal_the_copy_by_copy_scan(max_offsets, monkeypatch):
             for source in range(1, m_prime + 1):
                 assert vars(find_occurrences(m, m_prime, target, source)) == \
                     vars(_occurrences_copy_by_copy(m, m_prime, target, source))
+
+
+def test_occurrence_scan_reads_formula_runs_not_the_path(monkeypatch):
+    # the literal walk reads 146,200 runs; the fold reads each formula once,
+    # and a second call reads them all again (no memo outlives a call)
+    reads = [0]
+    real_iter_runs = Formula.iter_runs
+
+    def counted_iter_runs(self):
+        for run in real_iter_runs(self):
+            reads[0] += 1
+            yield run
+
+    monkeypatch.setattr(Formula, "iter_runs", counted_iter_runs)
+    find_occurrences(1, 3, 1, 1)
+    first, reads[0] = reads[0], 0
+    find_occurrences(1, 3, 1, 1)
+    assert first <= 5000
+    assert reads[0] == first
+
+
+def _summary_by_symbols(symbols, lengths):
+    """Reference for the summary join: one step per level-m symbol, cycle 1
+    the target; the fields of ``_Summary`` as a tuple."""
+    copies, dirty, offset = [], [], 0
+    for cycle in symbols:
+        if cycle == 1:
+            copies.append(offset)
+        elif cycle:
+            dirty.append(offset)
+        offset += lengths[cycle]
+
+    def clean(lo, hi):
+        return not any(lo <= d < hi for d in dirty)
+
+    if not copies:
+        prefix = suffix = (offset, clean(0, offset))
+        gaps, gaps_all_base = {}, True
+    else:
+        ends = [start + lengths[1] for start in copies]
+        prefix = (copies[0], clean(0, copies[0]))
+        suffix = (offset - ends[-1], clean(ends[-1], offset))
+        gaps = {}
+        for end, start in zip(ends, copies[1:]):
+            gaps[start - end] = gaps.get(start - end, 0) + 1
+        gaps_all_base = all(clean(end, start) for end, start in zip(ends, copies[1:]))
+    return (offset, len(copies), prefix, suffix, gaps, gaps_all_base,
+            copies[:bouquet.MAX_OFFSETS])
+
+
+symbol_runs = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.tuples(st.just(1), *[st.integers(1, 4)] * 3),
+       st.lists(symbol_runs, min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), min_size=1, max_size=5),
+       st.sampled_from([bouquet.MAX_OFFSETS, 3]))
+@example((1, 2, 3, 1), [[(1, 2), (1, 3)]], [(0, 1)], 3)  # adjacent target runs
+@example((1, 1, 2, 3), [[(2, 1), (0, 2), (1, 1), (0, 1), (3, 2)]], [(0, 2)], 3)  # dirty ends
+@example((1, 4, 2, 3), [[(0, 3), (2, 1)]], [(0, 2)], 3)  # no copy
+def test_summary_join_equals_the_symbol_by_symbol_scan(lengths, words, top, max_offsets):
+    # level-m symbols (cycle 0 a base edge, cycle 1 the target) are folded
+    # into one summary per word, the words into the path, as a tower's
+    # formulas fold over the level below
+    leaves = [bouquet._Summary(lengths[c], int(c == 1), c <= 1) for c in range(4)]
+    top = [(w % len(words), r) for w, r in top]
+    with mock.patch.object(bouquet, "MAX_OFFSETS", max_offsets):
+        summaries = []
+        for word in words:
+            summary = bouquet._Summary(0, 0, True)
+            for cycle, r in word:
+                summary.add(leaves[cycle], r)
+            summaries.append(summary)
+        path = bouquet._Summary(0, 0, True)
+        for w, r in top:
+            path.add(summaries[w], r)
+        symbols = [c for w, r in top for _ in range(r) for c, n in words[w] for _ in range(n)]
+        assert (path.length, path.count, path.prefix, path.suffix, path.gaps,
+                path.gaps_all_base, path.offsets) == _summary_by_symbols(symbols, lengths)
 
 
 def test_occurrence_budget_error_names_requirement():
