@@ -22,9 +22,10 @@ formula is inverted in closed form instead of enumerating its ``k`` blocks:
 a division finds the block when the offset is small next to the block
 coefficients, and an integer square root of the quadratic's discriminant
 otherwise.  Each formula computes its item offsets and block coefficients
-once, so a query costs what its offset needs, not what the cycle's size
-would.  Occurrence scans never expand a path either: they compose per-cycle
-summaries along the image formulas, a level at a time.
+once and also flattens its runs and block bodies into tables, so a query
+costs what its offset needs, not what the cycle's size would.  Occurrence
+scans never expand a path either: they compose per-cycle summaries along
+the image formulas, a level at a time.
 
 Positions on a cycle count edges traversed from the base; position 0 is the
 base itself and is represented as the base address, never stored.
@@ -40,7 +41,7 @@ from itertools import chain, islice
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded, StructuralError
+from .errors import BudgetExceeded, StructuralError, int_text
 from .graphs import CoverMap, MaterializedGraph
 
 INITIAL_CYCLE_LENGTH = 10
@@ -108,11 +109,12 @@ class Formula:
 
     ``lengths`` are the source level's cycle lengths; they determine every
     term's edge length.  Construction captures everything a position query
-    needs: each item's start and end offset (the ends are binary-searched)
-    and each block sum's coefficients.
+    needs: each item's start and end offset (the ends are binary-searched),
+    each block sum's coefficients, and a table per item: ``(cycle, clen,
+    count)`` for a run, ``(cycle, clen, const*clen, coef*clen)`` per body term.
     """
 
-    __slots__ = ("items", "lengths", "_starts", "_ends", "_blocks", "length")
+    __slots__ = ("items", "lengths", "_starts", "_ends", "_blocks", "_tables", "length")
 
     def __init__(self, items: Sequence[FormulaItem], lengths: Sequence[int]):
         self.items = tuple(items)
@@ -132,6 +134,11 @@ class Formula:
         self._ends = ends
         self._blocks = [None if isinstance(item, Run) else self._block_constants(item)
                         for item in self.items]
+        self._tables = [
+            (item.cycle, self._cycle_len(item.cycle), item.count) if isinstance(item, Run)
+            else tuple((t.cycle, clen, t.const * clen, t.coef * clen) for t in item.body
+                       for clen in (self._cycle_len(t.cycle),))
+            for item in self.items]
         self.length = total
 
     # -- lengths ------------------------------------------------------------
@@ -178,11 +185,11 @@ class Formula:
         base, so the result is well defined for any offset in [0, length].
         """
         if not (0 <= offset <= self.length):
-            raise StructuralError(f"offset {offset} outside [0, {self.length}]")
+            raise StructuralError(f"offset {int_text(offset)} outside [0, {int_text(self.length)}]")
         if offset == 0:
             return (0, 0)
-        cycle, r, _ = self._run_at(offset)
-        m = r % self._cycle_len(cycle) if cycle else 0
+        cycle, clen, r, _ = self._run_at(offset)
+        m = r % clen  # 0 on the base, whose edges have length 1
         return (0, 0) if m == 0 else (cycle, m)
 
     def next_off_base(self, offset: int) -> int | None:
@@ -190,29 +197,30 @@ class Formula:
         base, or None; an edge run or edge block term is skipped whole."""
         q = offset + 1
         while q < self.length:
-            cycle, r, run_length = self._run_at(q)
+            cycle, clen, r, run_length = self._run_at(q)
             if cycle == 0:
                 q += run_length - r + 1
-            elif r % self._cycle_len(cycle) == 0:
+            elif r % clen == 0:
                 q += 1
             else:
                 return q
         return None
 
-    def _run_at(self, offset: int) -> tuple[int, int, int]:
-        """The run or block term holding ``offset`` (in [1, length]): its
-        cycle, the offset's edge count ``r >= 1`` into it, and its length."""
+    def _run_at(self, offset: int) -> tuple[int, int, int, int]:
+        """The run or block term holding ``offset`` (in [1, length]): its cycle,
+        cycle length, edge count ``r >= 1`` into it and (on the base) length."""
         idx = bisect_left(self._ends, offset)
         r = offset - self._starts[idx]
         block = self._blocks[idx]
         if block is None:
-            return self.items[idx].cycle, r, self._ends[idx] - self._starts[idx]
+            cycle, clen, count = self._tables[idx]
+            return cycle, clen, r, count
         j, before = self._block_iteration(block, r)
         r -= before
-        for term in self.items[idx].body:
-            tlen = term.count_at(j) * self._cycle_len(term.cycle)
+        for cycle, clen, const_len, coef_len in self._tables[idx]:
+            tlen = const_len + coef_len * j
             if r <= tlen:
-                return term.cycle, r, tlen
+                return cycle, clen, r, tlen
             r -= tlen
         raise AssertionError("offset walked past block iteration")
 
@@ -230,7 +238,8 @@ class Formula:
             j = (r + a - 1) // a
             return j, a * (j - 1)
         j = self._block_root(block, r)
-        prefix = a * j + b * (j * (j + 1) // 2)
+        # a*j + b*j(j+1)/2 with one full-width product; the product is even
+        prefix = j * (2 * a + b * (j + 1)) >> 1
         while prefix < r:
             j += 1
             prefix += a + b * j
@@ -447,45 +456,57 @@ class VertexAddr:
         return self.cycle == 0
 
     def __str__(self) -> str:
-        return f"{self.level}:{self.cycle}:{self.pos}"
+        return f"{self.level}:{self.cycle}:{int_text(self.pos)}"
+
+
+_BASES = tuple(VertexAddr(n, 0, 0) for n in range(LEVEL_LIMIT + 2))
 
 
 def base_addr(level: int) -> VertexAddr:
+    """The base of a level: shared within the address levels, else fresh."""
+    if type(level) is int and 0 <= level <= LEVEL_LIMIT + 1:
+        return _BASES[level]
     return VertexAddr(level, 0, 0)
 
 
 def check_addr(a: VertexAddr) -> None:
     """Raise unless the address denotes an actual vertex of its level."""
-    if not (type(a.level) is type(a.cycle) is type(a.pos) is int):
+    _image_formula(a)
+
+
+def _image_formula(a: VertexAddr) -> Formula | None:
+    """Check ``a``; its cycle's image formula in spec ``a.level - 1``, or None."""
+    level, cycle, pos = a.level, a.cycle, a.pos
+    if not (type(level) is type(cycle) is type(pos) is int):
         raise StructuralError(f"address coordinates must be ints: {a!r}")
-    if a.level < 0:
+    if level < 0:
         raise StructuralError(f"negative level in {a}")
-    if a.cycle == 0:
-        if a.pos != 0:
+    if cycle == 0:
+        if pos != 0:
             raise StructuralError(f"base address must have pos 0: {a}")
-        if a.level > LEVEL_LIMIT + 1:  # no cycle address is deeper
-            raise StructuralError(f"level {a.level} is past {LEVEL_LIMIT + 1}, "
+        if level > LEVEL_LIMIT + 1:  # no cycle address is deeper
+            raise StructuralError(f"level {level} is past {LEVEL_LIMIT + 1}, "
                                   "the deepest level an address can have")
-        return
-    if not (1 <= a.cycle <= a.level):
-        raise StructuralError(f"cycle {a.cycle} does not exist at level {a.level}")
-    length = cycle_length(a.level, a.cycle)
-    if not (1 <= a.pos < length):
+        return None
+    if not (1 <= cycle <= level):
+        raise StructuralError(f"cycle {cycle} does not exist at level {level}")
+    formula = build_level_spec(level - 1).image_formulas[cycle - 1]
+    if not (1 <= pos < formula.length):
         raise StructuralError(
-            f"position {a.pos} outside [1, {length - 1}] on cycle {a.cycle} "
-            f"of level {a.level}")
+            f"position {int_text(pos)} outside [1, {int_text(formula.length - 1)}] "
+            f"on cycle {cycle} of level {level}")
+    return formula
 
 
 def project_addr(a: VertexAddr) -> VertexAddr:
     """Image of a level-(n+1) vertex under the cover onto level n."""
     if a.level < 1:
         raise StructuralError("level 0 has nothing below it")
-    check_addr(a)
-    if a.is_base:
+    formula = _image_formula(a)
+    if formula is None:
         return base_addr(a.level - 1)
-    spec = build_level_spec(a.level - 1)
-    cycle, pos = spec.image_formulas[a.cycle - 1].locate(a.pos)
-    return VertexAddr(a.level - 1, cycle, pos)
+    cycle, pos = formula.locate(a.pos)
+    return VertexAddr(a.level - 1, cycle, pos) if cycle else base_addr(a.level - 1)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .bouquet import (
     cycle_length,
     project_addr,
 )
-from .errors import SpineExhausted, StructuralError
+from .errors import SpineExhausted, StructuralError, int_text
 
 DEFAULT_SPINE_LEVEL = 8
 DEFAULT_POSITION_RESERVE = 10**6
@@ -99,8 +99,8 @@ def _spine_position(h: PointHandle) -> int:
         # the spine reaches the base at position `length` going forward, 0 going back
         bad = length - h.address.pos if pos > 0 else -h.address.pos
         raise SpineExhausted(
-            f"offset {h.offset} drives spine position to {pos}, outside "
-            f"[1, {length - 1}] on cycle {h.address.cycle} of level {h.spine_level}",
+            f"offset {int_text(h.offset)} drives spine position to {int_text(pos)}, outside "
+            f"[1, {int_text(length - 1)}] on cycle {h.address.cycle} of level {h.spine_level}",
             first_invalid_offset=bad)
     return pos
 
@@ -138,7 +138,7 @@ def column_of(h: PointHandle, depth: int | None = None) -> list[VertexAddr]:
     """Coordinates at levels ``0..depth`` for the current time.
 
     The list index is the level.  Coherence is by construction: entry ``n``
-    is the projection of entry ``n+1``.
+    is the projection of entry ``n+1``, down to the first base entry.
     """
     if depth is None:
         depth = h.spine_level
@@ -146,9 +146,10 @@ def column_of(h: PointHandle, depth: int | None = None) -> list[VertexAddr]:
         raise StructuralError(f"depth {depth} outside [0, {h.spine_level}]")
     addr = spine_coordinate(h)
     column = [addr]
-    while addr.level > 0:
+    while not addr.is_base:
         addr = project_addr(addr)
         column.append(addr)
+    column.extend(map(base_addr, range(addr.level - 1, -1, -1)))  # covers keep the base
     column.reverse()
     return column[: depth + 1]
 
@@ -198,9 +199,9 @@ def next_base_time(h: PointHandle, target_level: int) -> int:
         raise StructuralError(
             f"target level {target_level} outside [0, {h.spine_level}]")
     addr = spine_coordinate(h)
-    while addr.level > target_level:
+    while addr.level > target_level and not addr.is_base:
         addr = project_addr(addr)
-    if addr.is_base:
+    if addr.is_base:  # the base projects to the base
         return 0
     return cycle_length(target_level, addr.cycle) - addr.pos
 

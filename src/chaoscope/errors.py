@@ -1,6 +1,14 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer rendering their messages use."""
 
 from __future__ import annotations
+
+
+def int_text(n: int) -> str:
+    """``str(n)``, or ``a 199,021-bit integer`` past Python's int-digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"a {n.bit_length():,}-bit integer"
 
 
 class ChaoscopeError(Exception):
@@ -23,8 +31,8 @@ class BudgetExceeded(ChaoscopeError):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"{what}: requires {required}, budget is {budget} "
-            f"(rerun with a budget of at least {required})"
+            f"{what}: requires {int_text(required)}, budget is {int_text(budget)} "
+            f"(rerun with a budget of at least {int_text(required)})"
         )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from chaoscope import (
     Formula,
     LevelSpec,
     Run,
+    SpineExhausted,
     StructuralError,
     VertexAddr,
     base_addr,
@@ -31,6 +33,7 @@ from chaoscope import (
     new_handle,
     parse,
     project_addr,
+    step,
 )
 
 KNOWN_LENGTHS = {(1, 1): 10, (2, 1): 695, (2, 2): 90,
@@ -295,6 +298,63 @@ def test_project_examples():
 def test_project_position_out_of_range():
     with pytest.raises(StructuralError):
         project_addr(VertexAddr(2, 2, 90))  # position 90 is the base again
+
+
+BAD_ADDRESSES = [
+    (VertexAddr(3, 1, 2.5),
+     "address coordinates must be ints: VertexAddr(level=3, cycle=1, pos=2.5)"),
+    (VertexAddr(3.0, 1, 2),
+     "address coordinates must be ints: VertexAddr(level=3.0, cycle=1, pos=2)"),
+    (VertexAddr(-1, 0, 0), "negative level in -1:0:0"),
+    (VertexAddr(3, 0, 5), "base address must have pos 0: 3:0:5"),
+    (VertexAddr(22, 0, 0), "level 22 is past 21, the deepest level an address can have"),
+    (VertexAddr(3, 4, 1), "cycle 4 does not exist at level 3"),
+    (VertexAddr(3, -1, 1), "cycle -1 does not exist at level 3"),
+    (VertexAddr(3, 2, 0), "position 0 outside [1, 181] on cycle 2 of level 3"),
+    (VertexAddr(3, 2, 182), "position 182 outside [1, 181] on cycle 2 of level 3"),
+    # a cycle address reads spec level - 1, and spec 21 is past the limit
+    (VertexAddr(22, 1, 1), "level 21 exceeds the practical limit 20; "
+                           "cycle lengths roughly double in bit size per level"),
+]
+
+
+@pytest.mark.parametrize("addr,message", BAD_ADDRESSES, ids=str)
+def test_bad_address_gives_one_message_through_check_and_projection(addr, message):
+    with pytest.raises(StructuralError) as checked:
+        bouquet.check_addr(addr)
+    with pytest.raises(StructuralError) as projected:
+        project_addr(addr)
+    assert str(checked.value) == message
+    # a level below 1 meets project_addr's own guard before the checks
+    below_one = "level 0 has nothing below it"
+    assert str(projected.value) == (message if addr.level >= 1 else below_one)
+
+
+def test_level_zero_has_nothing_below_it():
+    with pytest.raises(StructuralError, match="^level 0 has nothing below it$"):
+        project_addr(base_addr(0))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-digit limit")
+def test_deep_errors_keep_their_type_at_the_default_digit_limit():
+    # the CLI lifts the limit; library callers keep Python's default
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        h = new_handle(13, 1, 5)
+        with pytest.raises(SpineExhausted) as err:
+            step(h, -10)
+        assert err.value.first_invalid_offset == -5
+        assert "bit integer" in str(err.value)
+        for bad in (VertexAddr(16, 1, 0), VertexAddr(3, 0, 10**5000)):
+            with pytest.raises(StructuralError, match="-bit integer"):
+                bouquet.check_addr(bad)
+        with pytest.raises(StructuralError, match="^offset -1 outside \\[0, a 16,610-bit"):
+            Formula([Run(0, 10**5000)], ()).locate(-1)
+        with pytest.raises(BudgetExceeded, match="requires a [0-9,]+-bit integer"):
+            find_occurrences(1, 14, 1, 1, budget=10)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_non_integer_coordinates_are_structural_errors():

@@ -10,6 +10,7 @@ import pytest
 from chaoscope import (
     OrbitCursor,
     SpineExhausted,
+    StructuralError,
     VertexAddr,
     base_addr,
     build_level_spec,
@@ -26,6 +27,8 @@ from chaoscope import (
     write_orbit_csv,
     write_orbit_jsonl,
 )
+from chaoscope.bouquet import check_addr
+from chaoscope.dynamics import CYCLE_ONE_BAND
 
 
 def test_fixed_point_column_is_all_base():
@@ -62,6 +65,52 @@ def test_columns_cohere_under_projection():
         column = column_of(step(h, rng.randrange(0, 500)))
         for level in range(1, len(column)):
             assert project_addr(column[level]) == column[level - 1]
+
+
+def _literal_chain(h):
+    """The column by projecting every level down to 0, the base included."""
+    addr = h.address if h.address.is_base else VertexAddr(
+        h.spine_level, h.address.cycle, h.address.pos + h.offset)
+    chain = [addr]
+    while addr.level > 0:
+        addr = project_addr(addr)
+        chain.append(addr)
+    return chain[::-1]
+
+
+def _handles_on_every_cycle(rng):
+    """Per spine 1-12: the fixed point, and on every cycle a uniform handle
+    and one at a small position; cycle 1 also gets a band handle."""
+    for spine in range(1, 13):
+        yield fixed_point(spine)
+        for cycle in range(1, spine + 1):
+            length = cycle_length(spine, cycle)
+            yield new_handle(spine, cycle, rng.randrange(1, length))
+            # on a higher cycle the shallow coordinates sit on the base
+            yield new_handle(spine, cycle, rng.randrange(1, min(length, 10**6)))
+            if cycle == 1 and length > CYCLE_ONE_BAND[1]:
+                yield new_handle(spine, 1, rng.randrange(*CYCLE_ONE_BAND))
+
+
+def test_base_short_circuit_matches_the_literal_chain():
+    seen_base_below_spine = 0
+    for h in _handles_on_every_cycle(random.Random(18)):
+        chain = _literal_chain(h)
+        assert column_of(h) == chain
+        seen_base_below_spine += any(a.is_base for a in chain[1:-1])
+        for level, addr in enumerate(chain):
+            expected = 0 if addr.is_base else cycle_length(level, addr.cycle) - addr.pos
+            assert next_base_time(h, level) == expected
+    assert seen_base_below_spine > 100
+
+
+def test_base_addresses_are_shared_within_the_address_range():
+    for level in range(22):
+        assert base_addr(level) is base_addr(level) == VertexAddr(level, 0, 0)
+    for level in (-1, 22):
+        assert base_addr(level) == VertexAddr(level, 0, 0)
+        with pytest.raises(StructuralError):
+            check_addr(base_addr(level))
 
 
 def test_exhaustion_time_is_cycle_length_minus_position():
