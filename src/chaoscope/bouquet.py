@@ -21,11 +21,11 @@ In particular the ``j`` base edges + 2 cycles block region of the cycle-1
 formula is inverted in closed form instead of enumerating its ``k`` blocks:
 a division finds the block when the offset is small next to the block
 coefficients, and an integer square root of the quadratic's discriminant
-otherwise.  Each formula computes its item offsets and block coefficients
-once and also flattens its runs and block bodies into tables, so a query
-costs what its offset needs, not what the cycle's size would.  Occurrence
-scans never expand a path either: they compose per-cycle summaries along
-the image formulas, a level at a time.
+otherwise.  One pass over each formula's items compiles their offsets,
+flat tables of its runs and block bodies and each block sum's constants,
+so a query costs what its offset needs, not what the cycle's size would.
+Occurrence scans never expand a path either: they compose per-cycle
+summaries along the image formulas, a level at a time.
 
 Positions on a cycle count edges traversed from the base; position 0 is the
 base itself and is represented as the base address, never stored.
@@ -108,10 +108,11 @@ class Formula:
     the symbols of a fixed source level.
 
     ``lengths`` are the source level's cycle lengths; they determine every
-    term's edge length.  Construction captures everything a position query
-    needs: each item's start and end offset (the ends are binary-searched),
-    each block sum's coefficients, and a table per item: ``(cycle, clen,
-    count)`` for a run, ``(cycle, clen, const*clen, coef*clen)`` per body term.
+    term's edge length.  One pass over the items records what a position
+    query needs: each item's start and end offset (the ends are
+    binary-searched), its table (``(cycle, clen, count)`` for a run, one
+    ``(cycle, clen, const*clen, coef*clen)`` per body term of a block sum)
+    and a block sum's constants ``(a, b, c1, fast_bits)``, read off its table.
     """
 
     __slots__ = ("items", "lengths", "_starts", "_ends", "_blocks", "_tables", "length")
@@ -121,24 +122,27 @@ class Formula:
         self.lengths = tuple(lengths)
         if not self.items:
             raise StructuralError("a formula needs at least one term")
-        starts = []
-        ends = []
+        self._starts, self._ends, self._blocks, self._tables = [], [], [], []
         total = 0
         for item in self.items:
-            starts.append(total)
-            total += self._item_length(item)
-            ends.append(total)
-        if ends != sorted(set(ends)):
+            self._starts.append(total)
+            if isinstance(item, Run):
+                block, table = None, (item.cycle, self._cycle_len(item.cycle), item.count)
+                total += table[1] * item.count
+            else:
+                table = tuple((t.cycle, clen, t.const * clen, t.coef * clen) for t in item.body
+                              for clen in (self._cycle_len(t.cycle),))
+                # per-iteration length a + b*j; c1 = b + 2a, and an offset r
+                # of at most fast_bits bits has 4*b*r^2 < c1^3 (see _block_root)
+                a, b = sum(row[2] for row in table), sum(row[3] for row in table)
+                c1 = b + 2 * a
+                block = (a, b, c1, (3 * (c1.bit_length() - 1) - b.bit_length() - 2) // 2)
+                total += self._block_prefix(item, item.bound)
+            self._tables.append(table)
+            self._blocks.append(block)
+            self._ends.append(total)
+        if self._ends != sorted(set(self._ends)):
             raise StructuralError("prefix sums must be strictly increasing")
-        self._starts = starts
-        self._ends = ends
-        self._blocks = [None if isinstance(item, Run) else self._block_constants(item)
-                        for item in self.items]
-        self._tables = [
-            (item.cycle, self._cycle_len(item.cycle), item.count) if isinstance(item, Run)
-            else tuple((t.cycle, clen, t.const * clen, t.coef * clen) for t in item.body
-                       for clen in (self._cycle_len(t.cycle),))
-            for item in self.items]
         self.length = total
 
     # -- lengths ------------------------------------------------------------
@@ -151,29 +155,10 @@ class Formula:
                                   f"{len(self.lengths)}-cycle level")
         return self.lengths[cycle - 1]
 
-    def _block_coeffs(self, bs: BlockSum) -> tuple[int, int]:
-        # per-iteration length  A + B*j
-        a = sum(t.const * self._cycle_len(t.cycle) for t in bs.body)
-        b = sum(t.coef * self._cycle_len(t.cycle) for t in bs.body)
-        return a, b
-
-    def _block_constants(self, bs: BlockSum) -> tuple[int, int, int, int]:
-        # (a, b, c1, fast_bits) with c1 = b + 2a; an offset r of at most
-        # fast_bits bits has 4*b*r^2 < c1^3 (see _block_root)
-        a, b = self._block_coeffs(bs)
-        c1 = b + 2 * a
-        fast_bits = (3 * (c1.bit_length() - 1) - b.bit_length() - 2) // 2
-        return a, b, c1, fast_bits
-
     def _block_prefix(self, bs: BlockSum, j: int) -> int:
-        # total edge length of iterations 1..j
-        a, b = self._block_coeffs(bs)
-        return a * j + b * j * (j + 1) // 2
-
-    def _item_length(self, item: FormulaItem) -> int:
-        if isinstance(item, Run):
-            return item.count * self._cycle_len(item.cycle)
-        return self._block_prefix(item, item.bound)
+        # total edge length of iterations 1..j, read off the body terms
+        half = j * (j + 1) // 2
+        return sum((t.const * j + t.coef * half) * self._cycle_len(t.cycle) for t in bs.body)
 
     # -- position queries ----------------------------------------------------
 
@@ -374,42 +359,33 @@ def build_level_spec(n: int) -> LevelSpec:
     the spec below it.  A level past ``LEVEL_LIMIT`` is a
     :class:`StructuralError`, raised before anything is built."""
     if type(n) is not int or n < 0:
-        raise StructuralError(f"level must be >= 0, got {n!r}")
+        raise StructuralError(f"level must be >= 0, got {int_text(n)}")
     if n > LEVEL_LIMIT:
         raise StructuralError(
-            f"level {n} exceeds the practical limit {LEVEL_LIMIT}; "
+            f"level {int_text(n)} exceeds the practical limit {LEVEL_LIMIT}; "
             "cycle lengths roughly double in bit size per level")
     if n == 0:
-        formula = Formula([Run(0, INITIAL_CYCLE_LENGTH)], lengths=())
-        return LevelSpec(0, (), 2, (formula,))
-    below = build_level_spec(n - 1)
-    lengths = tuple(f.length for f in below.image_formulas)
+        return LevelSpec(0, (), 2, (Formula([Run(0, INITIAL_CYCLE_LENGTH)], ()),))
+    lengths = tuple(f.length for f in build_level_spec(n - 1).image_formulas)
     k = 2 * (1 + sum(lengths))
-    formulas = []
-    # cycle 1 of level n+1
-    items: list[FormulaItem] = [
-        BlockSum(k, (BlockTerm(0, 0, 1), BlockTerm(1, 2, 0))),
-        Run(0, 1),
-    ]
-    items.extend(Run(i, 2) for i in range(2, n + 1))
-    items.append(Run(0, 1))
-    formulas.append(Formula(items, lengths))
-    # cycles 2..n of level n+1
-    for i in range(2, n + 1):
-        items = [Run(0, 1)]
-        items.extend(Run(i2, 2) for i2 in range(i, n + 1))
-        items.append(Run(0, 1))
-        formulas.append(Formula(items, lengths))
-    # cycle n+1 of level n+1: a pure base run
-    formulas.append(Formula([Run(0, (n + 2) ** 2 * sum(lengths))], lengths))
-    return LevelSpec(n, lengths, k, tuple(formulas))
+
+    def walk(i: int) -> list[FormulaItem]:
+        # one base edge, 2 passes of each of cycles i..n, one base edge
+        return [Run(0, 1), *(Run(c, 2) for c in range(i, n + 1)), Run(0, 1)]
+
+    # cycle 1: the block sum, then cycle 2's walk; cycle n+1: a pure base run
+    images = [[BlockSum(k, (BlockTerm(0, 0, 1), BlockTerm(1, 2, 0))), *walk(2)]]
+    images += [walk(i) for i in range(2, n + 1)]
+    images.append([Run(0, (n + 2) ** 2 * sum(lengths))])
+    return LevelSpec(n, lengths, k, tuple(Formula(items, lengths) for items in images))
 
 
 def cycle_length(n: int, i: int) -> int:
     """Length of cycle ``i`` at level ``n``, read from the formula that
     defines it in spec ``n - 1`` (spec ``n`` would build level ``n+1``)."""
     if not (1 <= i <= n):
-        raise StructuralError(f"level {n} has cycles 1..{n}, asked for {i}")
+        raise StructuralError(
+            f"level {int_text(n)} has cycles 1..{int_text(n)}, asked for {int_text(i)}")
     return build_level_spec(n - 1).image_formulas[i - 1].length
 
 
@@ -456,7 +432,11 @@ class VertexAddr:
         return self.cycle == 0
 
     def __str__(self) -> str:
-        return f"{self.level}:{self.cycle}:{int_text(self.pos)}"
+        return f"{int_text(self.level)}:{int_text(self.cycle)}:{int_text(self.pos)}"
+
+    def __repr__(self) -> str:
+        return (f"VertexAddr(level={int_text(self.level)}, cycle={int_text(self.cycle)}, "
+                f"pos={int_text(self.pos)})")
 
 
 _BASES = tuple(VertexAddr(n, 0, 0) for n in range(LEVEL_LIMIT + 2))
@@ -485,11 +465,12 @@ def _image_formula(a: VertexAddr) -> Formula | None:
         if pos != 0:
             raise StructuralError(f"base address must have pos 0: {a}")
         if level > LEVEL_LIMIT + 1:  # no cycle address is deeper
-            raise StructuralError(f"level {level} is past {LEVEL_LIMIT + 1}, "
+            raise StructuralError(f"level {int_text(level)} is past {LEVEL_LIMIT + 1}, "
                                   "the deepest level an address can have")
         return None
     if not (1 <= cycle <= level):
-        raise StructuralError(f"cycle {cycle} does not exist at level {level}")
+        raise StructuralError(
+            f"cycle {int_text(cycle)} does not exist at level {int_text(level)}")
     formula = build_level_spec(level - 1).image_formulas[cycle - 1]
     if not (1 <= pos < formula.length):
         raise StructuralError(
@@ -662,11 +643,12 @@ def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
     runs the fold reads.
     """
     if not (0 <= m < m_prime):
-        raise StructuralError(f"need 0 <= m < m', got {m}..{m_prime}")
+        raise StructuralError(f"need 0 <= m < m', got {int_text(m)}..{int_text(m_prime)}")
     if not (1 <= target_cycle <= m):
-        raise StructuralError(f"level {m} has no cycle {target_cycle}")
+        raise StructuralError(f"level {int_text(m)} has no cycle {int_text(target_cycle)}")
     if not (1 <= source_cycle <= m_prime):
-        raise StructuralError(f"level {m_prime} has no cycle {source_cycle}")
+        raise StructuralError(
+            f"level {int_text(m_prime)} has no cycle {int_text(source_cycle)}")
     total_length = cycle_length(m_prime, source_cycle)
     if total_length > budget:
         raise BudgetExceeded(

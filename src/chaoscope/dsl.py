@@ -521,26 +521,20 @@ def document_tower(doc: CoverDocument) -> Tower:
 
 def builtin_document(max_level: int) -> CoverDocument:
     """The tower's own definition, written in the DSL up to ``max_level``."""
+    def walk(n: int, i: int) -> tuple[DocElement, ...]:
+        # level n's cycle i: one base edge, 2 passes of each of cycles i..n-1, one base edge
+        return (DocTerm(1, 0), *(DocTerm(2, c) for c in range(i, n)), DocTerm(1, 0))
+
     blocks = []
     for n in range(1, max_level + 1):
-        cycles = []
         if n == 1:
-            cycles.append(CycleDecl(1, (DocTerm(10, 0),)))
+            cycles = [CycleDecl(1, (DocTerm(10, 0),))]
         else:
-            below = build_level_spec(n - 1)
-            head: list[DocElement] = [
-                DocSum("j", 1, None, (DocTerm("j", 0), DocTerm(2, 1))),
-                DocTerm(1, 0),
-            ]
-            head.extend(DocTerm(2, i) for i in range(2, n))
-            head.append(DocTerm(1, 0))
-            cycles.append(CycleDecl(1, tuple(head)))
-            for i in range(2, n):
-                mid: list[DocElement] = [DocTerm(1, 0)]
-                mid.extend(DocTerm(2, i2) for i2 in range(i, n))
-                mid.append(DocTerm(1, 0))
-                cycles.append(CycleDecl(i, tuple(mid)))
-            top = (n + 1) ** 2 * sum(below.cycle_lengths)
+            # cycle 1: the block sum, then cycle 2's walk; cycle n: one base run
+            head = DocSum("j", 1, None, (DocTerm("j", 0), DocTerm(2, 1)))
+            cycles = [CycleDecl(1, (head, *walk(n, 2)))]
+            cycles += [CycleDecl(i, walk(n, i)) for i in range(2, n)]
+            top = (n + 1) ** 2 * sum(build_level_spec(n - 1).cycle_lengths)
             cycles.append(CycleDecl(n, (DocTerm(top, 0),)))
         blocks.append(LevelBlock(n, tuple(cycles)))
     return CoverDocument("builtin", tuple(blocks))

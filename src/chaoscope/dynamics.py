@@ -63,7 +63,7 @@ class PointHandle:
     offset: int = 0
 
     def __str__(self) -> str:
-        return f"{self.address}@{self.offset}"
+        return f"{self.address}@{int_text(self.offset)}"
 
     def to_json(self) -> dict:
         return {
@@ -76,9 +76,7 @@ class PointHandle:
 
 def fixed_point(spine_level: int) -> PointHandle:
     """The unique fixed point, truncated at the given level."""
-    addr = base_addr(spine_level)
-    check_addr(addr)
-    return PointHandle(spine_level, addr)
+    return new_handle(spine_level, 0, 0)
 
 
 def new_handle(spine_level: int, cycle: int, pos: int, offset: int = 0) -> PointHandle:
@@ -143,7 +141,7 @@ def column_of(h: PointHandle, depth: int | None = None) -> list[VertexAddr]:
     if depth is None:
         depth = h.spine_level
     if not (0 <= depth <= h.spine_level):
-        raise StructuralError(f"depth {depth} outside [0, {h.spine_level}]")
+        raise StructuralError(f"depth {int_text(depth)} outside [0, {int_text(h.spine_level)}]")
     addr = spine_coordinate(h)
     column = [addr]
     while not addr.is_base:
@@ -197,7 +195,7 @@ def next_base_time(h: PointHandle, target_level: int) -> int:
     """
     if not (0 <= target_level <= h.spine_level):
         raise StructuralError(
-            f"target level {target_level} outside [0, {h.spine_level}]")
+            f"target level {int_text(target_level)} outside [0, {int_text(h.spine_level)}]")
     addr = spine_coordinate(h)
     while addr.level > target_level and not addr.is_base:
         addr = project_addr(addr)
@@ -218,7 +216,7 @@ def base_changes(h: PointHandle, level: int,
     ``M``'s own base hit; the walk jumps to the earlier.  Level 0 and the
     fixed point never leave the base, so they yield once."""
     if not (0 <= level <= h.spine_level):
-        raise StructuralError(f"level {level} outside [0, {h.spine_level}]")
+        raise StructuralError(f"level {int_text(level)} outside [0, {int_text(h.spine_level)}]")
     t, on_base = 0, None
     while t <= horizon:
         column = column_of(step(h, t))
@@ -283,7 +281,7 @@ class OrbitCursor:
 def orbit_rows(h: PointHandle, depth: int, horizon: int) -> Iterator[tuple[int, list[VertexAddr]]]:
     """Yield ``(t, column[0..depth])`` for t = 0..horizon."""
     if not (0 <= depth <= h.spine_level):
-        raise StructuralError(f"depth {depth} outside [0, {h.spine_level}]")
+        raise StructuralError(f"depth {int_text(depth)} outside [0, {int_text(h.spine_level)}]")
     cursor = OrbitCursor(h)
     for t in range(horizon + 1):
         yield t, cursor.column[: depth + 1]

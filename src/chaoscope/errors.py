@@ -4,9 +4,9 @@ from __future__ import annotations
 
 
 def int_text(n: int) -> str:
-    """``str(n)``, or ``a 199,021-bit integer`` past Python's int-digit limit."""
+    """``repr(n)``, or ``a 199,021-bit integer`` past Python's int-digit limit."""
     try:
-        return str(n)
+        return repr(n)
     except ValueError:
         return f"a {n.bit_length():,}-bit integer"
 

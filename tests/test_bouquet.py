@@ -15,13 +15,16 @@ from chaoscope import (
     BlockSum,
     BlockTerm,
     BudgetExceeded,
+    ChaoscopeError,
     Formula,
     LevelSpec,
+    PointHandle,
     Run,
     SpineExhausted,
     StructuralError,
     VertexAddr,
     base_addr,
+    base_changes,
     build_level_spec,
     column_of,
     cycle_length,
@@ -31,6 +34,7 @@ from chaoscope import (
     lift_choices,
     materialize_graph,
     new_handle,
+    next_base_time,
     parse,
     project_addr,
     step,
@@ -166,6 +170,30 @@ def test_formula_queries_match_the_literal_walk(formula):
         [next((q for q in off_base if q > o), None) for o in range(formula.length + 1)]
 
 
+BAD_FORMULAS = [
+    ([], (), "a formula needs at least one term"),
+    ([Run(0, 1), Run(2, 1)], (5,), "formula references cycle 2 of a 1-cycle level"),
+    ([BlockSum(3, (BlockTerm(0, 1, 0), BlockTerm(2, 1, 1)))], (5,),
+     "formula references cycle 2 of a 1-cycle level"),
+    # a zero-length cycle repeats a prefix sum, in a run or in a block body
+    ([Run(0, 1), Run(1, 1)], (0,), "prefix sums must be strictly increasing"),
+    ([Run(0, 1), BlockSum(2, (BlockTerm(1, 1, 0),))], (0,),
+     "prefix sums must be strictly increasing"),
+    # of two bad items the first in item order wins ...
+    ([Run(3, 1), BlockSum(2, (BlockTerm(2, 1, 0),))], (5,),
+     "formula references cycle 3 of a 1-cycle level"),
+    # ... and a cycle error comes before the prefix check, even a later one
+    ([Run(0, 1), Run(1, 1), Run(2, 1)], (0,), "formula references cycle 2 of a 1-cycle level"),
+]
+
+
+@pytest.mark.parametrize("items,lengths,message", BAD_FORMULAS)
+def test_formula_construction_errors(items, lengths, message):
+    with pytest.raises(StructuralError) as err:
+        Formula(items, lengths)
+    assert str(err.value) == message
+
+
 def test_next_off_base_skips_edges_and_boundaries():
     edges = Formula([Run(0, 3), BlockSum(4, (BlockTerm(0, 1, 1),)), Run(0, 2)], lengths=(5,))
     assert [edges.next_off_base(o) for o in range(edges.length + 1)] == [None] * (edges.length + 1)
@@ -204,9 +232,13 @@ def _locate_by_bisection(formula, offset):
         return (0, 0)
     start = 0
     for item in formula.items:
-        if offset <= start + formula._item_length(item):
+        if isinstance(item, BlockSum):
+            length = formula._block_prefix(item, item.bound)
+        else:
+            length = item.count * formula._cycle_len(item.cycle)
+        if offset <= start + length:
             break
-        start += formula._item_length(item)
+        start += length
     r = offset - start
     if isinstance(item, BlockSum):
         j = _block_index_by_bisection(formula, item, r)
@@ -335,26 +367,87 @@ def test_level_zero_has_nothing_below_it():
         project_addr(base_addr(0))
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-digit limit")
-def test_deep_errors_keep_their_type_at_the_default_digit_limit():
+@pytest.fixture
+def default_digit_limit():
     # the CLI lifts the limit; library callers keep Python's default
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-digit limit")
+def test_deep_errors_keep_their_type_at_the_default_digit_limit(default_digit_limit):
+    h = new_handle(13, 1, 5)
+    with pytest.raises(SpineExhausted) as err:
+        step(h, -10)
+    assert err.value.first_invalid_offset == -5
+    assert "bit integer" in str(err.value)
+    for bad in (VertexAddr(16, 1, 0), VertexAddr(3, 0, 10**5000)):
+        with pytest.raises(StructuralError, match="-bit integer"):
+            bouquet.check_addr(bad)
+    with pytest.raises(StructuralError, match="^offset -1 outside \\[0, a 16,610-bit"):
+        Formula([Run(0, 10**5000)], ()).locate(-1)
+    with pytest.raises(BudgetExceeded, match="requires a [0-9,]+-bit integer"):
+        find_occurrences(1, 14, 1, 1, budget=10)
+
+
+BIG = 10**5000  # past Python's default limit of 4300 digits
+BIG_TEXT = "a 16,610-bit integer"
+HUGE_INTEGER_TEXTS = [
+    pytest.param(lambda: bouquet.check_addr(VertexAddr(3, 1.5, BIG)),
+                 f"address coordinates must be ints: VertexAddr(level=3, cycle=1.5, pos={BIG_TEXT})",
+                 id="address-type"),
+    pytest.param(lambda: bouquet.check_addr(VertexAddr(BIG, 0, 0)),
+                 f"level {BIG_TEXT} is past 21, the deepest level an address can have",
+                 id="address-base-level"),
+    pytest.param(lambda: bouquet.check_addr(VertexAddr(BIG, 1, 1)),
+                 f"level {BIG_TEXT} exceeds the practical limit 20; "
+                 "cycle lengths roughly double in bit size per level",
+                 id="address-cycle-level"),
+    pytest.param(lambda: bouquet.check_addr(VertexAddr(3, BIG, 1)),
+                 f"cycle {BIG_TEXT} does not exist at level 3", id="address-cycle"),
+    pytest.param(lambda: bouquet.check_addr(VertexAddr(-BIG, 0, 0)),
+                 f"negative level in {BIG_TEXT}:0:0", id="address-negative-level"),
+    pytest.param(lambda: str(PointHandle(3, VertexAddr(3, 1, 5), BIG)),
+                 f"3:1:5@{BIG_TEXT}", id="handle-str"),
+    pytest.param(lambda: column_of(new_handle(3, 1, 5), BIG),
+                 f"depth {BIG_TEXT} outside [0, 3]", id="column_of"),
+    pytest.param(lambda: next_base_time(new_handle(3, 1, 5), BIG),
+                 f"target level {BIG_TEXT} outside [0, 3]", id="next_base_time"),
+    pytest.param(lambda: next(base_changes(new_handle(3, 1, 5), BIG, 10)),
+                 f"level {BIG_TEXT} outside [0, 3]", id="base_changes"),
+    pytest.param(lambda: build_level_spec(BIG),
+                 f"level {BIG_TEXT} exceeds the practical limit 20; "
+                 "cycle lengths roughly double in bit size per level",
+                 id="build_level_spec-high"),
+    pytest.param(lambda: build_level_spec(-BIG),
+                 f"level must be >= 0, got {BIG_TEXT}", id="build_level_spec-negative"),
+    pytest.param(lambda: cycle_length(3, BIG),
+                 f"level 3 has cycles 1..3, asked for {BIG_TEXT}", id="cycle_length-cycle"),
+    pytest.param(lambda: cycle_length(-BIG, 1),
+                 f"level {BIG_TEXT} has cycles 1..{BIG_TEXT}, asked for 1",
+                 id="cycle_length-level"),
+    pytest.param(lambda: find_occurrences(BIG, 2, 1, 1),
+                 f"need 0 <= m < m', got {BIG_TEXT}..2", id="find_occurrences-levels"),
+    pytest.param(lambda: find_occurrences(1, 2, BIG, 1),
+                 f"level 1 has no cycle {BIG_TEXT}", id="find_occurrences-target"),
+    pytest.param(lambda: find_occurrences(1, 2, 1, BIG),
+                 f"level 2 has no cycle {BIG_TEXT}", id="find_occurrences-source"),
+]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-digit limit")
+@pytest.mark.parametrize("call,text", HUGE_INTEGER_TEXTS)
+def test_huge_integers_are_named_by_size_at_the_default_digit_limit(call, text,
+                                                                     default_digit_limit):
+    # each call ends in one ChaoscopeError line (or, for str, in its text),
+    # never in the ValueError of a decimal past the limit
     try:
-        h = new_handle(13, 1, 5)
-        with pytest.raises(SpineExhausted) as err:
-            step(h, -10)
-        assert err.value.first_invalid_offset == -5
-        assert "bit integer" in str(err.value)
-        for bad in (VertexAddr(16, 1, 0), VertexAddr(3, 0, 10**5000)):
-            with pytest.raises(StructuralError, match="-bit integer"):
-                bouquet.check_addr(bad)
-        with pytest.raises(StructuralError, match="^offset -1 outside \\[0, a 16,610-bit"):
-            Formula([Run(0, 10**5000)], ()).locate(-1)
-        with pytest.raises(BudgetExceeded, match="requires a [0-9,]+-bit integer"):
-            find_occurrences(1, 14, 1, 1, budget=10)
-    finally:
-        sys.set_int_max_str_digits(previous)
+        result = call()
+    except ChaoscopeError as err:
+        result = str(err)
+    assert result == text
 
 
 def test_non_integer_coordinates_are_structural_errors():

@@ -11,8 +11,10 @@ from chaoscope import (
     OrbitCursor,
     SpineExhausted,
     StructuralError,
+    PointHandle,
     VertexAddr,
     base_addr,
+    base_changes,
     build_level_spec,
     column_of,
     cycle_length,
@@ -38,6 +40,26 @@ def test_fixed_point_column_is_all_base():
 def test_fixed_point_is_fixed_under_huge_steps():
     p = fixed_point(5)
     assert column_of(step(p, 10**9)) == column_of(p)
+
+
+def test_fixed_point_is_the_base_handle():
+    for spine in (0, 5, 21):
+        assert fixed_point(spine) == new_handle(spine, 0, 0) == \
+            PointHandle(spine, base_addr(spine), 0)
+    bad = {-1: "negative level in -1:0:0",
+           22: "level 22 is past 21, the deepest level an address can have"}
+    for spine, message in bad.items():
+        for make in (fixed_point, lambda s: new_handle(s, 0, 0)):
+            with pytest.raises(StructuralError) as err:
+                make(spine)
+            assert str(err.value) == message
+
+
+def test_readme_library_example():
+    h = new_handle(8, cycle=1, pos=1_500_000)
+    assert next_base_time(h, 2) == 96
+    assert [(t, str(col[2])) for t, col in base_changes(h, 2, 800)] == \
+        [(0, "2:1:599"), (96, "2:0:0"), (97, "2:1:1"), (791, "2:0:0")]
 
 
 def test_fixed_points_at_different_depths_are_indistinguishable():
