@@ -141,7 +141,7 @@ class Formula:
             self._tables.append(table)
             self._blocks.append(block)
             self._ends.append(total)
-        if self._ends != sorted(set(self._ends)):
+        if [0, *self._ends] != sorted({0, *self._ends}):
             raise StructuralError("prefix sums must be strictly increasing")
         self.length = total
 

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 
 def int_text(n: int) -> str:
-    """``repr(n)``, or ``a 199,021-bit integer`` past Python's int-digit limit."""
+    """``repr(n)``, or ``a 199,021-bit integer`` past Python's int-digit limit.
+
+    A negative one is ``a negative 199,021-bit integer``.
+    """
     try:
         return repr(n)
     except ValueError:
-        return f"a {n.bit_length():,}-bit integer"
+        return f"a {'negative ' * (n < 0)}{n.bit_length():,}-bit integer"
 
 
 class ChaoscopeError(Exception):

@@ -18,23 +18,30 @@ check the axioms that make it a usable covering:
 Edges are packed as ``(u << 32) | v`` in an ascending int array, so graphs
 in the millions of vertices stay within a few tens of megabytes.
 :func:`chaoscope.bouquet.materialize_graph` emits its edges already in
-ascending order, so building a level never sorts them.  The validators are
-still plain scans over every edge: the homomorphism check tests each image
-edge against a hash set of the target's packed keys, and the surjectivity
-check finds unmarked vertices with ``bytearray.find``.
+ascending order, so building a level never sorts them.  The validators
+read the edges by *runs*: stretches ``(u0 + k, v0 + k)`` of the edge array,
+which is how a cycle's edges lie, so level 3's 3.4 million edges form a few
+dozen runs.  A run is checked through slices of the vertex map and of
+``bytearray`` flags, compared and assigned in C; an edge in no run is
+checked on its own.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import StructuralError
 
 _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
 _MAX_VERTICES = 1 << 31
+_LOW = 0 if sys.byteorder == "little" else 1  # index of the low word of a key
+_RUN_CAP = 1 << 16  # edges per run, so that a run's temporary arrays stay small
+_RUN_STEP = (1 << _SHIFT) + 1  # packed (u + 1, v + 1) minus packed (u, v)
+_SAMPLE = 64  # how far apart runs and pieces are looked for; shorter ones go edge by edge
 
 
 def _pack(u: int, v: int) -> int:
@@ -158,9 +165,14 @@ def validate_edge_surjective(g: MaterializedGraph) -> list[tuple[int, str]]:
     """Vertices lacking an in-edge or an out-edge, as (vertex, "in"|"out") pairs."""
     has_out = bytearray(g.vertex_count)
     has_in = bytearray(g.vertex_count)
-    for key in g._edges:
-        has_out[key >> _SHIFT] = 1
-        has_in[key & _MASK] = 1
+    for i, length, run in _stretches(g):
+        if run is None:
+            for key in g._edges[i:i + length]:
+                has_out[key >> _SHIFT] = 1
+                has_in[key & _MASK] = 1
+        else:
+            u0, v0 = run
+            has_out[u0:u0 + length] = has_in[v0:v0 + length] = b"\1" * length
     # ascending vertex, "in" before "out" at the same vertex
     return sorted([(v, "in") for v in _unmarked(has_in)]
                   + [(v, "out") for v in _unmarked(has_out)])
@@ -173,17 +185,53 @@ def _unmarked(flags: bytearray) -> Iterator[int]:
         i = flags.find(0, i + 1)
 
 
+def _find(flags: bytearray, value: int, start: int, stop: int) -> int:
+    """The first index in ``[start, stop)`` where ``flags`` holds ``value``, else ``stop``."""
+    i = flags.find(value, start, stop)
+    return stop if i < 0 else i
+
+
 def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
     """Source edges whose images are not edges of the target."""
     vm = c.vertex_map
-    # for a cover the target is the smaller graph (786 edges under level 3)
-    target_keys = set(c.target._edges)
+    _, images = _words(vm)  # an image is below 2**31: its low word
+    edges = c.source._edges
+    target = c.target._edges
+    heads, tails = _words(target)
+    rank = {key: p for p, key in enumerate(target)}
+
+    def one_by_one(start: int, stop: int) -> list[tuple[int, int]]:
+        return [(key >> _SHIFT, key & _MASK) for key in edges[start:stop]
+                if (vm[key >> _SHIFT] << _SHIFT) | vm[key & _MASK] not in rank]
+
     violations: list[tuple[int, int]] = []
-    for key in c.source._edges:
-        u = key >> _SHIFT
-        v = key & _MASK
-        if (vm[u] << _SHIFT) | vm[v] not in target_keys:
-            violations.append((u, v))
+    for i, length, run in _stretches(c.source):
+        if run is None:
+            violations += one_by_one(i, i + length)
+            continue
+        # a run's images come in pieces that repeat one target edge or follow
+        # a stretch of the target's keys, compared as map slices; between
+        # pieces of more than _SAMPLE edges, edges go one by one
+        u0, v0 = run
+        j = 0
+        while j < length:
+            u, v = u0 + j, v0 + j
+            key = _pack(vm[u], vm[v])
+            p = rank.get(key)
+            ahead = _pack(vm[u + _SAMPLE], vm[v + _SAMPLE]) if j + _SAMPLE < length else None
+            size = 0
+            if p is not None and ahead == key:
+                size = _gallop(lambda a, b: images[u + a:u + b] == array("I", [vm[u]]) * (b - a)
+                               and images[v + a:v + b] == array("I", [vm[v]]) * (b - a),
+                               length - j)
+            elif p is not None and rank.get(ahead) == p + _SAMPLE:
+                size = _gallop(lambda a, b: images[u + a:u + b] == heads[p + a:p + b]
+                               and images[v + a:v + b] == tails[p + a:p + b],
+                               min(length - j, len(target) - p))
+            if size <= _SAMPLE:
+                size = min(_SAMPLE, length - j)
+                violations += one_by_one(i + j, i + j + size)
+            j += size
     return violations
 
 
@@ -193,25 +241,114 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
     Each violation is ("out"|"in", vertex, image_seen_first, conflicting_image).
     """
     vm = c.vertex_map
-    n = c.source.vertex_count
-    out_img = array("q", [-1]) * n
-    in_img = array("q", [-1]) * n
+    edges = c.source._edges
+    # a source's edges are adjacent, so its out-state is the last source's
+    # first image; a target's first image is in_img where `seen` is set
+    last = first = -1
+    in_img = array("q", [0]) * c.source.vertex_count
+    seen = bytearray(c.source.vertex_count)
     violations: list[tuple[str, int, int, int]] = []
-    for key in c.source._edges:
-        u = key >> _SHIFT
-        v = key & _MASK
-        iu, iv = vm[u], vm[v]
-        prev = out_img[u]
-        if prev == -1:
-            out_img[u] = iv
-        elif prev != iv:
-            violations.append(("out", u, prev, iv))
-        prev = in_img[v]
-        if prev == -1:
-            in_img[v] = iu
-        elif prev != iu:
-            violations.append(("in", v, prev, iu))
+    for i, length, run in _stretches(c.source):
+        # loose edges, and a run's first edge, one at a time
+        for key in edges[i:i + (1 if run else length)]:
+            u = key >> _SHIFT
+            v = key & _MASK
+            iu, iv = vm[u], vm[v]
+            if u != last:
+                last, first = u, iv
+            elif first != iv:
+                violations.append(("out", u, first, iv))
+            if not seen[v]:
+                seen[v] = 1
+                in_img[v] = iu
+            elif in_img[v] != iu:
+                violations.append(("in", v, in_img[v], iu))
+        if run is None or length == 1:
+            continue
+        # the rest of a run: each source is new, and its targets alternate
+        # between blocks new to `seen` and blocks it holds, checked by slices
+        u0, v0 = run
+        last, first = u0 + length - 1, vm[v0 + length - 1]
+        shift, v, stop = v0 - u0, v0 + 1, v0 + length
+        while v < stop:
+            held = _find(seen, 1, v, stop)
+            in_img[v:held] = vm[v - shift:held - shift]
+            seen[v:held] = b"\1" * (held - v)
+            v = _find(seen, 0, held, stop)
+            if in_img[held:v] != vm[held - shift:v - shift]:
+                violations += [("in", x, in_img[x], vm[x - shift]) for x in range(held, v)
+                               if in_img[x] != vm[x - shift]]
     return violations
+
+
+def _stretches(g: MaterializedGraph) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
+    """Cover the edge array, in order, with ``(index, length, run)`` stretches.
+
+    ``run`` is ``(u0, v0)`` for a run of edges ``(u0 + k, v0 + k)`` and None
+    for loose edges, to be checked one at a time.  A run is sought every
+    ``_SAMPLE`` edges by one key difference, then measured by comparing the
+    halves of the keys with 0, 1, 2, ... in galloping slices, in C.  Runs
+    are cut at ``_RUN_CAP`` edges; one below ``2 * _SAMPLE - 1`` may stay loose.
+    """
+    edges = g._edges
+    high, low = _words(edges)
+    ramp = _identity(g.vertex_count)
+    done = k = 0
+    while k + _SAMPLE <= len(edges):
+        u0, v0 = edges[k] >> _SHIFT, edges[k] & _MASK
+        length = 0
+        if edges[k + _SAMPLE - 1] - edges[k] == (_SAMPLE - 1) * _RUN_STEP:
+            length = _gallop(lambda a, b: high[k + a:k + b] == ramp[u0 + a:u0 + b]
+                             and low[k + a:k + b] == ramp[v0 + a:v0 + b],
+                             min(len(edges) - k, _RUN_CAP))
+        if length < _SAMPLE:
+            k += _SAMPLE
+            continue
+        if done < k:
+            yield done, k - done, None
+        yield k, length, (u0, v0)
+        done = k = k + length
+    if done < len(edges):
+        yield done, len(edges) - done, None
+
+
+def _gallop(same: Callable[[int, int], bool], limit: int) -> int:
+    """The largest ``n <= limit`` with ``same`` holding on ``[0, n)``.
+
+    ``same(a, b)`` tests the stretch ``[a, b)`` and is only asked once
+    ``[0, a)`` is known to hold: steps double until one fails, then halve,
+    so the stretches tested add up to O(n) in O(log n) calls.
+    """
+    good, step, growing = 0, 1, True
+    while step:
+        if good + step <= limit and same(good, good + step):
+            good += step
+        else:
+            growing = False
+        step = step * 2 if growing else step // 2
+    return good
+
+
+def _words(keys: array) -> tuple[memoryview, memoryview]:
+    """The high and the low 32-bit words of an ``array("q")``, as strided views."""
+    words = memoryview(keys).cast("B").cast("I")
+    return words[1 - _LOW::2], words[_LOW::2]
+
+
+def _identity(n: int) -> memoryview:
+    """``0, 1, ..., n - 1`` as unsigned 32-bit ints, like ``array("I", range(n))``.
+
+    Built from copies of one 2**16-long ramp, whose high halves are then set
+    tile by tile with strided byte writes: C-level copies, not n Python ints.
+    """
+    tile = 1 << 16
+    tiles = -(-n // tile)
+    ramp = bytearray(array("I", range(min(n, tile)))) * tiles
+    high = 2 if sys.byteorder == "little" else 0  # byte offset of the high half
+    for t in range(1, tiles):
+        for k, byte in enumerate(t.to_bytes(2, sys.byteorder)):
+            ramp[4 * t * tile + high + k:4 * (t + 1) * tile:4] = bytes([byte]) * tile
+    return memoryview(ramp).cast("I")[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,9 @@ BAD_FORMULAS = [
      "formula references cycle 3 of a 1-cycle level"),
     # ... and a cycle error comes before the prefix check, even a later one
     ([Run(0, 1), Run(1, 1), Run(2, 1)], (0,), "formula references cycle 2 of a 1-cycle level"),
+    # a zero-length first item: a formula of length 0, or an end repeating the start
+    ([Run(1, 1)], (0,), "prefix sums must be strictly increasing"),
+    ([Run(1, 1), Run(0, 2)], (0,), "prefix sums must be strictly increasing"),
 ]
 
 
@@ -394,6 +397,7 @@ def test_deep_errors_keep_their_type_at_the_default_digit_limit(default_digit_li
 
 BIG = 10**5000  # past Python's default limit of 4300 digits
 BIG_TEXT = "a 16,610-bit integer"
+NEGATIVE_BIG_TEXT = "a negative 16,610-bit integer"
 HUGE_INTEGER_TEXTS = [
     pytest.param(lambda: bouquet.check_addr(VertexAddr(3, 1.5, BIG)),
                  f"address coordinates must be ints: VertexAddr(level=3, cycle=1.5, pos={BIG_TEXT})",
@@ -408,7 +412,12 @@ HUGE_INTEGER_TEXTS = [
     pytest.param(lambda: bouquet.check_addr(VertexAddr(3, BIG, 1)),
                  f"cycle {BIG_TEXT} does not exist at level 3", id="address-cycle"),
     pytest.param(lambda: bouquet.check_addr(VertexAddr(-BIG, 0, 0)),
-                 f"negative level in {BIG_TEXT}:0:0", id="address-negative-level"),
+                 f"negative level in {NEGATIVE_BIG_TEXT}:0:0", id="address-negative-level"),
+    pytest.param(lambda: bouquet.check_addr(VertexAddr(-BIG, 1, 1)),
+                 f"negative level in {NEGATIVE_BIG_TEXT}:1:1",
+                 id="address-negative-cycle-level"),
+    pytest.param(lambda: Formula([Run(0, 5)], ()).locate(-BIG),
+                 f"offset {NEGATIVE_BIG_TEXT} outside [0, 5]", id="locate-negative"),
     pytest.param(lambda: str(PointHandle(3, VertexAddr(3, 1, 5), BIG)),
                  f"3:1:5@{BIG_TEXT}", id="handle-str"),
     pytest.param(lambda: column_of(new_handle(3, 1, 5), BIG),
@@ -422,11 +431,11 @@ HUGE_INTEGER_TEXTS = [
                  "cycle lengths roughly double in bit size per level",
                  id="build_level_spec-high"),
     pytest.param(lambda: build_level_spec(-BIG),
-                 f"level must be >= 0, got {BIG_TEXT}", id="build_level_spec-negative"),
+                 f"level must be >= 0, got {NEGATIVE_BIG_TEXT}", id="build_level_spec-negative"),
     pytest.param(lambda: cycle_length(3, BIG),
                  f"level 3 has cycles 1..3, asked for {BIG_TEXT}", id="cycle_length-cycle"),
     pytest.param(lambda: cycle_length(-BIG, 1),
-                 f"level {BIG_TEXT} has cycles 1..{BIG_TEXT}, asked for 1",
+                 f"level {NEGATIVE_BIG_TEXT} has cycles 1..{NEGATIVE_BIG_TEXT}, asked for 1",
                  id="cycle_length-level"),
     pytest.param(lambda: find_occurrences(BIG, 2, 1, 1),
                  f"need 0 <= m < m', got {BIG_TEXT}..2", id="find_occurrences-levels"),

@@ -7,6 +7,8 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoscope import (
     CoverMap,
@@ -21,6 +23,7 @@ from chaoscope import (
     validate_homomorphism,
     write_dot,
 )
+from chaoscope import graphs
 
 
 def test_single_vertex_self_loop_is_edge_surjective():
@@ -82,8 +85,7 @@ def test_bidirectional_violation_on_branching_vertex():
     source = MaterializedGraph(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
     target = MaterializedGraph(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
     broken = CoverMap(source, target, [0, 1, 2])
-    out = validate_bidirectional(broken)
-    assert ("out", 0, 1, 2) in out or ("out", 0, 2, 1) in out
+    assert validate_bidirectional(broken) == [("out", 0, 1, 2), ("in", 0, 1, 2)]
 
 
 def test_materialized_levels_pass_all_validators(materialized):
@@ -134,6 +136,149 @@ def test_homomorphism_violations_match_has_edge(materialized):
                 if not target.has_edge(vm[u], vm[v])]
     assert len(expected) > 50
     assert validate_homomorphism(cover) == expected
+
+
+def _incident_edges(g, vertices):
+    # the in-edge from the previous id and the out-edges of each vertex, for
+    # vertices inside a cycle, in key order
+    edges = set()
+    for x in vertices:
+        assert g.has_edge(x - 1, x)
+        edges |= {(x - 1, x)} | {(x, w) for w in g.successors(x)}
+    return sorted(edges)
+
+
+def test_level_three_homomorphism_violations_match_has_edge(materialized):
+    # the corruption above, carried to level 3: only edges through a
+    # corrupted vertex can break, since the cover itself has no violation
+    level = materialized[3]
+    rng = random.Random(42)
+    vm = array("q", level.cover.vertex_map)
+    target = level.cover.target
+    corrupted = [vid for vid in rng.sample(range(2, len(vm)), 60)
+                 if vid not in level.cycle_starts][:50]
+    for vid in corrupted:
+        vm[vid] = rng.randrange(target.vertex_count)
+    cover = CoverMap(level.graph, target, vm)
+    expected = [(u, v) for u, v in _incident_edges(level.graph, corrupted)
+                if not target.has_edge(vm[u], vm[v])]
+    assert len(expected) > 50
+    assert validate_homomorphism(cover) == expected
+    assert validate_bidirectional(cover) == []
+
+
+def test_level_three_images_moved_at_the_cycle_ends_branch(materialized):
+    # new images for each cycle's first and last vertex: the base vertex's
+    # out-neighbors, and its in-neighbors, no longer share one image
+    level = materialized[3]
+    vm = array("q", level.cover.vertex_map)
+    target = level.cover.target
+    ends = [start + length - 2 for start, length in zip(level.cycle_starts, level.cycle_lengths)]
+    for start, end, first, last in zip(level.cycle_starts, ends, (1, 2, 3), (4, 5, 6)):
+        vm[start], vm[end] = first, last
+    cover = CoverMap(level.graph, target, vm)
+    assert validate_bidirectional(cover) == [
+        ("out", 0, 0, 1), ("out", 0, 0, 2), ("out", 0, 0, 3),
+        ("in", 0, 0, 4), ("in", 0, 0, 5), ("in", 0, 0, 6)]
+    edges = sorted({(0, start) for start in level.cycle_starts}
+                   | {(start, start + 1) for start in level.cycle_starts}
+                   | set(_incident_edges(level.graph, ends)))
+    expected = [(u, v) for u, v in edges if not target.has_edge(vm[u], vm[v])]
+    assert len(expected) >= 6
+    assert validate_homomorphism(cover) == expected
+
+
+# The validators as they were, one Python statement per edge: the references
+# for the run-by-run scans in `chaoscope.graphs`.
+
+def surjective_reference(g):
+    has_out = bytearray(g.vertex_count)
+    has_in = bytearray(g.vertex_count)
+    for key in g._edges:
+        has_out[key >> 32] = 1
+        has_in[key & 0xFFFFFFFF] = 1
+    return sorted([(v, "in") for v in range(g.vertex_count) if not has_in[v]]
+                  + [(v, "out") for v in range(g.vertex_count) if not has_out[v]])
+
+
+def homomorphism_reference(c):
+    vm = c.vertex_map
+    target_keys = set(c.target._edges)
+    violations = []
+    for key in c.source._edges:
+        u = key >> 32
+        v = key & 0xFFFFFFFF
+        if (vm[u] << 32) | vm[v] not in target_keys:
+            violations.append((u, v))
+    return violations
+
+
+def bidirectional_reference(c):
+    vm = c.vertex_map
+    n = c.source.vertex_count
+    out_img = array("q", [-1]) * n
+    in_img = array("q", [-1]) * n
+    violations = []
+    for key in c.source._edges:
+        u = key >> 32
+        v = key & 0xFFFFFFFF
+        iu, iv = vm[u], vm[v]
+        prev = out_img[u]
+        if prev == -1:
+            out_img[u] = iv
+        elif prev != iv:
+            violations.append(("out", u, prev, iv))
+        prev = in_img[v]
+        if prev == -1:
+            in_img[v] = iu
+        elif prev != iu:
+            violations.append(("in", v, prev, iu))
+    return violations
+
+
+@st.composite
+def small_covers(draw):
+    n = draw(st.integers(1, 30))
+    vertex = st.integers(0, n - 1)
+    paths = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 12)), max_size=4))
+    edges = [(u + k, v + k) for u, v, length in paths for k in range(length)
+             if max(u, v) + k < n]
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=8))  # repeated ends
+    edges += [(x, x) for x in draw(st.lists(vertex, max_size=3))]  # self-loops
+    if draw(st.booleans()):
+        # near the identity onto the graph itself, with a few more edges
+        target = MaterializedGraph(n, edges + draw(st.lists(st.tuples(vertex, vertex),
+                                                            max_size=3)))
+        vertex_map = list(range(n))
+        for x, image in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+            vertex_map[x] = image
+    else:
+        m = draw(st.integers(1, 5))
+        image = st.integers(0, m - 1)
+        target = MaterializedGraph(m, draw(st.lists(st.tuples(image, image), max_size=12)))
+        vertex_map = draw(st.lists(image, min_size=n, max_size=n))
+    return CoverMap(MaterializedGraph(n, edges), target, vertex_map)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(small_covers())
+def test_validators_equal_the_per_edge_references(cover):
+    # runs are sought every `_SAMPLE` edges and cut at `_RUN_CAP`; at small
+    # values a small graph's runs take the run road too, cut at every length
+    for sample, cap in ((graphs._SAMPLE, graphs._RUN_CAP), (2, 3), (1, 1)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_SAMPLE", sample)
+            patch.setattr(graphs, "_RUN_CAP", cap)
+            assert validate_edge_surjective(cover.source) == surjective_reference(cover.source)
+            assert validate_homomorphism(cover) == homomorphism_reference(cover)
+            assert validate_bidirectional(cover) == bidirectional_reference(cover)
+
+
+def test_identity_ramp_spans_its_tiles():
+    # a wrong ramp would only make runs look shorter, so it shows as time,
+    # not as a wrong violation list
+    for n in (0, 1, 5, 1 << 16, (1 << 17) + 3):
+        assert graphs._identity(n).tolist() == list(range(n))
 
 
 def test_path_in_level_one_maps_to_base_loops(materialized):
