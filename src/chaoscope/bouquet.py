@@ -710,9 +710,6 @@ class MaterializedLevel:
         return VertexAddr(self.level, i, vid - self.cycle_starts[i - 1] + 1)
 
 
-_EDGE_STEP = (1 << 32) | 1
-
-
 def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
                       spec_for=None) -> MaterializedLevel:
     """Materialize level ``n`` (and the cover onto level ``n-1``) explicitly.
@@ -738,25 +735,14 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         raise StructuralError(f"level {n} has a cycle of length {min(lengths)} "
                               "(need at least 2)")
 
-    # Edges come out in ascending packed order, which the graph keeps as is:
-    # the base's edges by target, then each cycle's edges by source id (a
-    # cycle of length >= 2 has its ids above every earlier cycle's).
-    packed = array("q", [0])  # base self-loop (0, 0)
-    for start in starts:
-        packed.append(start)  # (0, start): base into the cycle
-    for start, length in zip(starts, lengths):
-        first = (start << 32) | (start + 1)
-        packed.extend(array("q", range(first, first + (length - 2) * _EDGE_STEP,
-                                       _EDGE_STEP)))
-        packed.append((start + length - 2) << 32)  # last cycle vertex back to base
-    graph = MaterializedGraph._from_packed(vertex_count, packed)
+    graph = MaterializedGraph._bouquet(starts, lengths)
 
     cover = None
     if n >= 1:
         below = materialize_graph(n - 1, vertex_budget, spec_for)
-        vm = array("q", bytes(8 * vertex_count))  # zero-filled: base image
+        vm = array("q", [0]) * vertex_count  # zero-filled: base image
         prev_spec = spec_for(n - 1)
-        blocks: dict[int, array] = {}
+        ids = array("q", range(below.graph.vertex_count))
         for formula, vid in zip(prev_spec.image_formulas, starts):
             # vid: id of the vertex one edge past the walk cursor
             for run in formula.iter_runs():
@@ -764,11 +750,8 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
                     vid += run.count  # base positions: image stays 0
                     continue
                 clen = prev_spec.cycle_lengths[run.cycle - 1]
-                block = blocks.get(run.cycle)
-                if block is None:
-                    img_start = below.cycle_starts[run.cycle - 1]
-                    block = array("q", range(img_start, img_start + clen - 1))
-                    blocks[run.cycle] = block
+                img_start = below.cycle_starts[run.cycle - 1]
+                block = ids[img_start:img_start + clen - 1]  # the cycle's interior
                 for _ in range(run.count):
                     # interior positions of one traversal; the traversal-end
                     # position maps to the base and keeps its zero fill

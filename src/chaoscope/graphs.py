@@ -17,9 +17,10 @@ check the axioms that make it a usable covering:
 
 Edges are packed as ``(u << 32) | v`` in an ascending int array, so graphs
 in the millions of vertices stay within a few tens of megabytes.
-:func:`chaoscope.bouquet.materialize_graph` emits its edges already in
-ascending order, so building a level never sorts them.  The validators
-read the edges by *runs*: stretches ``(u0 + k, v0 + k)`` of the edge array,
+:func:`chaoscope.bouquet.materialize_graph` writes a level's keys already
+ascending, as slices of one ``0, 1, 2, ...`` ramp copied into the keys'
+32-bit words in C, so building a level never sorts.  The validators read
+the edges by *runs*: stretches ``(u0 + k, v0 + k)`` of the edge array,
 which is how a cycle's edges lie, so level 3's 3.4 million edges form a few
 dozen runs.  A run is checked through slices of the vertex map and of
 ``bytearray`` flags, compared and assigned in C; an edge in no run is
@@ -104,12 +105,26 @@ class MaterializedGraph:
         return f"MaterializedGraph(vertices={self.vertex_count}, edges={self.edge_count})"
 
     @classmethod
-    def _from_packed(cls, vertex_count: int, packed: array) -> "MaterializedGraph":
-        # internal fast path: caller guarantees ids are in range and the
-        # packed keys strictly ascending; the array is kept, not copied
+    def _bouquet(cls, starts: Sequence[int], lengths: Sequence[int]) -> "MaterializedGraph":
+        # internal fast path, the bouquet of cycles at base 0: the caller
+        # guarantees lengths >= 2, cycle i on ids starts[i]..starts[i+1] - 1.
+        # Keys come out ascending, their 32-bit words copied from the id ramp:
+        # the base loop, (0, start) per cycle, then each cycle's path, whose
+        # last edge keeps a zero low word, the base
+        vertex_count = starts[-1] + lengths[-1] - 1 if starts else 1
+        if vertex_count > _MAX_VERTICES:  # before any allocation
+            raise StructuralError(f"vertex_count {vertex_count} out of range (at most 2**31)")
+        m = len(starts)
+        keys = array("q", [0]) * (vertex_count + m)
+        keys[1:m + 1] = array("q", starts)
+        high, low = _words(keys)
+        ramp = _identity(vertex_count)
+        high[m + 1:] = ramp[1:]
+        for start, length in zip(starts, lengths):
+            low[m + start:m + start + length - 2] = ramp[start + 1:start + length - 1]
         g = cls.__new__(cls)
         g.vertex_count = vertex_count
-        g._edges = packed
+        g._edges = keys
         return g
 
 

@@ -825,6 +825,13 @@ def test_materialization_refuses_a_cycle_shorter_than_two():
         materialize_graph(1, spec_for=lambda n: LevelSpec(n, (1,) * n, 2, ()))
 
 
+def test_materialization_refuses_more_vertices_than_32_bit_ids():
+    # refused before anything is allocated, whatever the budget allows
+    huge = (1 << 31) + 2
+    with pytest.raises(StructuralError, match=f"^vertex_count {huge} out of range"):
+        materialize_graph(1, 1 << 40, spec_for=lambda n: LevelSpec(n, (huge,), 0, ()))
+
+
 def test_addr_id_round_trip(materialized):
     level = materialized[2]
     for vid in (0, 1, 693, 694, 782, 783):

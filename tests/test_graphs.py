@@ -7,13 +7,15 @@ import random
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoscope import (
     CoverMap,
+    LevelSpec,
     MaterializedGraph,
     StructuralError,
+    build_level_spec,
     document_tower,
     graph_stats,
     materialize_graph,
@@ -122,6 +124,80 @@ def test_materialized_edges_are_strictly_ascending(materialized):
     assert MaterializedGraph(g.vertex_count, g.edges()) == g
     assert validate_edge_surjective(g) == []
     assert validate_homomorphism(level.cover) == []
+
+
+# `materialize_graph` as it was, one Python int per edge and per image: the
+# references for the word-slice edge keys and the zero-filled vertex map.
+
+def edges_reference(starts, lengths):
+    step = (1 << 32) | 1
+    packed = array("q", [0])  # base self-loop (0, 0)
+    for start in starts:
+        packed.append(start)  # (0, start): base into the cycle
+    for start, length in zip(starts, lengths):
+        first = (start << 32) | (start + 1)
+        packed.extend(array("q", range(first, first + (length - 2) * step, step)))
+        packed.append((start + length - 2) << 32)  # last cycle vertex back to base
+    return packed
+
+
+def vertex_map_reference(level, below, prev_spec):
+    vm = array("q", bytes(8 * level.graph.vertex_count))
+    for formula, vid in zip(prev_spec.image_formulas, level.cycle_starts):
+        for run in formula.iter_runs():
+            if run.cycle == 0:
+                vid += run.count
+                continue
+            clen = prev_spec.cycle_lengths[run.cycle - 1]
+            img_start = below.cycle_starts[run.cycle - 1]
+            for _ in range(run.count):
+                vm[vid:vid + clen - 1] = array("q", range(img_start, img_start + clen - 1))
+                vid += clen
+    return vm
+
+
+def assert_level_equals_the_references(level, below, prev_spec):
+    assert bytes(level.graph._edges) == bytes(
+        edges_reference(level.cycle_starts, level.cycle_lengths))
+    if below is None:
+        assert level.cover is None
+    else:
+        assert bytes(level.cover.vertex_map) == bytes(
+            vertex_map_reference(level, below, prev_spec))
+
+
+NOSURJ = """\
+cover nosurj mode bouquet
+level 1 { c1 := 10 e; }
+level 2 { c1 := 5 e; c2 := 7 e; }
+level 3 { c1 := e + 2 c1 + e; c2 := e + c2 + e; c3 := 4 e; }
+"""
+
+
+def test_materialized_levels_equal_the_per_edge_references(materialized):
+    for n in range(4):
+        assert_level_equals_the_references(
+            materialized[n], materialized[n - 1] if n else None,
+            build_level_spec(n - 1) if n else None)
+    for document in (NOSURJ, SHORT_CYCLES):
+        tower = document_tower(parse(document))
+        levels = [materialize_graph(n, spec_for=tower.__getitem__) for n in range(4)]
+        for n in range(4):
+            assert_level_equals_the_references(
+                levels[n], levels[n - 1] if n else None, tower[n - 1] if n else None)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 60), min_size=1, max_size=6))
+@example([2])
+@example([3])
+@example([2, 3, 60, 2])
+def test_bouquet_edges_equal_the_per_edge_reference(lengths):
+    # a length-2 cycle writes no low word, a length-3 cycle one
+    level = materialize_graph(0, spec_for=lambda n: LevelSpec(n, tuple(lengths), 0, ()))
+    assert level.graph.vertex_count == 1 + sum(length - 1 for length in lengths)
+    assert bytes(level.graph._edges) == bytes(
+        edges_reference(level.cycle_starts, level.cycle_lengths))
 
 
 def test_homomorphism_violations_match_has_edge(materialized):
