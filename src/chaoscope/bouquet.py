@@ -716,8 +716,8 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 
     ``spec_for`` is a tower lookup (see :class:`LevelSpec`) and defaults to
     the built-in construction.  Refuses levels whose vertex count exceeds the
-    budget; level 4 of the built-in tower is already around 7e13 vertices and
-    must never be materialized.
+    budget, and as out of range any past 2**31; level 4 of the built-in tower
+    is already around 7e13 vertices and must never be materialized.
     """
     if spec_for is None:
         spec_for = build_level_spec
@@ -729,6 +729,7 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         next_id += length - 1
     vertex_count = next_id
     if vertex_count > vertex_budget:
+        MaterializedGraph(vertex_count, ())  # refuses a count no budget could allow
         raise BudgetExceeded(f"materialize level {n}", required=vertex_count,
                              budget=vertex_budget)
     if any(length < 2 for length in lengths):

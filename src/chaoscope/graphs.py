@@ -22,9 +22,11 @@ ascending, as slices of one ``0, 1, 2, ...`` ramp copied into the keys'
 32-bit words in C, so building a level never sorts.  The validators read
 the edges by *runs*: stretches ``(u0 + k, v0 + k)`` of the edge array,
 which is how a cycle's edges lie, so level 3's 3.4 million edges form a few
-dozen runs.  A run is checked through slices of the vertex map and of
+dozen runs.  A graph finds its runs once, on the first validator call, and
+keeps them.  A run is checked through slices of the vertex map and of
 ``bytearray`` flags, compared and assigned in C; an edge in no run is
-checked on its own.
+checked on its own.  A run's images come in pieces that follow one run of
+the target's keys or repeat one key, each measured by one slice compare.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ _MAX_VERTICES = 1 << 31
 _LOW = 0 if sys.byteorder == "little" else 1  # index of the low word of a key
 _RUN_CAP = 1 << 16  # edges per run, so that a run's temporary arrays stay small
 _RUN_STEP = (1 << _SHIFT) + 1  # packed (u + 1, v + 1) minus packed (u, v)
-_SAMPLE = 64  # how far apart runs and pieces are looked for; shorter ones go edge by edge
+_SAMPLE = 64  # how far apart runs are looked for; shorter ones go edge by edge
 
 
 def _pack(u: int, v: int) -> int:
@@ -56,11 +58,11 @@ class MaterializedGraph:
     at construction.  Instances are immutable.
     """
 
-    __slots__ = ("vertex_count", "_edges")
+    __slots__ = ("vertex_count", "_edges", "_runs")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0 or vertex_count > _MAX_VERTICES:
-            raise StructuralError(f"vertex_count {vertex_count} out of range")
+            raise StructuralError(f"vertex_count {vertex_count} out of range (at most 2**31)")
         packed = array("q")
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -69,6 +71,7 @@ class MaterializedGraph:
         dedup = sorted(set(packed))
         self.vertex_count = vertex_count
         self._edges = array("q", dedup)
+        self._runs = None  # the edge array's stretches, found on first use
 
     @property
     def edge_count(self) -> int:
@@ -125,6 +128,7 @@ class MaterializedGraph:
         g = cls.__new__(cls)
         g.vertex_count = vertex_count
         g._edges = keys
+        g._runs = None
         return g
 
 
@@ -180,7 +184,7 @@ def validate_edge_surjective(g: MaterializedGraph) -> list[tuple[int, str]]:
     """Vertices lacking an in-edge or an out-edge, as (vertex, "in"|"out") pairs."""
     has_out = bytearray(g.vertex_count)
     has_in = bytearray(g.vertex_count)
-    for i, length, run in _stretches(g):
+    for i, length, run in _runs(g):
         if run is None:
             for key in g._edges[i:i + length]:
                 has_out[key >> _SHIFT] = 1
@@ -214,39 +218,39 @@ def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
     target = c.target._edges
     heads, tails = _words(target)
     rank = {key: p for p, key in enumerate(target)}
-
-    def one_by_one(start: int, stop: int) -> list[tuple[int, int]]:
-        return [(key >> _SHIFT, key & _MASK) for key in edges[start:stop]
-                if (vm[key >> _SHIFT] << _SHIFT) | vm[key & _MASK] not in rank]
+    # stop[p]: the end of the maximal run of target keys (h + k, t + k) through p
+    stop = list(range(1, len(target) + 1))
+    for p in range(len(target) - 2, -1, -1):
+        if target[p + 1] - target[p] == _RUN_STEP:
+            stop[p] = stop[p + 1]
 
     violations: list[tuple[int, int]] = []
-    for i, length, run in _stretches(c.source):
+    for i, length, run in _runs(c.source):
         if run is None:
-            violations += one_by_one(i, i + length)
+            violations += [(key >> _SHIFT, key & _MASK) for key in edges[i:i + length]
+                           if (vm[key >> _SHIFT] << _SHIFT) | vm[key & _MASK] not in rank]
             continue
-        # a run's images come in pieces that repeat one target edge or follow
-        # a stretch of the target's keys, compared as map slices; between
-        # pieces of more than _SAMPLE edges, edges go one by one
+        # a run's images come in pieces: each repeats one target edge, or
+        # follows the target's keys from its first edge's rank p at most to
+        # the end of their run; a compare that fails is galloped to the break
         u0, v0 = run
         j = 0
         while j < length:
             u, v = u0 + j, v0 + j
-            key = _pack(vm[u], vm[v])
-            p = rank.get(key)
-            ahead = _pack(vm[u + _SAMPLE], vm[v + _SAMPLE]) if j + _SAMPLE < length else None
-            size = 0
-            if p is not None and ahead == key:
-                size = _gallop(lambda a, b: images[u + a:u + b] == array("I", [vm[u]]) * (b - a)
-                               and images[v + a:v + b] == array("I", [vm[v]]) * (b - a),
-                               length - j)
-            elif p is not None and rank.get(ahead) == p + _SAMPLE:
-                size = _gallop(lambda a, b: images[u + a:u + b] == heads[p + a:p + b]
-                               and images[v + a:v + b] == tails[p + a:p + b],
-                               min(length - j, len(target) - p))
-            if size <= _SAMPLE:
-                size = min(_SAMPLE, length - j)
-                violations += one_by_one(i + j, i + j + size)
-            j += size
+            p = rank.get(_pack(vm[u], vm[v]))
+            if p is None:
+                violations.append((u, v))
+                j += 1
+            elif j + 1 < length and vm[u + 1] == vm[u] and vm[v + 1] == vm[v]:
+                j += 1 + _gallop(lambda a, b: images[u + a:u + b] == images[u + a + 1:u + b + 1]
+                                 and images[v + a:v + b] == images[v + a + 1:v + b + 1],
+                                 length - j - 1)
+            else:
+                def follows(a: int, b: int) -> bool:
+                    return (images[u + a:u + b] == heads[p + a:p + b]
+                            and images[v + a:v + b] == tails[p + a:p + b])
+                n = min(length - j, stop[p] - p)
+                j += n if follows(0, n) else _gallop(follows, n)
     return violations
 
 
@@ -263,7 +267,7 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
     in_img = array("q", [0]) * c.source.vertex_count
     seen = bytearray(c.source.vertex_count)
     violations: list[tuple[str, int, int, int]] = []
-    for i, length, run in _stretches(c.source):
+    for i, length, run in _runs(c.source):
         # loose edges, and a run's first edge, one at a time
         for key in edges[i:i + (1 if run else length)]:
             u = key >> _SHIFT
@@ -294,6 +298,13 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
                 violations += [("in", x, in_img[x], vm[x - shift]) for x in range(held, v)
                                if in_img[x] != vm[x - shift]]
     return violations
+
+
+def _runs(g: MaterializedGraph) -> list[tuple[int, int, tuple[int, int] | None]]:
+    """``g``'s stretches, scanned on the first call and kept in the graph."""
+    if g._runs is None:
+        g._runs = list(_stretches(g))
+    return g._runs
 
 
 def _stretches(g: MaterializedGraph) -> Iterator[tuple[int, int, tuple[int, int] | None]]:

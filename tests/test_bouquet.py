@@ -815,9 +815,14 @@ def test_materialized_sizes(materialized):
 
 
 def test_materialization_budget_refuses_level_four():
-    with pytest.raises(BudgetExceeded) as err:
+    # level 4 has about 7e13 vertices: past 32-bit ids, so no budget could
+    # allow it and the error does not suggest a rerun with a larger one
+    with pytest.raises(StructuralError, match=r"^vertex_count (\d+) out of range") as err:
         materialize_graph(4)
-    assert err.value.required > 7 * 10**13
+    assert int(err.value.args[0].split()[1]) > 7 * 10**13
+    with pytest.raises(BudgetExceeded) as err:
+        materialize_graph(3, 10**6)
+    assert err.value.required == 3_434_380
 
 
 def test_materialization_refuses_a_cycle_shorter_than_two():

@@ -181,14 +181,15 @@ level 2 { c1 := sum(j=1..k){ j e + 2 c1 } + e + e; c2 := 54 e; }
 
 
 def test_materialize_refuses_a_level_past_32_bit_ids(tmp_path, capsys):
-    # a raised --vertex-budget does not let a level overflow the packed keys
+    # no --vertex-budget lets a level overflow the packed keys, so the
+    # default budget does not suggest a rerun with a larger one either
     path = tmp_path / "huge.cover"
     path.write_text("cover huge mode bouquet level 1 { c1 := 2147483650 e; }")
-    code = main(["materialize", "--cover", str(path), "--level", "1",
-                 "--vertex-budget", str(1 << 40)])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: vertex_count 2147483650 out of range (at most 2**31)\n")
+    for budget in ([], ["--vertex-budget", str(1 << 40)]):
+        code = main(["materialize", "--cover", str(path), "--level", "1"] + budget)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: vertex_count 2147483650 out of range (at most 2**31)\n")
 
 
 def test_levels_prints_lengths_past_the_int_digit_limit(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import random
 from array import array
 
@@ -340,14 +341,94 @@ def small_covers(draw):
 @given(small_covers())
 def test_validators_equal_the_per_edge_references(cover):
     # runs are sought every `_SAMPLE` edges and cut at `_RUN_CAP`; at small
-    # values a small graph's runs take the run road too, cut at every length
+    # values a small graph's runs take the run road too, cut at every length.
+    # A graph keeps the runs of its first scan, so each setting scans fresh
+    # graphs built from copies of the edge arrays
     for sample, cap in ((graphs._SAMPLE, graphs._RUN_CAP), (2, 3), (1, 1)):
+        fresh = _fresh(cover)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graphs, "_SAMPLE", sample)
             patch.setattr(graphs, "_RUN_CAP", cap)
-            assert validate_edge_surjective(cover.source) == surjective_reference(cover.source)
-            assert validate_homomorphism(cover) == homomorphism_reference(cover)
-            assert validate_bidirectional(cover) == bidirectional_reference(cover)
+            assert validate_edge_surjective(fresh.source) == surjective_reference(fresh.source)
+            assert validate_homomorphism(fresh) == homomorphism_reference(fresh)
+            assert validate_bidirectional(fresh) == bidirectional_reference(fresh)
+
+
+def _fresh(cover):
+    """The same cover on new graphs, whose runs are not yet scanned."""
+    source, target = (MaterializedGraph(g.vertex_count, g.edges())
+                      for g in (cover.source, cover.target))
+    return CoverMap(source, target, cover.vertex_map)
+
+
+def test_a_graph_keeps_the_runs_of_its_first_scan(materialized):
+    tower = document_tower(parse(NOSURJ))
+    checked = [materialized[n].graph for n in range(4)]
+    checked += [materialize_graph(n, spec_for=tower.__getitem__).graph for n in range(4)]
+    for g in checked:
+        runs = graphs._runs(g)
+        assert graphs._runs(g) is runs
+        assert runs == list(graphs._stretches(g))
+    assert len(graphs._runs(materialized[3].graph)) < 100
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_covers())
+def test_validators_agree_in_any_call_order(cover):
+    # whichever validator scans a graph first, the others read the same runs
+    validators = (lambda c: validate_edge_surjective(c.source), validate_homomorphism,
+                  validate_bidirectional)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_SAMPLE", 2)
+        patch.setattr(graphs, "_RUN_CAP", 3)
+        expected = [check(_fresh(cover)) for check in validators]
+        for order in itertools.permutations(range(3)):
+            fresh = _fresh(cover)
+            got = {k: validators[k](fresh) for k in order}
+            assert [got[k] for k in range(3)] == expected
+
+
+# A target with one long run of keys, (1, 2), (2, 3), ..., (19, 20), entered
+# from a base loop at 0 and left back to it, and a source that is one path:
+# one run, whose images make pieces that repeat the loop or follow that run
+LONG_RUN_TARGET = MaterializedGraph(
+    21, [(0, 0), (0, 1), (20, 0)] + [(k, k + 1) for k in range(1, 20)])
+THROUGH = list(range(1, 21))
+
+
+def _path_cover(images):
+    path = MaterializedGraph(len(images), [(k, k + 1) for k in range(len(images) - 1)])
+    return CoverMap(path, LONG_RUN_TARGET, images)
+
+
+@pytest.mark.parametrize("images, bad", [
+    ([0] * 90 + THROUGH + [0] * 90, 0),  # repeated self-loop, a whole target run
+    ([0] * 90 + [5] + [0] * 90, 2),  # a repeat broken by one vertex
+    ([0] * 90 + THROUGH[:-1] + [0] * 90, 1),  # leaves the target run one edge early
+    ([0] * 90 + THROUGH[1:] + [0] * 90, 1),  # breaks at the first edge of a piece
+    ([0] * 90 + THROUGH[:-1] + [7] + [0] * 90, 2),  # breaks at the last edge
+    ([0] * 90 + THROUGH[:9] + [15] + THROUGH[10:] + [0] * 90, 2),  # mid-piece
+    ([0] * 90 + THROUGH + THROUGH + [0] * 90, 1),  # a run followed twice, no edge between
+    (THROUGH[5:] + [0] * 150, 0),  # the source run starts inside a piece
+    ([0] * 150 + THROUGH[:8], 0),  # and ends inside one
+])
+def test_homomorphism_pieces_equal_the_per_edge_reference(images, bad):
+    cover = _path_cover(images)
+    assert graphs._runs(cover.source) == [(0, len(images) - 1, (0, 1))]
+    violations = validate_homomorphism(cover)
+    assert violations == homomorphism_reference(cover)
+    assert len(violations) == bad
+
+
+def test_homomorphism_repeats_an_edge_that_is_no_loop():
+    # source edges (k, k + 100) all map onto the target edge (1, 2), but for
+    # one broken image; the run's images repeat a key whose ends differ
+    source = MaterializedGraph(200, [(k, k + 100) for k in range(100)])
+    images = [1] * 100 + [2] * 100
+    images[150] = 3
+    cover = CoverMap(source, LONG_RUN_TARGET, images)
+    assert graphs._runs(source) == [(0, 100, (0, 100))]
+    assert validate_homomorphism(cover) == homomorphism_reference(cover) == [(50, 150)]
 
 
 def test_identity_ramp_spans_its_tiles():
