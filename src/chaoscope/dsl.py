@@ -534,7 +534,8 @@ def builtin_document(max_level: int) -> CoverDocument:
             head = DocSum("j", 1, None, (DocTerm("j", 0), DocTerm(2, 1)))
             cycles = [CycleDecl(1, (head, *walk(n, 2)))]
             cycles += [CycleDecl(i, walk(n, i)) for i in range(2, n)]
-            top = (n + 1) ** 2 * sum(build_level_spec(n - 1).cycle_lengths)
+            below = document_tower(CoverDocument("builtin", tuple(blocks)))[n - 1]
+            top = (n + 1) ** 2 * sum(below.cycle_lengths)
             cycles.append(CycleDecl(n, (DocTerm(top, 0),)))
         blocks.append(LevelBlock(n, tuple(cycles)))
     return CoverDocument("builtin", tuple(blocks))

@@ -21,12 +21,13 @@ in the millions of vertices stay within a few tens of megabytes.
 ascending, as slices of one ``0, 1, 2, ...`` ramp copied into the keys'
 32-bit words in C, so building a level never sorts.  The validators read
 the edges by *runs*: stretches ``(u0 + k, v0 + k)`` of the edge array,
-which is how a cycle's edges lie, so level 3's 3.4 million edges form a few
-dozen runs.  A graph finds its runs once, on the first validator call, and
-keeps them.  A run is checked through slices of the vertex map and of
-``bytearray`` flags, compared and assigned in C; an edge in no run is
-checked on its own.  A run's images come in pieces that follow one run of
-the target's keys or repeat one key, each measured by one slice compare.
+which is how a cycle's edges lie, so level 3's 3.4 million edges form 62
+runs; any other edge is a run of length 1.  A graph finds its runs once,
+on the first validator call, and keeps them: one scan serves a cover's
+source and its target.  A run is checked through slices of the vertex map
+and of ``bytearray`` flags, compared and assigned in C.  A run's images
+come in pieces that follow one run of the target's keys or repeat one key,
+each measured by one slice compare.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ _MAX_VERTICES = 1 << 31
 _LOW = 0 if sys.byteorder == "little" else 1  # index of the low word of a key
 _RUN_CAP = 1 << 16  # edges per run, so that a run's temporary arrays stay small
 _RUN_STEP = (1 << _SHIFT) + 1  # packed (u + 1, v + 1) minus packed (u, v)
-_SAMPLE = 64  # how far apart runs are looked for; shorter ones go edge by edge
 
 
 def _pack(u: int, v: int) -> int:
@@ -71,7 +71,7 @@ class MaterializedGraph:
         dedup = sorted(set(packed))
         self.vertex_count = vertex_count
         self._edges = array("q", dedup)
-        self._runs = None  # the edge array's stretches, found on first use
+        self._runs = None  # the edge array's runs, found on first use
 
     @property
     def edge_count(self) -> int:
@@ -184,14 +184,8 @@ def validate_edge_surjective(g: MaterializedGraph) -> list[tuple[int, str]]:
     """Vertices lacking an in-edge or an out-edge, as (vertex, "in"|"out") pairs."""
     has_out = bytearray(g.vertex_count)
     has_in = bytearray(g.vertex_count)
-    for i, length, run in _runs(g):
-        if run is None:
-            for key in g._edges[i:i + length]:
-                has_out[key >> _SHIFT] = 1
-                has_in[key & _MASK] = 1
-        else:
-            u0, v0 = run
-            has_out[u0:u0 + length] = has_in[v0:v0 + length] = b"\1" * length
+    for _, length, u0, v0 in _runs(g):
+        has_out[u0:u0 + length] = has_in[v0:v0 + length] = b"\1" * length
     # ascending vertex, "in" before "out" at the same vertex
     return sorted([(v, "in") for v in _unmarked(has_in)]
                   + [(v, "out") for v in _unmarked(has_out)])
@@ -214,26 +208,19 @@ def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
     """Source edges whose images are not edges of the target."""
     vm = c.vertex_map
     _, images = _words(vm)  # an image is below 2**31: its low word
-    edges = c.source._edges
     target = c.target._edges
     heads, tails = _words(target)
     rank = {key: p for p, key in enumerate(target)}
-    # stop[p]: the end of the maximal run of target keys (h + k, t + k) through p
-    stop = list(range(1, len(target) + 1))
-    for p in range(len(target) - 2, -1, -1):
-        if target[p + 1] - target[p] == _RUN_STEP:
-            stop[p] = stop[p + 1]
+    # stop[p]: the end of the target's run through key p
+    stop = [0] * len(target)
+    for p, length, _, _ in _runs(c.target):
+        stop[p:p + length] = [p + length] * length
 
     violations: list[tuple[int, int]] = []
-    for i, length, run in _runs(c.source):
-        if run is None:
-            violations += [(key >> _SHIFT, key & _MASK) for key in edges[i:i + length]
-                           if (vm[key >> _SHIFT] << _SHIFT) | vm[key & _MASK] not in rank]
-            continue
+    for _, length, u0, v0 in _runs(c.source):
         # a run's images come in pieces: each repeats one target edge, or
         # follows the target's keys from its first edge's rank p at most to
         # the end of their run; a compare that fails is galloped to the break
-        u0, v0 = run
         j = 0
         while j < length:
             u, v = u0 + j, v0 + j
@@ -260,33 +247,28 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
     Each violation is ("out"|"in", vertex, image_seen_first, conflicting_image).
     """
     vm = c.vertex_map
-    edges = c.source._edges
     # a source's edges are adjacent, so its out-state is the last source's
     # first image; a target's first image is in_img where `seen` is set
     last = first = -1
     in_img = array("q", [0]) * c.source.vertex_count
     seen = bytearray(c.source.vertex_count)
     violations: list[tuple[str, int, int, int]] = []
-    for i, length, run in _runs(c.source):
-        # loose edges, and a run's first edge, one at a time
-        for key in edges[i:i + (1 if run else length)]:
-            u = key >> _SHIFT
-            v = key & _MASK
-            iu, iv = vm[u], vm[v]
-            if u != last:
-                last, first = u, iv
-            elif first != iv:
-                violations.append(("out", u, first, iv))
-            if not seen[v]:
-                seen[v] = 1
-                in_img[v] = iu
-            elif in_img[v] != iu:
-                violations.append(("in", v, in_img[v], iu))
-        if run is None or length == 1:
+    for _, length, u0, v0 in _runs(c.source):
+        # a run's first edge on its own
+        iu, iv = vm[u0], vm[v0]
+        if u0 != last:
+            last, first = u0, iv
+        elif first != iv:
+            violations.append(("out", u0, first, iv))
+        if not seen[v0]:
+            seen[v0] = 1
+            in_img[v0] = iu
+        elif in_img[v0] != iu:
+            violations.append(("in", v0, in_img[v0], iu))
+        if length == 1:
             continue
         # the rest of a run: each source is new, and its targets alternate
         # between blocks new to `seen` and blocks it holds, checked by slices
-        u0, v0 = run
         last, first = u0 + length - 1, vm[v0 + length - 1]
         shift, v, stop = v0 - u0, v0 + 1, v0 + length
         while v < stop:
@@ -300,42 +282,30 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
     return violations
 
 
-def _runs(g: MaterializedGraph) -> list[tuple[int, int, tuple[int, int] | None]]:
-    """``g``'s stretches, scanned on the first call and kept in the graph."""
-    if g._runs is None:
-        g._runs = list(_stretches(g))
-    return g._runs
+def _runs(g: MaterializedGraph) -> list[tuple[int, int, int, int]]:
+    """Cover ``g``'s edge array, in order, with runs ``(index, length, u0, v0)``
+    of edges ``(u0 + k, v0 + k)``, cut at a break or at ``_RUN_CAP`` edges.
 
-
-def _stretches(g: MaterializedGraph) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
-    """Cover the edge array, in order, with ``(index, length, run)`` stretches.
-
-    ``run`` is ``(u0, v0)`` for a run of edges ``(u0 + k, v0 + k)`` and None
-    for loose edges, to be checked one at a time.  A run is sought every
-    ``_SAMPLE`` edges by one key difference, then measured by comparing the
-    halves of the keys with 0, 1, 2, ... in galloping slices, in C.  Runs
-    are cut at ``_RUN_CAP`` edges; one below ``2 * _SAMPLE - 1`` may stay loose.
+    Where the next key is one ``_RUN_STEP`` on, a run is measured by comparing
+    the halves of the keys with 0, 1, 2, ... in galloping slices, in C.
+    Scanned on the first call and kept in the graph.
     """
-    edges = g._edges
-    high, low = _words(edges)
-    ramp = _identity(g.vertex_count)
-    done = k = 0
-    while k + _SAMPLE <= len(edges):
-        u0, v0 = edges[k] >> _SHIFT, edges[k] & _MASK
-        length = 0
-        if edges[k + _SAMPLE - 1] - edges[k] == (_SAMPLE - 1) * _RUN_STEP:
-            length = _gallop(lambda a, b: high[k + a:k + b] == ramp[u0 + a:u0 + b]
-                             and low[k + a:k + b] == ramp[v0 + a:v0 + b],
-                             min(len(edges) - k, _RUN_CAP))
-        if length < _SAMPLE:
-            k += _SAMPLE
-            continue
-        if done < k:
-            yield done, k - done, None
-        yield k, length, (u0, v0)
-        done = k = k + length
-    if done < len(edges):
-        yield done, len(edges) - done, None
+    if g._runs is None:
+        edges = g._edges
+        high, low = _words(edges)
+        ramp = _identity(g.vertex_count)
+        runs, k = [], 0
+        while k < len(edges):
+            u0, v0 = edges[k] >> _SHIFT, edges[k] & _MASK
+            length = 1
+            if k + 1 < len(edges) and edges[k + 1] - edges[k] == _RUN_STEP:
+                length = _gallop(lambda a, b: high[k + a:k + b] == ramp[u0 + a:u0 + b]
+                                 and low[k + a:k + b] == ramp[v0 + a:v0 + b],
+                                 min(len(edges) - k, _RUN_CAP))
+            runs.append((k, length, u0, v0))
+            k += length
+        g._runs = runs
+    return g._runs
 
 
 def _gallop(same: Callable[[int, int], bool], limit: int) -> int:

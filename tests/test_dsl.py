@@ -200,6 +200,22 @@ def test_builtin_document_levels_up_to_five_are_equivalent():
     assert equals_builtin(tower, 5)
 
 
+def test_builtin_document_is_written_without_the_generator(monkeypatch):
+    # criterion 11 compares the document with build_level_spec, so the
+    # document must not borrow its counts from it: each top cycle's length
+    # comes from the document's own lower levels
+    texts = [serialize(builtin_document(n)) for n in range(1, 9)]
+    for n in range(2, 9):
+        top = (n + 1) ** 2 * sum(build_level_spec(n - 1).cycle_lengths)
+        assert builtin_document(n).levels[-1].cycles[-1].terms == (DocTerm(top, 0),)
+
+    def refuse(n):
+        raise AssertionError("builtin_document called build_level_spec")
+
+    monkeypatch.setattr("chaoscope.dsl.build_level_spec", refuse)
+    assert [serialize(builtin_document(n)) for n in range(1, 9)] == texts
+
+
 def test_literal_k_equal_to_derived_k_is_still_equivalent():
     # writing the resolved bound 22 instead of "k" is the same construction
     text = serialize(builtin_document(2)).replace("sum(j=1..k)", "sum(j=1..22)")

@@ -337,17 +337,39 @@ def small_covers(draw):
     return CoverMap(MaterializedGraph(n, edges), target, vertex_map)
 
 
+def _short_cycle_covers():
+    """Level 3's cover of a tower of 200 length-2 cycles at level 2, each
+    wrapped into a length-4 cycle at level 3, and a seeded corruption of it:
+    every run has at most two edges, the input class that runs slow down."""
+    tower = document_tower(parse("\n".join([
+        "cover shortcycles mode bouquet",
+        "level 1 { c1 := 2 e; }",
+        "level 2 { " + " ".join(f"c{i} := e + e;" for i in range(1, 201)) + " }",
+        "level 3 { " + " ".join(f"c{i} := e + c{i} + e;" for i in range(1, 201)) + " }",
+    ])))
+    cover = materialize_graph(3, spec_for=tower.__getitem__).cover
+    rng = random.Random(7)
+    vm = array("q", cover.vertex_map)
+    for x in rng.sample(range(len(vm)), 40):
+        vm[x] = rng.randrange(cover.target.vertex_count)
+    return cover, CoverMap(cover.source, cover.target, vm)
+
+
+SHORT_CYCLE_COVERS = _short_cycle_covers()
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(small_covers())
+@example(SHORT_CYCLE_COVERS[0])
+@example(SHORT_CYCLE_COVERS[1])
 def test_validators_equal_the_per_edge_references(cover):
-    # runs are sought every `_SAMPLE` edges and cut at `_RUN_CAP`; at small
-    # values a small graph's runs take the run road too, cut at every length.
-    # A graph keeps the runs of its first scan, so each setting scans fresh
-    # graphs built from copies of the edge arrays
-    for sample, cap in ((graphs._SAMPLE, graphs._RUN_CAP), (2, 3), (1, 1)):
+    # runs are cut at `_RUN_CAP`; at 3 a small graph's runs are cut too, at
+    # 1 every edge is a run of length 1.  A graph keeps the runs of its
+    # first scan, so each setting scans fresh graphs built from copies of
+    # the edge arrays
+    for cap in (graphs._RUN_CAP, 3, 1):
         fresh = _fresh(cover)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_SAMPLE", sample)
             patch.setattr(graphs, "_RUN_CAP", cap)
             assert validate_edge_surjective(fresh.source) == surjective_reference(fresh.source)
             assert validate_homomorphism(fresh) == homomorphism_reference(fresh)
@@ -356,20 +378,80 @@ def test_validators_equal_the_per_edge_references(cover):
 
 def _fresh(cover):
     """The same cover on new graphs, whose runs are not yet scanned."""
-    source, target = (MaterializedGraph(g.vertex_count, g.edges())
-                      for g in (cover.source, cover.target))
-    return CoverMap(source, target, cover.vertex_map)
+    return CoverMap(_copy(cover.source), _copy(cover.target), cover.vertex_map)
+
+
+def _copy(g):
+    """A new graph on a copy of ``g``'s edge array, its runs not yet scanned."""
+    fresh = MaterializedGraph(g.vertex_count, [])
+    fresh._edges = array("q", g._edges)
+    return fresh
+
+
+def _nosurj_graphs():
+    tower = document_tower(parse(NOSURJ))
+    return [materialize_graph(n, spec_for=tower.__getitem__).graph for n in range(4)]
 
 
 def test_a_graph_keeps_the_runs_of_its_first_scan(materialized):
-    tower = document_tower(parse(NOSURJ))
-    checked = [materialized[n].graph for n in range(4)]
-    checked += [materialize_graph(n, spec_for=tower.__getitem__).graph for n in range(4)]
-    for g in checked:
+    for g in [materialized[n].graph for n in range(4)] + _nosurj_graphs():
         runs = graphs._runs(g)
         assert graphs._runs(g) is runs
-        assert runs == list(graphs._stretches(g))
-    assert len(graphs._runs(materialized[3].graph)) < 100
+        assert runs == graphs._runs(_copy(g))
+
+
+def runs_reference(g, cap):
+    """Maximal runs ``(index, length, u0, v0)`` cut at ``cap``, edge by edge."""
+    runs = []
+    for k, (u, v) in enumerate(g.edges()):
+        if runs:
+            i, length, u0, v0 = runs[-1]
+            if length < cap and (u, v) == (u0 + length, v0 + length):
+                runs[-1] = (i, length + 1, u0, v0)
+                continue
+        runs.append((k, 1, u, v))
+    return runs
+
+
+def assert_runs_are_maximal(g, cap):
+    # the runs tile the edge array, each holds (u0 + k, v0 + k), and each
+    # ends at a break or at the cap: this determines them, and scans by
+    # slices, fast enough for level 3
+    step = (1 << 32) | 1
+    edges = g._edges
+    done = 0
+    for i, length, u0, v0 in graphs._runs(g):
+        assert i == done and 1 <= length <= cap
+        first = (u0 << 32) | v0
+        assert edges[i:i + length] == array("q", range(first, first + length * step, step))
+        done = i + length
+        assert length == cap or done == len(edges) or edges[done] - edges[done - 1] != step
+    assert done == len(edges)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_covers())
+def test_runs_are_the_maximal_runs_of_the_per_edge_reference(cover):
+    for cap in (graphs._RUN_CAP, 3, 2, 1):
+        fresh = _fresh(cover)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_RUN_CAP", cap)
+            for g in (fresh.source, fresh.target):
+                assert graphs._runs(g) == runs_reference(g, cap)
+                assert_runs_are_maximal(g, cap)
+
+
+def test_level_runs_are_maximal(materialized):
+    # the per-edge reference takes seconds at level 3's 3.4 million edges,
+    # so that level is checked by the slice properties alone
+    for g in [materialized[n].graph for n in range(3)] + _nosurj_graphs():
+        assert graphs._runs(g) == runs_reference(g, graphs._RUN_CAP)
+    for n in range(4):
+        assert_runs_are_maximal(materialized[n].graph, graphs._RUN_CAP)
+    assert len(graphs._runs(materialized[3].graph)) == 62
+    short = _copy(SHORT_CYCLE_COVERS[0].source)
+    assert graphs._runs(short) == runs_reference(short, graphs._RUN_CAP)
+    assert short.edge_count == 801 and max(run[1] for run in graphs._runs(short)) == 2
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -379,7 +461,6 @@ def test_validators_agree_in_any_call_order(cover):
     validators = (lambda c: validate_edge_surjective(c.source), validate_homomorphism,
                   validate_bidirectional)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphs, "_SAMPLE", 2)
         patch.setattr(graphs, "_RUN_CAP", 3)
         expected = [check(_fresh(cover)) for check in validators]
         for order in itertools.permutations(range(3)):
@@ -414,7 +495,7 @@ def _path_cover(images):
 ])
 def test_homomorphism_pieces_equal_the_per_edge_reference(images, bad):
     cover = _path_cover(images)
-    assert graphs._runs(cover.source) == [(0, len(images) - 1, (0, 1))]
+    assert graphs._runs(cover.source) == [(0, len(images) - 1, 0, 1)]
     violations = validate_homomorphism(cover)
     assert violations == homomorphism_reference(cover)
     assert len(violations) == bad
@@ -427,7 +508,7 @@ def test_homomorphism_repeats_an_edge_that_is_no_loop():
     images = [1] * 100 + [2] * 100
     images[150] = 3
     cover = CoverMap(source, LONG_RUN_TARGET, images)
-    assert graphs._runs(source) == [(0, 100, (0, 100))]
+    assert graphs._runs(source) == [(0, 100, 0, 100)]
     assert validate_homomorphism(cover) == homomorphism_reference(cover) == [(50, 150)]
 
 
