@@ -711,7 +711,7 @@ class MaterializedLevel:
 
 
 def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-                      spec_for=None) -> MaterializedLevel:
+                      spec_for=build_level_spec) -> MaterializedLevel:
     """Materialize level ``n`` (and the cover onto level ``n-1``) explicitly.
 
     ``spec_for`` is a tower lookup (see :class:`LevelSpec`) and defaults to
@@ -719,8 +719,6 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     budget, and as out of range any past 2**31; level 4 of the built-in tower
     is already around 7e13 vertices and must never be materialized.
     """
-    if spec_for is None:
-        spec_for = build_level_spec
     lengths = spec_for(n).cycle_lengths
     starts = []
     next_id = 1

@@ -24,10 +24,11 @@ the edges by *runs*: stretches ``(u0 + k, v0 + k)`` of the edge array,
 which is how a cycle's edges lie, so level 3's 3.4 million edges form 62
 runs; any other edge is a run of length 1.  A graph finds its runs once,
 on the first validator call, and keeps them: one scan serves a cover's
-source and its target.  A run is checked through slices of the vertex map
-and of ``bytearray`` flags, compared and assigned in C.  A run's images
-come in pieces that follow one run of the target's keys or repeat one key,
-each measured by one slice compare.
+source and its target.  Runs are checked by slices, compared and assigned
+in C.  A run's images come in pieces that follow one run of the target's
+keys or repeat one key, each measured by one slice compare.  Runs written
+last to first leave each vertex the image of its first in-edge, so
+bidirectionality needs no flags beside that array: one compare per run.
 """
 
 from __future__ import annotations
@@ -109,26 +110,21 @@ class MaterializedGraph:
 
     @classmethod
     def _bouquet(cls, starts: Sequence[int], lengths: Sequence[int]) -> "MaterializedGraph":
-        # internal fast path, the bouquet of cycles at base 0: the caller
-        # guarantees lengths >= 2, cycle i on ids starts[i]..starts[i+1] - 1.
-        # Keys come out ascending, their 32-bit words copied from the id ramp:
-        # the base loop, (0, start) per cycle, then each cycle's path, whose
-        # last edge keeps a zero low word, the base
-        vertex_count = starts[-1] + lengths[-1] - 1 if starts else 1
-        if vertex_count > _MAX_VERTICES:  # before any allocation
-            raise StructuralError(f"vertex_count {vertex_count} out of range (at most 2**31)")
+        # internal fast path, the bouquet of cycles at base 0, its count range-checked
+        # by the constructor before any allocation: the caller guarantees lengths >= 2,
+        # cycle i on ids starts[i]..starts[i+1] - 1.  Keys come out ascending, their
+        # 32-bit words copied from the id ramp: the base loop, (0, start) per cycle,
+        # then each cycle's path, whose last edge keeps a zero low word, the base
+        g = cls(starts[-1] + lengths[-1] - 1 if starts else 1, ())
         m = len(starts)
-        keys = array("q", [0]) * (vertex_count + m)
+        keys = array("q", [0]) * (g.vertex_count + m)
         keys[1:m + 1] = array("q", starts)
         high, low = _words(keys)
-        ramp = _identity(vertex_count)
+        ramp = _identity(g.vertex_count)
         high[m + 1:] = ramp[1:]
         for start, length in zip(starts, lengths):
             low[m + start:m + start + length - 2] = ramp[start + 1:start + length - 1]
-        g = cls.__new__(cls)
-        g.vertex_count = vertex_count
         g._edges = keys
-        g._runs = None
         return g
 
 
@@ -198,12 +194,6 @@ def _unmarked(flags: bytearray) -> Iterator[int]:
         i = flags.find(0, i + 1)
 
 
-def _find(flags: bytearray, value: int, start: int, stop: int) -> int:
-    """The first index in ``[start, stop)`` where ``flags`` holds ``value``, else ``stop``."""
-    i = flags.find(value, start, stop)
-    return stop if i < 0 else i
-
-
 def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
     """Source edges whose images are not edges of the target."""
     vm = c.vertex_map
@@ -247,38 +237,27 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
     Each violation is ("out"|"in", vertex, image_seen_first, conflicting_image).
     """
     vm = c.vertex_map
-    # a source's edges are adjacent, so its out-state is the last source's
-    # first image; a target's first image is in_img where `seen` is set
-    last = first = -1
+    runs = _runs(c.source)
+    # the runs tile the edge array in order, so written last to first, each
+    # target keeps the image of its first in-edge; no flags are needed, as a
+    # vertex without in-edges is never read
     in_img = array("q", [0]) * c.source.vertex_count
-    seen = bytearray(c.source.vertex_count)
+    for _, length, u0, v0 in reversed(runs):
+        in_img[v0:v0 + length] = vm[u0:u0 + length]
+    # a source's edges are adjacent, so its out-state is the last source's
+    # first image; only a run's first source can have been seen before
+    last = first = -1
     violations: list[tuple[str, int, int, int]] = []
-    for _, length, u0, v0 in _runs(c.source):
-        # a run's first edge on its own
-        iu, iv = vm[u0], vm[v0]
+    for _, length, u0, v0 in runs:
         if u0 != last:
-            last, first = u0, iv
-        elif first != iv:
-            violations.append(("out", u0, first, iv))
-        if not seen[v0]:
-            seen[v0] = 1
-            in_img[v0] = iu
-        elif in_img[v0] != iu:
-            violations.append(("in", v0, in_img[v0], iu))
-        if length == 1:
-            continue
-        # the rest of a run: each source is new, and its targets alternate
-        # between blocks new to `seen` and blocks it holds, checked by slices
-        last, first = u0 + length - 1, vm[v0 + length - 1]
-        shift, v, stop = v0 - u0, v0 + 1, v0 + length
-        while v < stop:
-            held = _find(seen, 1, v, stop)
-            in_img[v:held] = vm[v - shift:held - shift]
-            seen[v:held] = b"\1" * (held - v)
-            v = _find(seen, 0, held, stop)
-            if in_img[held:v] != vm[held - shift:v - shift]:
-                violations += [("in", x, in_img[x], vm[x - shift]) for x in range(held, v)
-                               if in_img[x] != vm[x - shift]]
+            last, first = u0, vm[v0]
+        elif first != vm[v0]:
+            violations.append(("out", u0, first, vm[v0]))
+        if length > 1:
+            last, first = u0 + length - 1, vm[v0 + length - 1]
+        if in_img[v0:v0 + length] != vm[u0:u0 + length]:
+            violations += [("in", v0 + k, in_img[v0 + k], vm[u0 + k]) for k in range(length)
+                           if in_img[v0 + k] != vm[u0 + k]]
     return violations
 
 

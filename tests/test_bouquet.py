@@ -299,6 +299,35 @@ def test_block_index_is_exact_and_one_step_from_its_estimate():
     assert wide >= 2
 
 
+def _up_to_bits(top, low=0):
+    """Integers from ``low`` up to ``2**n`` for a drawn ``n <= top``: every scale."""
+    return st.integers(0, top).flatmap(lambda n: st.integers(low, max(low, 2 ** n)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_up_to_bits(1024), _up_to_bits(256, low=2), _up_to_bits(200, low=1), st.data())
+def test_block_root_is_never_above_the_index_and_at_most_one_below(a, b, bound, data):
+    # one base-edge block term, a + b*j edges at iteration j, between base edges
+    formula = Formula([Run(0, 1), BlockSum(bound, (BlockTerm(0, a, b),)), Run(0, 1)], ())
+    bs, block = formula.items[1], formula._blocks[1]
+    assert block[:2] == (a, b)
+    _, _, c1, fast_bits = block
+    prefix = lambda j: formula._block_prefix(bs, j)  # noqa: E731
+    total = prefix(bound)
+    offsets = {data.draw(_up_to_bits(total.bit_length(), low=1).map(lambda r: min(r, total)))}
+    # both sides of the fast estimate's reach, and of 8*b*r = c1
+    offsets.update(c1 // (8 * b) + d for d in (-1, 0, 1))
+    if fast_bits >= 0:
+        offsets.update(2 ** fast_bits + d for d in (-1, 0, 1))
+    for r in offsets:
+        if not 1 <= r <= total:
+            continue
+        j, before = formula._block_iteration(block, r)
+        assert prefix(j - 1) < r <= prefix(j)
+        assert before == prefix(j - 1)
+        assert 0 <= j - formula._block_root(block, r) <= 1
+
+
 def test_band_column_takes_no_wide_square_root(monkeypatch):
     widths = []
     real_isqrt = bouquet.isqrt
