@@ -54,7 +54,6 @@ from .dsl import (
 )
 from .dynamics import (
     DistanceValue,
-    OrbitCursor,
     PointHandle,
     base_changes,
     column_of,

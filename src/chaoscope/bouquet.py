@@ -214,9 +214,8 @@ class Formula:
         cumulative length of iterations 1..j-1.
 
         ``block`` is the block sum's entry of ``_blocks``.  Starting from
-        :meth:`_block_root`'s estimate, the two correction loops walk to the
-        exact index, so the answer does not depend on how good the estimate
-        is; :meth:`_block_root` keeps them to at most one step up.
+        :meth:`_block_root`'s estimate, never above the index, the correction
+        loop walks up to it; :meth:`_block_root` keeps that to one step.
         """
         a, b = block[0], block[1]
         if b == 0:
@@ -228,11 +227,7 @@ class Formula:
         while prefix < r:
             j += 1
             prefix += a + b * j
-        before = prefix - a - b * j
-        while j > 1 and before >= r:
-            j -= 1
-            before -= a + b * j
-        return j, before
+        return j, prefix - a - b * j
 
     @staticmethod
     def _block_root(block: tuple, r: int) -> int:
@@ -241,8 +236,8 @@ class Formula:
         The index is ``ceil(j*)`` for the positive root
         ``j* = (sqrt(c1^2 + 8br) - c1) / 2b = 4r / (c1 + sqrt(c1^2 + 8br))``
         of ``b*j^2 + c1*j - 2r``, with ``c1 = b + 2a``.  Each estimate is at
-        most one below it and never above, so the correction loops of
-        :meth:`_block_iteration` take at most one step, upwards:
+        most one below it and never above, so the correction loop of
+        :meth:`_block_iteration` takes at most one step, upwards:
 
         * when ``4br^2 < c1^3`` (ensured by ``r`` having at most
           ``fast_bits`` bits), ``2r/c1 - 4br^2/c1^3 <= j* <= 2r/c1`` (from

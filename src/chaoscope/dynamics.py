@@ -6,7 +6,8 @@ forced successor, a point truncated at level ``M`` is fully determined by a
 single level-``M`` address (the *spine*) plus a time offset: all shallower
 coordinates are projections, and the level-``M`` coordinate just advances
 along its cycle.  That makes the shift map a random-access operation: moving
-``10**12`` steps costs one big-integer addition, not a walk.
+``10**12`` steps costs one big-integer addition, not a walk, and an orbit
+scan projects one column per dwell (see ``_dwell``), not one per step.
 
 The representation is only valid while the spine coordinate stays strictly
 inside its cycle.  Driving it to the base is an explicit
@@ -204,6 +205,22 @@ def next_base_time(h: PointHandle, target_level: int) -> int:
     return cycle_length(target_level, addr.cycle) - addr.pos
 
 
+# ---------------------------------------------------------------------------
+# Orbit scans, one projection per dwell.
+# ---------------------------------------------------------------------------
+
+def _dwell(column: list[VertexAddr]) -> int | None:
+    """Steps in which ``column`` moves by arithmetic alone, None if never.
+    Its lowest off-base level ``M`` hits the base no later than those above;
+    the levels below ``M`` stay at the base until ``M``'s image leaves it."""
+    upper = next((a for a in column if not a.is_base), None)
+    if upper is None:
+        return None
+    formula = build_level_spec(upper.level - 1).image_formulas[upper.cycle - 1]
+    q = formula.next_off_base(upper.pos)
+    return (formula.length if q is None else q) - upper.pos
+
+
 def base_changes(h: PointHandle, level: int,
                  horizon: int) -> Iterator[tuple[int, list[VertexAddr]]]:
     """Yield ``(t, column_of(step(h, t)))`` at ``t = 0`` and at each later
@@ -211,10 +228,9 @@ def base_changes(h: PointHandle, level: int,
     the base.
 
     An off-base coordinate walks its cycle to the base hit.  A base one
-    stays there, as does every level up to the lowest non-base level ``M``
-    above, until the next off-base offset of ``M``'s image formula or
-    ``M``'s own base hit; the walk jumps to the earlier.  Level 0 and the
-    fixed point never leave the base, so they yield once."""
+    stays there for the column's dwell (see :func:`_dwell`), so the walk
+    jumps by it.  Level 0 and the fixed point never leave the base, so they
+    yield once."""
     if not (0 <= level <= h.spine_level):
         raise StructuralError(f"level {int_text(level)} outside [0, {int_text(h.spine_level)}]")
     t, on_base = 0, None
@@ -227,66 +243,44 @@ def base_changes(h: PointHandle, level: int,
         if not on_base:
             t += cycle_length(level, addr.cycle) - addr.pos
             continue
-        upper = next((a for a in column[level + 1:] if not a.is_base), None)
-        if not level or upper is None:
+        if not level or (dwell := _dwell(column)) is None:
             return
-        formula = build_level_spec(upper.level - 1).image_formulas[upper.cycle - 1]
-        q = formula.next_off_base(upper.pos)
-        t += (formula.length if q is None else q) - upper.pos
+        t += dwell
 
 
-# ---------------------------------------------------------------------------
-# Incremental orbit scanning.
-# ---------------------------------------------------------------------------
+def orbit_rows(h: PointHandle, depth: int, horizon: int) -> Iterator[tuple[int, list[VertexAddr]]]:
+    """Yield ``(t, column[0..depth])`` for t = 0..horizon.
+
+    Each dwell (see :func:`_dwell`) costs one ``column_of``; inside it each
+    off-base coordinate moves one position per step and each base one stays
+    put.  A row past the spine's reach raises :class:`SpineExhausted`."""
+    if not (0 <= depth <= h.spine_level):
+        raise StructuralError(f"depth {int_text(depth)} outside [0, {int_text(h.spine_level)}]")
+    t = 0
+    while t <= horizon:
+        column = column_of(step(h, t))
+        dwell = _dwell(column)
+        end = horizon + 1 if dwell is None else min(t + dwell, horizon + 1)
+        base = [a for a in column[: depth + 1] if a.is_base]
+        moving = [a for a in column[: depth + 1] if not a.is_base]
+        for s in range(end - t):
+            yield t + s, base + [VertexAddr(a.level, a.cycle, a.pos + s) for a in moving]
+        t = end
+
 
 class OrbitCursor:
-    """Walks an orbit one step at a time, keeping the whole column.
-
-    Stepping increments each level's position along its forced cycle walk
-    and only re-projects a level when it sits at the base (where the next
-    move is dictated by the level above).  Agreement with random-access
-    ``column_of`` is a tested invariant.
-    """
+    """Reads :func:`orbit_rows` row by row, up to the spine's reach."""
 
     def __init__(self, handle: PointHandle):
         self.handle = handle
         self.time = handle.offset
-        self.column = column_of(handle)
-        # level n's lengths are spec n-1's formula lengths (see cycle_length)
-        self._lengths = [()] + [[f.length for f in build_level_spec(lvl).image_formulas]
-                                for lvl in range(handle.spine_level)]
+        self._rows = orbit_rows(handle, handle.spine_level, exhaustion_time(handle) or 0)
+        self.column = next(self._rows)[1]
 
     def advance(self) -> None:
-        col = self.column
-        top = len(col) - 1
         self.time += 1
-        for lvl in range(top, -1, -1):
-            cur = col[lvl]
-            if cur.is_base:
-                if lvl == top:
-                    continue  # fixed-point spine stays put
-                col[lvl] = project_addr(col[lvl + 1])
-            else:
-                nxt = cur.pos + 1
-                if nxt == self._lengths[lvl][cur.cycle - 1]:
-                    if lvl == top:
-                        raise SpineExhausted(
-                            f"spine base-hit at offset {self.time}",
-                            first_invalid_offset=self.time)
-                    col[lvl] = base_addr(lvl)
-                else:
-                    col[lvl] = VertexAddr(lvl, cur.cycle, nxt)
-
-
-def orbit_rows(h: PointHandle, depth: int, horizon: int) -> Iterator[tuple[int, list[VertexAddr]]]:
-    """Yield ``(t, column[0..depth])`` for t = 0..horizon."""
-    if not (0 <= depth <= h.spine_level):
-        raise StructuralError(f"depth {int_text(depth)} outside [0, {int_text(h.spine_level)}]")
-    cursor = OrbitCursor(h)
-    for t in range(horizon + 1):
-        yield t, cursor.column[: depth + 1]
-        if t < horizon:
-            cursor.advance()
+        if not self.handle.address.is_base:  # the fixed point's column stays
+            self.column = next(self._rows)[1]
 
 
 def write_orbit_csv(out: TextIO, h: PointHandle, depth: int, horizon: int) -> None:

@@ -22,7 +22,6 @@ from chaoscope import (
     mixing_gap_report,
     new_handle,
     next_base_time,
-    orbit_rows,
     proximal_certificate,
     random_handle,
     random_pair,
@@ -32,6 +31,7 @@ from chaoscope import (
 )
 from chaoscope.bouquet import find_occurrences
 from chaoscope.verify import degree_corpus
+from orbit_walk import rows_by_walk
 
 
 def test_fixed_point_degree_is_infinite():
@@ -94,8 +94,8 @@ def test_any_point_is_proximal_to_the_fixed_point():
 
 def _first_joint_base_time(a, b, depth, horizon):
     """Reference for the proximal jumps: walk both orbits step by step."""
-    for (t, col_a), (_, col_b) in zip(orbit_rows(a, depth, horizon),
-                                      orbit_rows(b, depth, horizon)):
+    for (t, col_a), (_, col_b) in zip(rows_by_walk(a, depth, horizon),
+                                      rows_by_walk(b, depth, horizon)):
         if all(col_a[lvl].is_base and col_b[lvl].is_base
                for lvl in range(1, depth + 1)):
             return t
@@ -121,8 +121,8 @@ def test_proximal_jumps_equal_an_exhaustive_walk():
 def _first_separation(a, b, depth, horizon):
     """Reference for the separation jumps: walk both orbits step by step."""
     limit = min(depth, a.spine_level, b.spine_level)
-    for (t, col_a), (_, col_b) in zip(orbit_rows(a, limit, horizon),
-                                      orbit_rows(b, limit, horizon)):
+    for (t, col_a), (_, col_b) in zip(rows_by_walk(a, limit, horizon),
+                                      rows_by_walk(b, limit, horizon)):
         for level in range(1, limit + 1):
             if col_a[level] != col_b[level]:
                 return t, level
@@ -151,7 +151,7 @@ def test_separation_jumps_equal_an_exhaustive_walk():
 def _base_changes_by_walk(h, level, horizon):
     """Reference for base_changes: walk the orbit step by step."""
     changes = []
-    for t, col in orbit_rows(h, level, horizon):
+    for t, col in rows_by_walk(h, level, horizon):
         if not changes or col[level].is_base != changes[-1][1].is_base:
             changes.append((t, col[level]))
     return changes
@@ -187,7 +187,7 @@ def test_base_changes_equal_an_exhaustive_walk():
 
 
 def _window_min_by_walk(h, level, start, window):
-    cycles = [col[level].cycle for _, col in orbit_rows(step(h, start), level, window)]
+    cycles = [col[level].cycle for _, col in rows_by_walk(step(h, start), level, window)]
     return min((c for c in cycles if c), default=None)
 
 

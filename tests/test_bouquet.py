@@ -33,10 +33,13 @@ from chaoscope import (
     level_spec_json,
     lift_choices,
     materialize_graph,
+    mixing_gap_report,
     new_handle,
     next_base_time,
+    orbit_rows,
     parse,
     project_addr,
+    random_handle,
     step,
 )
 
@@ -294,7 +297,7 @@ def test_block_index_is_exact_and_one_step_from_its_estimate():
             else:  # bisection would take thousands of full-width steps
                 assert prefix(j - 1) < r <= prefix(j)
             assert before == prefix(j - 1)
-            # the correction loops take at most one step, and only upwards
+            # the correction loop takes at most one step, upwards
             assert 0 <= j - formula._block_root(block, r) <= 1
     assert wide >= 2
 
@@ -832,6 +835,30 @@ def test_occurrence_json_fields():
     assert record["gap_histogram"]["0"] == 22
     assert record["prefix"] == {"length": "1", "all_base": True}
     assert record["suffix"] == {"length": "2", "all_base": True}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Run(-1, 1), "negative cycle index -1"),
+    (lambda: Run(1, 0), "run count must be >= 1, got 0"),
+    (lambda: BlockSum(0, (BlockTerm(0, 1, 0),)), "block sum bound must be >= 1, got 0"),
+    (lambda: BlockSum(1, ()), "block sum needs a nonempty body"),
+    (lambda: materialize_graph(2).addr_to_id(VertexAddr(1, 1, 1)),
+     "1:1:1 is not a level-2 address"),
+    (lambda: materialize_graph(2).addr_to_id(VertexAddr(2, 0, 3)),
+     "base address must have pos 0: 2:0:3"),
+    (lambda: materialize_graph(2).addr_to_id(VertexAddr(2, 3, 1)), "no cycle 3 at level 2"),
+    (lambda: materialize_graph(2).addr_to_id(VertexAddr(2, 2, 90)),
+     "position out of range: 2:2:90"),
+    (lambda: materialize_graph(2).id_to_addr(784), "vertex id 784 out of range"),
+    (lambda: mixing_gap_report(0, 1), "need m >= 1 and j >= 1"),
+    (lambda: next(orbit_rows(new_handle(3, 1, 5), 4, 10)), "depth 4 outside [0, 3]"),
+    (lambda: random_handle(0, random.Random(0)), "random handles need at least one cycle"),
+], ids=["run-cycle", "run-count", "sum-bound", "sum-body", "addr-level", "addr-base-pos",
+        "addr-cycle", "addr-pos", "vertex-id", "mixing-gap-m", "orbit-depth", "handle-spine"])
+def test_input_checks_raise_their_message(call, message):
+    with pytest.raises(StructuralError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # -- materialization ----------------------------------------------------------

@@ -231,6 +231,22 @@ def test_split_edge_runs_normalize_before_comparison():
     assert equals_builtin(tower, 2)
 
 
+def test_a_shorter_document_is_not_the_builtin_tower():
+    tower, problems = resolve(builtin_document(2))
+    assert problems == []
+    assert equals_builtin(tower, 2)
+    assert not equals_builtin(tower, 3)
+
+
+def test_a_valid_level_with_a_third_cycle_is_not_the_builtin_tower():
+    text = serialize(builtin_document(2)).replace("c2 := 90 e;", "c2 := 90 e;\n  c3 := 50 e;")
+    tower, problems = resolve(parse(text))
+    assert problems == []
+    assert [f.length for f in tower[1].image_formulas] == [695, 90, 50]
+    assert equals_builtin(tower, 1)
+    assert not equals_builtin(tower, 2)
+
+
 def test_every_mutant_is_rejected():
     canonical = serialize(builtin_document(5))
     assert len(DSL_MUTATIONS) >= 20

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from chaoscope import (
-    OrbitCursor,
     SpineExhausted,
     StructuralError,
     PointHandle,
@@ -23,6 +22,7 @@ from chaoscope import (
     fixed_point,
     new_handle,
     next_base_time,
+    orbit_rows,
     project_addr,
     random_handle,
     step,
@@ -30,7 +30,9 @@ from chaoscope import (
     write_orbit_jsonl,
 )
 from chaoscope.bouquet import check_addr
-from chaoscope.dynamics import CYCLE_ONE_BAND
+from chaoscope.dynamics import CYCLE_ONE_BAND, OrbitCursor
+from chaoscope.verify import degree_corpus
+from orbit_walk import WalkingCursor, rows_by_walk
 
 
 def test_fixed_point_column_is_all_base():
@@ -60,6 +62,8 @@ def test_readme_library_example():
     assert next_base_time(h, 2) == 96
     assert [(t, str(col[2])) for t, col in base_changes(h, 2, 800)] == \
         [(0, "2:1:599"), (96, "2:0:0"), (97, "2:1:1"), (791, "2:0:0")]
+    assert [str(col[2]) for _, col in orbit_rows(h, 2, 97)][-3:] == \
+        ["2:1:694", "2:0:0", "2:1:1"]
 
 
 def test_fixed_points_at_different_depths_are_indistinguishable():
@@ -237,7 +241,7 @@ def test_next_base_time_is_the_first_hit():
         d = next_base_time(h, m)
         assert column_of(step(h, d), m)[m].is_base
         if d <= 1500:  # scan the whole gap only when it is desk-sized
-            cursor = OrbitCursor(h)
+            cursor = WalkingCursor(h)
             for t in range(d):
                 assert not cursor.column[m].is_base
                 cursor.advance()
@@ -276,6 +280,47 @@ def test_cursor_raises_at_spine_base_hit():
     cursor.advance()
     with pytest.raises(SpineExhausted):
         cursor.advance()
+
+
+def _rows_until_exhausted(rows):
+    """The rows a scan yields, and the first invalid offset if it raises."""
+    seen = []
+    try:
+        for t, column in rows:
+            seen.append((t, column))
+    except SpineExhausted as exc:
+        return seen, exc.first_invalid_offset
+    return seen, None
+
+
+def test_orbit_rows_equal_the_walking_cursor_at_every_depth():
+    rng = random.Random(24)
+    cases = [(fixed_point(spine), 500) for spine in (2, 8, 12)]
+    for spine in (5, 8, 12):  # cycle 1, inside its position band
+        cases.append((random_handle(spine, rng, cycle_one_weight=1.0), 2000))
+    for spine in (2, 4, 8, 12):  # small positions, half of them on higher cycles
+        cases += [(h, 1000) for h in degree_corpus(2, spine=spine, seed=spine)]
+    for spine in range(1, 5):  # the last steps before the spine's base hit
+        for cycle in range(1, spine + 1):
+            length = cycle_length(spine, cycle)
+            cases += [(new_handle(spine, cycle, pos), 400)
+                      for pos in {length - 1, max(1, length - 40), max(1, length - 300)}]
+    exhausted = 0
+    for h, horizon in cases:
+        walked, offset = _rows_until_exhausted(rows_by_walk(h, h.spine_level, horizon))
+        exhausted += offset is not None
+        for depth in range(h.spine_level + 1):
+            expected = [(t, column[: depth + 1]) for t, column in walked]
+            assert _rows_until_exhausted(orbit_rows(h, depth, horizon)) == (expected, offset)
+    assert exhausted >= 20
+    # levels 1 and 2 of 8:3:5 sit at the base for the handle's whole life
+    h = new_handle(8, 3, 5)
+    cursor, walking = OrbitCursor(h), WalkingCursor(h)
+    for _ in range(10**4):
+        cursor.advance()
+        walking.advance()
+        assert cursor.column == walking.column
+    assert cursor.column[2].is_base and cursor.time == walking.time
 
 
 def test_spine_extension_by_lift_survives_exhaustion():

@@ -111,8 +111,8 @@ def test_lift_choices_sampled_against_projection(materialized):
 def test_orbit_matches_explicit_graph_walk(materialized):
     # drive the dynamics on raw adjacency: follow forced successors in the
     # explicit level-3 graph and project through the explicit vertex maps,
-    # then compare with the symbolic cursor column by column
-    from chaoscope import OrbitCursor, new_handle
+    # then compare with the symbolic orbit rows column by column
+    from chaoscope import new_handle, orbit_rows
 
     level3, level2, level1 = materialized[3], materialized[2], materialized[1]
 
@@ -129,14 +129,12 @@ def test_orbit_matches_explicit_graph_walk(materialized):
         pos = rng.randrange(1, length)
         steps = min(2000, length - pos - 1)
         handle = new_handle(3, cycle, pos)
-        cursor = OrbitCursor(handle)
         vid = level3.addr_to_id(VertexAddr(3, cycle, pos))
-        for _ in range(steps):
-            assert cursor.column[1:] == explicit_column(vid)
+        for _, column in orbit_rows(handle, 3, steps - 1):
+            assert column[1:] == explicit_column(vid)
             succ = level3.graph.successors(vid)
             assert len(succ) == 1
             vid = succ[0]
-            cursor.advance()
 
 
 def test_li_yorke_witnesses_replay(materialized):
