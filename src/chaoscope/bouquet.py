@@ -24,8 +24,9 @@ coefficients, and an integer square root of the quadratic's discriminant
 otherwise.  One pass over each formula's items compiles their offsets,
 flat tables of its runs and block bodies and each block sum's constants,
 so a query costs what its offset needs, not what the cycle's size would.
-Occurrence scans never expand a path either: they compose per-cycle
-summaries along the image formulas, a level at a time.
+Every other walk reads an item as a block sum, a run being the one-block
+sum of its term.  Occurrence scans never expand a path either: they
+compose per-cycle summaries along the image formulas, a level at a time.
 
 Positions on a cycle count edges traversed from the base; position 0 is the
 base itself and is represented as the base address, never stored.
@@ -36,7 +37,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, islice
 from math import isqrt
 from typing import Iterator, Sequence
@@ -58,25 +59,38 @@ LEVEL_LIMIT = 20
 @dataclass(frozen=True)
 class Run:
     """``count`` repetitions of one symbol: base edges (cycle 0) or full
-    traversals of a cycle of the source level."""
+    traversals of a cycle of the source level.  Walkers read it as the one-block
+    sum ``sum(j=1..1){ count cycle }``: ``bound`` 1, ``body`` its one term."""
 
     cycle: int
     count: int
+    bound = 1
 
     def __post_init__(self):
         if self.cycle < 0:
-            raise StructuralError(f"negative cycle index {self.cycle}")
+            raise StructuralError(f"negative cycle index {int_text(self.cycle)}")
         if self.count < 1:
-            raise StructuralError(f"run count must be >= 1, got {self.count}")
+            raise StructuralError(f"run count must be >= 1, got {int_text(self.count)}")
+
+    @cached_property
+    def body(self) -> tuple[BlockTerm]:
+        return (BlockTerm(self.cycle, self.count, 0),)
 
 
 @dataclass(frozen=True)
 class BlockTerm:
-    """One term inside a block sum; its count at iteration j is const + coef*j."""
+    """One term inside a block sum; its count at iteration j is const + coef*j >= 0."""
 
     cycle: int
     const: int
     coef: int
+
+    def __post_init__(self):
+        if self.cycle < 0:
+            raise StructuralError(f"negative cycle index {int_text(self.cycle)}")
+        if self.coef < 0 or self.const + self.coef < 0:
+            raise StructuralError(f"block term count {int_text(self.const)} + "
+                                  f"{int_text(self.coef)}*j is negative at some j >= 1")
 
     def count_at(self, j: int) -> int:
         return self.const + self.coef * j
@@ -95,7 +109,7 @@ class BlockSum:
 
     def __post_init__(self):
         if self.bound < 1:
-            raise StructuralError(f"block sum bound must be >= 1, got {self.bound}")
+            raise StructuralError(f"block sum bound must be >= 1, got {int_text(self.bound)}")
         if not self.body:
             raise StructuralError("block sum needs a nonempty body")
 
@@ -113,6 +127,8 @@ class Formula:
     binary-searched), its table (``(cycle, clen, count)`` for a run, one
     ``(cycle, clen, const*clen, coef*clen)`` per body term of a block sum)
     and a block sum's constants ``(a, b, c1, fast_bits)``, read off its table.
+    Only that pass and ``_run_at`` tell a run from a block sum; every other
+    walker reads an item as ``item.bound`` blocks of its terms ``item.body``.
     """
 
     __slots__ = ("items", "lengths", "_starts", "_ends", "_blocks", "_tables", "length")
@@ -137,7 +153,7 @@ class Formula:
                 a, b = sum(row[2] for row in table), sum(row[3] for row in table)
                 c1 = b + 2 * a
                 block = (a, b, c1, (3 * (c1.bit_length() - 1) - b.bit_length() - 2) // 2)
-                total += self._block_prefix(item, item.bound)
+                total += self._prefix(a, b, item.bound)
             self._tables.append(table)
             self._blocks.append(block)
             self._ends.append(total)
@@ -155,10 +171,11 @@ class Formula:
                                   f"{len(self.lengths)}-cycle level")
         return self.lengths[cycle - 1]
 
-    def _block_prefix(self, bs: BlockSum, j: int) -> int:
-        # total edge length of iterations 1..j, read off the body terms
-        half = j * (j + 1) // 2
-        return sum((t.const * j + t.coef * half) * self._cycle_len(t.cycle) for t in bs.body)
+    @staticmethod
+    def _prefix(a: int, b: int, j: int) -> int:
+        """``a*j + b*j(j+1)/2``, the total of ``a + b*i`` over i = 1..j: a block
+        sum's edge length or a term's count.  One product; it is even."""
+        return j * (2 * a + b * (j + 1)) >> 1
 
     # -- position queries ----------------------------------------------------
 
@@ -222,8 +239,7 @@ class Formula:
             j = (r + a - 1) // a
             return j, a * (j - 1)
         j = self._block_root(block, r)
-        # a*j + b*j(j+1)/2 with one full-width product; the product is even
-        prefix = j * (2 * a + b * (j + 1)) >> 1
+        prefix = self._prefix(a, b, j)
         while prefix < r:
             j += 1
             prefix += a + b * j
@@ -266,58 +282,48 @@ class Formula:
         # base offset and one hit of each interior position of c
         total = -1 if cycle == 0 else 0  # the final offset is the upper base
         for item in self.items:
-            if isinstance(item, Run):
-                if cycle in (0, item.cycle):
-                    total += item.count
-            else:
-                k = item.bound
-                total += sum(t.const * k + t.coef * (k * (k + 1) // 2)
-                             for t in item.body if cycle in (0, t.cycle))
+            for t in item.body:
+                if cycle in (0, t.cycle):
+                    total += self._prefix(t.const, t.coef, item.bound)
         return total
 
     def iter_occurrences(self, cycle: int, pos: int) -> Iterator[int]:
         """Offsets in [1, length-1] whose vertex is (cycle, pos), ascending.
 
-        Lazy: block sums are walked iteration by iteration, so truncated
-        consumers never expand astronomically large bounds.  A block sum with
-        no body term on a target cycle holds none of its positions and is
-        skipped whole.  Within one run the hits are evenly spaced, one per
+        Lazy: items are walked block by block, so truncated consumers never
+        expand astronomically large bounds.  An item with no body term on a
+        target cycle holds none of its positions and is skipped whole.
+        Within one term of one block the hits are evenly spaced, one per
         traversal, and come out as one ``range``.
         """
         for item, start in zip(self.items, self._starts):
-            if isinstance(item, Run):
-                runs = ((item.cycle, item.count),)
-            elif cycle == 0 or any(term.cycle == cycle for term in item.body):
-                runs = ((term.cycle, term.count_at(j))
-                        for j in range(1, item.bound + 1) for term in item.body)
-            else:
+            body = item.body
+            if cycle and cycle not in [t.cycle for t in body]:
                 continue
-            for run_cycle, count in runs:
-                clen = self._cycle_len(run_cycle)
-                end = start + count * clen
-                if cycle == 0:
-                    yield from range(start + clen, min(end + 1, self.length), clen)
-                elif run_cycle == cycle:
-                    yield from range(start + pos, end, clen)
-                start = end
+            for j in range(1, item.bound + 1):
+                for t in body:
+                    clen = self._cycle_len(t.cycle)
+                    end = start + t.count_at(j) * clen
+                    if cycle == 0:
+                        yield from range(start + clen, min(end + 1, self.length), clen)
+                    elif t.cycle == cycle:
+                        yield from range(start + pos, end, clen)
+                    start = end
 
     # -- literal expansion ----------------------------------------------------
 
     def iter_runs(self) -> Iterator[Run]:
-        """Literal runs of the formula with block sums expanded.
+        """Literal runs of the formula, every item expanded block by block.
 
         Callers must budget-check first: the cycle-1 formulas of deep levels
         have astronomically many blocks.
         """
         for item in self.items:
-            if isinstance(item, Run):
-                yield item
-            else:
-                for j in range(1, item.bound + 1):
-                    for term in item.body:
-                        cnt = term.count_at(j)
-                        if cnt:
-                            yield Run(term.cycle, cnt)
+            for j in range(1, item.bound + 1):
+                for t in item.body:
+                    cnt = t.count_at(j)
+                    if cnt:
+                        yield Run(t.cycle, cnt)
 
     def __repr__(self) -> str:
         return f"Formula({len(self.items)} items, length={self.length})"

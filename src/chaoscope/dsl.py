@@ -391,6 +391,9 @@ def _convert_terms(terms: tuple[DocElement, ...], k_below: int, below_cycles: in
         if bound < el.lo:
             errs.append(("EmptySum", f"empty sum: {el.lo}..{bound}"))
             continue
+        if not el.body:
+            errs.append(("EmptySum", "empty sum body"))
+            continue
         body: list[BlockTerm] = []
         shift = el.lo - 1  # rewrite sum(j=lo..b) as sum(j'=1..b-lo+1)
         for sub in el.body:
@@ -412,8 +415,7 @@ def _convert_terms(terms: tuple[DocElement, ...], k_below: int, below_cycles: in
                                         f"sum over {el.var!r}"))
             break
         else:
-            if body:
-                items.append(BlockSum(bound - shift, tuple(body)))
+            items.append(BlockSum(bound - shift, tuple(body)))
     return items
 
 

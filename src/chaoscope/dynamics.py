@@ -280,7 +280,10 @@ class OrbitCursor:
     def advance(self) -> None:
         self.time += 1
         if not self.handle.address.is_base:  # the fixed point's column stays
-            self.column = next(self._rows)[1]
+            row = next(self._rows, None)
+            if row is None:  # the rows ended past the spine's reach: raise again
+                step(self.handle, self.time - self.handle.offset)
+            self.column = row[1]
 
 
 def write_orbit_csv(out: TextIO, h: PointHandle, depth: int, horizon: int) -> None:

@@ -217,14 +217,21 @@ level 3 { c1 := sum(j=1..k){ 3 e + j c1 + j c2 } + e; c2 := e + 2 c2 + e; c3 := 
 """
 
 
+def _block_prefix(formula, bs, j):
+    """Edge length of block sum ``bs``'s iterations 1..j, read off its body
+    terms: the reference for the formula's compiled block constants."""
+    half = j * (j + 1) // 2
+    return sum((t.const * j + t.coef * half) * formula._cycle_len(t.cycle) for t in bs.body)
+
+
 def _block_index_by_bisection(formula, bs, r):
     """Smallest j with _block_prefix(bs, j) >= r: galloping, then bisection."""
     lo = hi = 1
-    while formula._block_prefix(bs, hi) < r:
+    while _block_prefix(formula, bs, hi) < r:
         lo, hi = hi + 1, 2 * hi
     while lo < hi:
         mid = (lo + hi) // 2
-        if formula._block_prefix(bs, mid) >= r:
+        if _block_prefix(formula, bs, mid) >= r:
             hi = mid
         else:
             lo = mid + 1
@@ -239,7 +246,7 @@ def _locate_by_bisection(formula, offset):
     start = 0
     for item in formula.items:
         if isinstance(item, BlockSum):
-            length = formula._block_prefix(item, item.bound)
+            length = _block_prefix(formula, item, item.bound)
         else:
             length = item.count * formula._cycle_len(item.cycle)
         if offset <= start + length:
@@ -248,7 +255,7 @@ def _locate_by_bisection(formula, offset):
     r = offset - start
     if isinstance(item, BlockSum):
         j = _block_index_by_bisection(formula, item, r)
-        r -= formula._block_prefix(item, j - 1)
+        r -= _block_prefix(formula, item, j - 1)
         runs = [(t.cycle, t.count_at(j)) for t in item.body]
     else:
         runs = [(item.cycle, item.count)]
@@ -280,7 +287,7 @@ def test_block_index_is_exact_and_one_step_from_its_estimate():
         bs, block = formula.items[idx], formula._blocks[idx]
         _, b, c1, fast_bits = block
         wide += b > 1
-        prefix = lambda j: formula._block_prefix(bs, j)  # noqa: E731
+        prefix = lambda j: _block_prefix(formula, bs, j)  # noqa: E731
         offsets = {1}
         for j in {1, 2, 3, rng.randrange(1, bs.bound + 1), bs.bound - 1, bs.bound}:
             offsets.update((prefix(j) - 1, prefix(j), prefix(j) + 1))
@@ -315,7 +322,7 @@ def test_block_root_is_never_above_the_index_and_at_most_one_below(a, b, bound, 
     bs, block = formula.items[1], formula._blocks[1]
     assert block[:2] == (a, b)
     _, _, c1, fast_bits = block
-    prefix = lambda j: formula._block_prefix(bs, j)  # noqa: E731
+    prefix = lambda j: _block_prefix(formula, bs, j)  # noqa: E731
     total = prefix(bound)
     offsets = {data.draw(_up_to_bits(total.bit_length(), low=1).map(lambda r: min(r, total)))}
     # both sides of the fast estimate's reach, and of 8*b*r = c1
@@ -448,6 +455,15 @@ HUGE_INTEGER_TEXTS = [
     pytest.param(lambda: bouquet.check_addr(VertexAddr(-BIG, 1, 1)),
                  f"negative level in {NEGATIVE_BIG_TEXT}:1:1",
                  id="address-negative-cycle-level"),
+    pytest.param(lambda: Run(-BIG, 1), f"negative cycle index {NEGATIVE_BIG_TEXT}",
+                 id="run-cycle"),
+    pytest.param(lambda: Run(0, -BIG), f"run count must be >= 1, got {NEGATIVE_BIG_TEXT}",
+                 id="run-count"),
+    pytest.param(lambda: BlockSum(-BIG, (BlockTerm(0, 1, 0),)),
+                 f"block sum bound must be >= 1, got {NEGATIVE_BIG_TEXT}", id="sum-bound"),
+    pytest.param(lambda: BlockTerm(0, -BIG, 1),
+                 f"block term count {NEGATIVE_BIG_TEXT} + 1*j is negative at some j >= 1",
+                 id="term-count"),
     pytest.param(lambda: Formula([Run(0, 5)], ()).locate(-BIG),
                  f"offset {NEGATIVE_BIG_TEXT} outside [0, 5]", id="locate-negative"),
     pytest.param(lambda: str(PointHandle(3, VertexAddr(3, 1, 5), BIG)),
@@ -842,6 +858,9 @@ def test_occurrence_json_fields():
     (lambda: Run(1, 0), "run count must be >= 1, got 0"),
     (lambda: BlockSum(0, (BlockTerm(0, 1, 0),)), "block sum bound must be >= 1, got 0"),
     (lambda: BlockSum(1, ()), "block sum needs a nonempty body"),
+    (lambda: BlockTerm(-1, 1, 0), "negative cycle index -1"),
+    (lambda: BlockTerm(0, 1, -1), "block term count 1 + -1*j is negative at some j >= 1"),
+    (lambda: BlockTerm(1, -2, 1), "block term count -2 + 1*j is negative at some j >= 1"),
     (lambda: materialize_graph(2).addr_to_id(VertexAddr(1, 1, 1)),
      "1:1:1 is not a level-2 address"),
     (lambda: materialize_graph(2).addr_to_id(VertexAddr(2, 0, 3)),
@@ -853,7 +872,8 @@ def test_occurrence_json_fields():
     (lambda: mixing_gap_report(0, 1), "need m >= 1 and j >= 1"),
     (lambda: next(orbit_rows(new_handle(3, 1, 5), 4, 10)), "depth 4 outside [0, 3]"),
     (lambda: random_handle(0, random.Random(0)), "random handles need at least one cycle"),
-], ids=["run-cycle", "run-count", "sum-bound", "sum-body", "addr-level", "addr-base-pos",
+], ids=["run-cycle", "run-count", "sum-bound", "sum-body", "term-cycle", "term-coef",
+        "term-count", "addr-level", "addr-base-pos",
         "addr-cycle", "addr-pos", "vertex-id", "mixing-gap-m", "orbit-depth", "handle-spine"])
 def test_input_checks_raise_their_message(call, message):
     with pytest.raises(StructuralError) as err:

@@ -80,6 +80,10 @@ def test_distance_command(capsys):
     code, out = run(capsys, "distance", "--a", "2:1:1", "--b", "2:0:0")
     assert code == 0
     assert "2^-2" in out
+    # equal columns up to the spine: only a bound below the spine's reach
+    code, out = run(capsys, "distance", "--a", "8:0:0", "--b", "8:0:0")
+    assert code == 0
+    assert out == "d(8:0:0, 8:0:0) = <= 2^-9\n"
 
 
 def test_degree_command_json(capsys):
@@ -147,6 +151,10 @@ def test_dsl_check_accepts_builtin(tmp_path, capsys):
     code, out = run(capsys, "dsl-check", str(path), "--equivalence", "3")
     assert code == 0
     assert json.loads(out)["builtin_equivalent"] is True
+    path.write_text("cover x mode bouquet level 1 { c1[10] := 10 e; }")
+    code, out = run(capsys, "dsl-check", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["parsed"]["levels"][0]["cycles"][0]["declared_length"] == "10"
 
 
 def test_dsl_check_rejects_violations(tmp_path, capsys):
@@ -230,6 +238,7 @@ def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys
     ("liyorke --pairs 2 --horizon 2000 --sep-rate -1", 2),  # a rate is in [0, 1]
     ("liyorke --pairs 2 --horizon 2000 --sep-rate nan", 2),
     ("liyorke --pairs 2 --horizon 2000 --sep-rate 2", 2),
+    ("liyorke --pairs 2 --horizon 2000 --sep-rate abc", 2),
     ("orbit --spine 2 --cycle 1 --pos 1 --obs 1 --horizon -5", 2),
     ("levels", 0),  # CHAOSCOPE_BUDGET is no longer read
     ("validate --cover bad.cover", 2),
@@ -266,6 +275,8 @@ def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatc
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
     if "one.cover" in argv:
         assert err == "error: cover document ends at level 1\n"
+    if "abc" in argv:
+        assert err == "error: expected a rate in [0, 1], got 'abc'\n"
     if "--spine 1" in argv:
         assert "has length 10" in err and not re.search(r"-\d", err)
 

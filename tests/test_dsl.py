@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,16 @@ LEVEL_ONE = "cover x mode bouquet level 1 { c1 := 10 e; } "
 ], ids=["empty-sum", "nested-sum", "zero-count", "unknown-variable", "one-edge-cycle"])
 def test_each_violation_path_reports_its_code(text, expected):
     assert [str(v) for v in resolve(parse(text))[1]] == expected
+
+
+def test_an_empty_sum_body_is_a_violation():
+    # parse refuses an empty body, so only a library-built document has one
+    doc = parse(LEVEL_ONE + "level 2 { c1 := e + sum(j=1..3){ e } + e; }")
+    level = doc.levels[1]
+    head, middle, tail = level.cycles[0].terms
+    cycle = replace(level.cycles[0], terms=(head, replace(middle, body=()), tail))
+    doc = replace(doc, levels=(doc.levels[0], replace(level, cycles=(cycle,))))
+    assert [str(v) for v in resolve(doc)[1]] == ["EmptySum (level 2, c1): empty sum body"]
 
 
 def test_round_trip_is_structural_identity():

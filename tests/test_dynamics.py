@@ -278,8 +278,10 @@ def test_cursor_raises_at_spine_base_hit():
     h = new_handle(1, 1, 8)
     cursor = OrbitCursor(h)
     cursor.advance()
-    with pytest.raises(SpineExhausted):
-        cursor.advance()
+    for _ in range(2):  # a later call raises again, at the same offset
+        with pytest.raises(SpineExhausted) as err:
+            cursor.advance()
+        assert err.value.first_invalid_offset == 2
 
 
 def _rows_until_exhausted(rows):

@@ -21,6 +21,12 @@ from chaoscope import (
 from chaoscope.bouquet import BlockSum, Run
 
 
+def _block_prefix(formula, bs, j):
+    """Edge length of block sum ``bs``'s iterations 1..j, read off its body terms."""
+    half = j * (j + 1) // 2
+    return sum((t.const * j + t.coef * half) * formula._cycle_len(t.cycle) for t in bs.body)
+
+
 def _literal_vertices(formula):
     """Vertex at every offset of the expansion, by plain enumeration."""
     out = [(0, 0)]
@@ -66,7 +72,7 @@ def test_locate_matches_literal_expansion_sampled_at_level_three():
     for item in formula.items:
         if isinstance(item, BlockSum):
             for j in (1, 2, 700, 1572):
-                start = formula._block_prefix(item, j - 1)
+                start = _block_prefix(formula, item, j - 1)
                 assert formula.locate(anchor + start + 1) == (0, 0)  # edge run
                 assert formula.locate(anchor + start + j + 1) == (1, 1)
                 assert formula.locate(anchor + start + j + 695) == (0, 0)
