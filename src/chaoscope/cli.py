@@ -305,8 +305,15 @@ def cmd_check(args) -> tuple[int, dict[str, str]]:
                 numbers.append(by_name[token])
             else:
                 raise UsageError(f"unknown check {token!r} (try --list)")
-    # a criterion named twice runs once, in the order of its first mention
-    results = [verify.ALL_CHECKS[n][1]() for n in dict.fromkeys(numbers)]
+    # a criterion named twice runs once, in the order of its first mention; one
+    # that raises fails, its line naming the exception
+    results = []
+    for n in dict.fromkeys(numbers):
+        name, check = verify.ALL_CHECKS[n]
+        try:
+            results.append(check())
+        except Exception as exc:
+            results.append(verify.CriterionResult(n, name, False, f"{type(exc).__name__}: {exc}"))
     passed = all(r.passed for r in results)
     return (0 if passed else 1), {"check.txt": "".join(
         r.line() + "\n" for r in results)}

@@ -378,7 +378,7 @@ def _convert_terms(terms: tuple[DocElement, ...], k_below: int, below_cycles: in
             if el.coef < 1:
                 errs.append(("BadTerm", f"count {el.coef} must be positive"))
                 continue
-            if el.atom > below_cycles:
+            if not 0 <= el.atom <= below_cycles:
                 errs.append(("UnknownCycle", f"unknown cycle c{el.atom} (level "
                                              f"below has {below_cycles})"))
                 continue
@@ -399,7 +399,7 @@ def _convert_terms(terms: tuple[DocElement, ...], k_below: int, below_cycles: in
         for sub in el.body:
             if isinstance(sub, DocSum):
                 errs.append(("NestedSum", "nested sums are not supported"))
-            elif sub.atom > below_cycles:
+            elif not 0 <= sub.atom <= below_cycles:
                 errs.append(("UnknownCycle", f"unknown cycle c{sub.atom} (level "
                                              f"below has {below_cycles})"))
             elif isinstance(sub.coef, int):

@@ -26,16 +26,20 @@ runs; any other edge is a run of length 1.  A graph finds its runs once,
 on the first validator call, and keeps them: one scan serves a cover's
 source and its target.  Runs are checked by slices, compared and assigned
 in C.  A run's images come in pieces that follow one run of the target's
-keys or repeat one key, each measured by one slice compare.  Runs written
-last to first leave each vertex the image of its first in-edge, so
-bidirectionality needs no flags beside that array: one compare per run.
+keys or repeat one key, each measured by one slice compare.  For
+bidirectionality the runs' target intervals are sorted once: a vertex can
+have two in-images only where two of them overlap, and there the first
+run to reach a stretch of targets claims it, and a later run meets each
+claim in one compare.  So the validators hold lists as long as the runs,
+never one as long as the vertices.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import StructuralError
@@ -132,7 +136,9 @@ class CoverMap:
     """A vertex map from one materialized graph onto another.
 
     Only structure is enforced here (map length = source vertex count, images
-    in range); the cover axioms are checked by the validators below.
+    in range); the cover axioms are checked by the validators below.  An
+    ``array("q")`` map is held as it is, not copied, so the caller must not
+    change it afterwards; any other map is copied into one.
     """
 
     __slots__ = ("source", "target", "vertex_map")
@@ -144,7 +150,8 @@ class CoverMap:
                 f"vertex map has {len(vertex_map)} entries for {source.vertex_count} vertices"
             )
         try:
-            vm = array("q", vertex_map)
+            vm = (vertex_map if isinstance(vertex_map, array) and vertex_map.typecode == "q"
+                  else array("q", vertex_map))
         except OverflowError:  # an image past 64 bits: the scan below names it
             vm = None
         # read as unsigned, a negative image is above any vertex count, so one
@@ -178,20 +185,16 @@ class CoverMap:
 
 def validate_edge_surjective(g: MaterializedGraph) -> list[tuple[int, str]]:
     """Vertices lacking an in-edge or an out-edge, as (vertex, "in"|"out") pairs."""
-    has_out = bytearray(g.vertex_count)
-    has_in = bytearray(g.vertex_count)
-    for _, length, u0, v0 in _runs(g):
-        has_out[u0:u0 + length] = has_in[v0:v0 + length] = b"\1" * length
-    # ascending vertex, "in" before "out" at the same vertex
-    return sorted([(v, "in") for v in _unmarked(has_in)]
-                  + [(v, "out") for v in _unmarked(has_out)])
-
-
-def _unmarked(flags: bytearray) -> Iterator[int]:
-    i = flags.find(0)
-    while i >= 0:
-        yield i
-        i = flags.find(0, i + 1)
+    # a vertex lacks an in-edge (out-edge) in the gaps between the runs'
+    # target (source) intervals; the sources ascend, the targets are sorted
+    runs, missing = _runs(g), []
+    for side, spans in (("in", sorted((v0, length) for _, length, _, v0 in runs)),
+                        ("out", [(u0, length) for _, length, u0, _ in runs])):
+        reached = 0
+        for start, length in spans + [(g.vertex_count, 0)]:
+            missing += [(v, side) for v in range(reached, start)]
+            reached = max(reached, start + length)
+    return sorted(missing)  # ascending vertex, "in" before "out" at the same vertex
 
 
 def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
@@ -238,27 +241,76 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
     """
     vm = c.vertex_map
     runs = _runs(c.source)
-    # the runs tile the edge array in order, so written last to first, each
-    # target keeps the image of its first in-edge; no flags are needed, as a
-    # vertex without in-edges is never read
-    in_img = array("q", [0]) * c.source.vertex_count
-    for _, length, u0, v0 in reversed(runs):
-        in_img[v0:v0 + length] = vm[u0:u0 + length]
+    # each violation is found tagged (run index, target, or -1 for "out"),
+    # so that sorting lists them by run in edge order, "out" first
+    found: list[tuple[int, int, tuple[str, int, int, int]]] = []
     # a source's edges are adjacent, so its out-state is the last source's
     # first image; only a run's first source can have been seen before
     last = first = -1
-    violations: list[tuple[str, int, int, int]] = []
-    for _, length, u0, v0 in runs:
+    for i, length, u0, v0 in runs:
         if u0 != last:
             last, first = u0, vm[v0]
         elif first != vm[v0]:
-            violations.append(("out", u0, first, vm[v0]))
+            found.append((i, -1, ("out", u0, first, vm[v0])))
         if length > 1:
             last, first = u0 + length - 1, vm[v0 + length - 1]
-        if in_img[v0:v0 + length] != vm[u0:u0 + length]:
-            violations += [("in", v0 + k, in_img[v0 + k], vm[u0 + k]) for k in range(length)
-                           if in_img[v0 + k] != vm[u0 + k]]
-    return violations
+    # only a target that two runs reach can have two in-images: sorted, the
+    # runs' target intervals fall into groups that overlap, and each group
+    # of more than one run is checked by claims; an empty interval at
+    # vertex_count closes the last group
+    order = sorted(runs, key=itemgetter(3))
+    start = reach = 0
+    for k, (_, length, _, v0) in enumerate(order + [(0, 0, 0, c.source.vertex_count)]):
+        if v0 >= reach:
+            if k - start > 1:
+                found += _in_conflicts(vm, sorted(order[start:k]))
+            start = k
+        if v0 + length > reach:
+            reach = v0 + length
+    return [violation for *_, violation in sorted(found)]
+
+
+def _in_conflicts(vm: array, runs: list[tuple[int, int, int, int]]) -> list:
+    """The "in" violations among ``runs``, given in edge order, tagged as in
+    :func:`validate_bidirectional`.
+
+    ``claims[a] = (b, shift)`` are disjoint target intervals ``[a, b)``, each
+    claimed by the first run to reach it, so a claimed target v's first
+    in-image is ``vm[v + shift]``; ``bounds`` lists a, b, a', b', ...
+    ascending.  A run meets each claim in one slice compare, then claims
+    its gaps.
+    """
+    claims: dict[int, tuple[int, int]] = {}
+    bounds: list[int] = []
+    found = []
+    for i, length, u0, v0 in runs:
+        shift, stop = u0 - v0, v0 + length
+        end, held = claims.get(v0, (0, 0))
+        if end >= stop:  # inside the claim at v0, as the runs into a base vertex are
+            met = ((v0, stop, held),)
+        else:
+            # bounds[p:q] are the ends of the claims met, whole
+            p = bisect_right(bounds, v0)
+            q = bisect_left(bounds, stop, p)
+            p, q = p - p % 2, q + q % 2
+            met, merged, reached = [], [], v0
+            for a, b in zip(bounds[p:q:2], bounds[p + 1:q:2]):
+                lo, hi = max(a, v0), min(b, stop)
+                if reached < lo:
+                    merged += reached, lo
+                    claims[reached] = lo, shift
+                met.append((lo, hi, claims[a][1]))
+                merged += a, b
+                reached = hi
+            if reached < stop:
+                merged += reached, stop
+                claims[reached] = stop, shift
+            bounds[p:q] = merged
+        for lo, hi, held in met:
+            if vm[lo + held:hi + held] != vm[lo + shift:hi + shift]:
+                found += [(i, v, ("in", v, vm[v + held], vm[v + shift])) for v in range(lo, hi)
+                          if vm[v + held] != vm[v + shift]]
+    return found
 
 
 def _runs(g: MaterializedGraph) -> list[tuple[int, int, int, int]]:

@@ -475,6 +475,20 @@ def test_check_runs_a_repeated_criterion_once(capsys, monkeypatch):
     assert out.count("criterion  4 [PASS]") == 1 and len(out.splitlines()) == 1
 
 
+def test_a_criterion_that_raises_prints_a_fail_line(capsys, monkeypatch):
+    name, _ = verify.ALL_CHECKS[4]
+
+    def raising_check():
+        raise ZeroDivisionError("planted fault")
+
+    monkeypatch.setitem(verify.ALL_CHECKS, 4, (name, raising_check))
+    code, out = run(capsys, "check", "7", "4", "semigroup", "fixed-point", "11")
+    assert code == 1
+    first, failed, last = out.splitlines()
+    assert failed == "criterion  4 [FAIL] fixed-point: ZeroDivisionError: planted fault"
+    assert first.startswith("criterion  7 [PASS]") and last.startswith("criterion 11 [PASS]")
+
+
 def test_parse_handle_specs():
     assert parse_handle("8:1:5@3").offset == 3
     assert parse_handle("4:0:0").address.is_base

@@ -178,6 +178,21 @@ def test_an_empty_sum_body_is_a_violation():
     assert [str(v) for v in resolve(doc)[1]] == ["EmptySum (level 2, c1): empty sum body"]
 
 
+def test_a_negative_cycle_is_an_unknown_cycle_in_a_formula_and_in_a_sum():
+    # parse never makes a negative atom, so only a library-built document has one;
+    # both are reported, and the walk goes on to the next cycle
+    doc = builtin_document(2)
+    level = doc.levels[1]
+    block, *edges = level.cycles[0].terms
+    in_sum = replace(level.cycles[0], terms=(
+        replace(block, body=(block.body[0], DocTerm("j", -1))), *edges))
+    in_formula = replace(level.cycles[1], terms=(DocTerm(1, 0), DocTerm(1, -1), DocTerm(88, 0)))
+    doc = replace(doc, levels=(doc.levels[0], replace(level, cycles=(in_sum, in_formula))))
+    assert [str(v) for v in resolve(doc)[1]] == [
+        "UnknownCycle (level 2, c1): unknown cycle c-1 (level below has 1)",
+        "UnknownCycle (level 2, c2): unknown cycle c-1 (level below has 1)"]
+
+
 def test_round_trip_is_structural_identity():
     for depth in (1, 2, 5):
         doc = builtin_document(depth)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import itertools
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -81,6 +82,34 @@ def test_out_of_range_image_error_names_the_first_bad_image():
     with pytest.raises(StructuralError, match=rf"^image {2**70} outside"):
         CoverMap(g, g, [1, 2**70, 3])
     assert CoverMap(MaterializedGraph(0, []), g, []).vertex_map == array("q")
+
+
+def test_a_cover_map_holds_an_int64_array_and_copies_any_other_map():
+    g = MaterializedGraph(3, [(0, 1), (1, 2), (2, 0)])
+    vm = array("q", [1, 2, 0])
+    assert CoverMap(g, g, vm).vertex_map is vm
+    for other in ([1, 2, 0], array("i", [1, 2, 0])):
+        held = CoverMap(g, g, other).vertex_map
+        assert held is not other and held == vm and held.typecode == "q"
+    for bad in (-1, 3):
+        with pytest.raises(StructuralError, match=rf"^image {bad} outside"):
+            CoverMap(g, g, array("q", [1, bad, 0]))
+
+
+def test_level_three_validators_allocate_by_runs_not_vertices(materialized):
+    # with the runs found, neither validator holds a per-vertex array: level
+    # 3 has 3.4 million vertices, so one such array would be several MiB
+    cover = materialized[3].cover
+    graphs._runs(cover.source)  # found once per graph, before either call
+    for validate, arg in ((validate_bidirectional, cover),
+                          (validate_edge_surjective, cover.source)):
+        tracemalloc.start()
+        try:
+            assert validate(arg) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (validate.__name__, peak)
 
 
 def test_bidirectional_violation_on_branching_vertex():
@@ -358,10 +387,22 @@ def _short_cycle_covers():
 SHORT_CYCLE_COVERS = _short_cycle_covers()
 
 
+def _stacked_cover():
+    """Runs of lengths 3, 2 and 1 into targets 20..27 with gaps between, then
+    one run of 10 into 19..28: it meets all three claims and their gaps.
+    Images 3v mod 4 make its in-images conflict with the first on two of
+    the three claims."""
+    edges = ([(1 + k, 20 + k) for k in range(3)] + [(6 + k, 24 + k) for k in range(2)]
+             + [(10, 27)] + [(30 + k, 19 + k) for k in range(10)])
+    target = MaterializedGraph(4, [(a, b) for a in range(4) for b in range(4)])
+    return CoverMap(MaterializedGraph(40, edges), target, [3 * v % 4 for v in range(40)])
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(small_covers())
 @example(SHORT_CYCLE_COVERS[0])
 @example(SHORT_CYCLE_COVERS[1])
+@example(_stacked_cover())
 def test_validators_equal_the_per_edge_references(cover):
     # runs are cut at `_RUN_CAP`; at 3 a small graph's runs are cut too, at
     # 1 every edge is a run of length 1.  A graph keeps the runs of its
