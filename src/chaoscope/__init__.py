@@ -73,7 +73,6 @@ from .errors import BudgetExceeded, ChaoscopeError, SpineExhausted, StructuralEr
 from .graphs import (
     CoverMap,
     MaterializedGraph,
-    graph_stats,
     validate_bidirectional,
     validate_edge_surjective,
     validate_homomorphism,

@@ -167,7 +167,8 @@ def cmd_validate(args) -> tuple[int, dict[str, str]]:
 def cmd_materialize(args) -> tuple[int, dict[str, str]]:
     level = bouquet.materialize_graph(args.level, args.vertex_budget,
                                       spec_for=_spec_for(args.cover))
-    stats = graphs.graph_stats(level.graph, level.level, level.cycle_lengths)
+    stats = {"vertex_count": level.graph.vertex_count, "edge_count": level.graph.edge_count,
+             "level": level.level, "cycle_lengths": [str(n) for n in level.cycle_lengths]}
     artifacts = {f"level{args.level}.stats.json": _json(stats)}
     if args.dot:
         buf = io.StringIO()

@@ -354,14 +354,14 @@ def document_json(doc: CoverDocument) -> dict:
 # Validation and resolution.
 # ---------------------------------------------------------------------------
 
-def _end_atom(el: DocElement, end: int) -> DocTerm | None:
-    """The atom an element starts with (``end`` 0) or ends with (``end``
-    -1), looking into sums; None for an empty sum body."""
-    while isinstance(el, DocSum):
-        if not el.body:
-            return None
-        el = el.body[end]
-    return el
+def _end_atom(terms: tuple[DocElement, ...], end: int) -> DocTerm | None:
+    """The atom ``terms`` start with (``end`` 0) or end with (``end`` -1),
+    looking into sums; None for an empty formula or sum body."""
+    while terms:
+        if not isinstance(terms[end], DocSum):
+            return terms[end]
+        terms = terms[end].body
+    return None
 
 
 def _convert_terms(terms: tuple[DocElement, ...], k_below: int, below_cycles: int,
@@ -468,8 +468,8 @@ def resolve(doc: CoverDocument) -> tuple[Tower, list[Violation]]:
             items = _convert_terms(cyc.terms, k_below, len(below_lengths), errs)
             violations.extend(Violation(code, msg, block.level, cyc.index)
                               for code, msg in errs)
-            first = _end_atom(cyc.terms[0], 0)
-            last = _end_atom(cyc.terms[-1], -1)
+            first = _end_atom(cyc.terms, 0)
+            last = _end_atom(cyc.terms, -1)
             if first is None or first.atom != 0 or last is None or last.atom != 0:
                 violations.append(Violation(
                     "EdgeBoundViolation",

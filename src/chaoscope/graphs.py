@@ -28,9 +28,11 @@ source and its target.  Runs are checked by slices, compared and assigned
 in C.  A run's images come in pieces that follow one run of the target's
 keys or repeat one key, each measured by one slice compare.  For
 bidirectionality the runs' target intervals are sorted once: a vertex can
-have two in-images only where two of them overlap, and there the first
-run to reach a stretch of targets claims it, and a later run meets each
-claim in one compare.  So the validators hold lists as long as the runs,
+have two in-images only where two of them overlap, and each group of
+overlapping runs keeps its targets' first in-images in one array over its
+span, met by each run in one compare.  So the validators hold lists as
+long as the runs and one array as wide as the widest overlap group (one
+vertex on a bouquet, whose only vertex with two in-edges is the base),
 never one as long as the vertices.
 """
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -255,62 +257,28 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
         if length > 1:
             last, first = u0 + length - 1, vm[v0 + length - 1]
     # only a target that two runs reach can have two in-images: sorted, the
-    # runs' target intervals fall into groups that overlap, and each group
-    # of more than one run is checked by claims; an empty interval at
-    # vertex_count closes the last group
+    # runs' target intervals fall into groups that overlap, each covering
+    # [lo, reach); an empty interval at vertex_count closes the last group
     order = sorted(runs, key=itemgetter(3))
-    start = reach = 0
+    start = lo = reach = 0
     for k, (_, length, _, v0) in enumerate(order + [(0, 0, 0, c.source.vertex_count)]):
         if v0 >= reach:
             if k - start > 1:
-                found += _in_conflicts(vm, sorted(order[start:k]))
-            start = k
+                # the group's runs, in edge order, written last to first:
+                # each target keeps the image of its first in-edge, in an
+                # array as wide as the group, one vertex on a bouquet
+                group = sorted(order[start:k])
+                first = array("q", [0]) * (reach - lo)
+                for _, n, u0, t0 in reversed(group):
+                    first[t0 - lo:t0 - lo + n] = vm[u0:u0 + n]
+                for i, n, u0, t0 in group:
+                    if vm[u0:u0 + n] != first[t0 - lo:t0 - lo + n]:
+                        found += [(i, t0 + j, ("in", t0 + j, first[t0 - lo + j], vm[u0 + j]))
+                                  for j in range(n) if vm[u0 + j] != first[t0 - lo + j]]
+            start, lo = k, v0
         if v0 + length > reach:
             reach = v0 + length
     return [violation for *_, violation in sorted(found)]
-
-
-def _in_conflicts(vm: array, runs: list[tuple[int, int, int, int]]) -> list:
-    """The "in" violations among ``runs``, given in edge order, tagged as in
-    :func:`validate_bidirectional`.
-
-    ``claims[a] = (b, shift)`` are disjoint target intervals ``[a, b)``, each
-    claimed by the first run to reach it, so a claimed target v's first
-    in-image is ``vm[v + shift]``; ``bounds`` lists a, b, a', b', ...
-    ascending.  A run meets each claim in one slice compare, then claims
-    its gaps.
-    """
-    claims: dict[int, tuple[int, int]] = {}
-    bounds: list[int] = []
-    found = []
-    for i, length, u0, v0 in runs:
-        shift, stop = u0 - v0, v0 + length
-        end, held = claims.get(v0, (0, 0))
-        if end >= stop:  # inside the claim at v0, as the runs into a base vertex are
-            met = ((v0, stop, held),)
-        else:
-            # bounds[p:q] are the ends of the claims met, whole
-            p = bisect_right(bounds, v0)
-            q = bisect_left(bounds, stop, p)
-            p, q = p - p % 2, q + q % 2
-            met, merged, reached = [], [], v0
-            for a, b in zip(bounds[p:q:2], bounds[p + 1:q:2]):
-                lo, hi = max(a, v0), min(b, stop)
-                if reached < lo:
-                    merged += reached, lo
-                    claims[reached] = lo, shift
-                met.append((lo, hi, claims[a][1]))
-                merged += a, b
-                reached = hi
-            if reached < stop:
-                merged += reached, stop
-                claims[reached] = stop, shift
-            bounds[p:q] = merged
-        for lo, hi, held in met:
-            if vm[lo + held:hi + held] != vm[lo + shift:hi + shift]:
-                found += [(i, v, ("in", v, vm[v + held], vm[v + shift])) for v in range(lo, hi)
-                          if vm[v + held] != vm[v + shift]]
-    return found
 
 
 def _runs(g: MaterializedGraph) -> list[tuple[int, int, int, int]]:
@@ -324,6 +292,11 @@ def _runs(g: MaterializedGraph) -> list[tuple[int, int, int, int]]:
     if g._runs is None:
         edges = g._edges
         high, low = _words(edges)
+        # one ramp over every id, not one per `_RUN_CAP` tile: a run's source
+        # and target intervals each start anywhere below vertex_count, and it
+        # is measured against ramp slices at both starts, so tiles would be
+        # rebuilt run by run (thousands of times on a tower of short cycles)
+        # or all kept, which is this ramp again; it is freed on return
         ramp = _identity(g.vertex_count)
         runs, k = [], 0
         while k < len(edges):
@@ -390,12 +363,3 @@ def write_dot(g: MaterializedGraph, out: TextIO, name: str) -> None:
         out.write(f"  {u} -> {v};\n")
     out.write("}\n")
 
-
-def graph_stats(g: MaterializedGraph, level: int, cycle_lengths: Sequence[int]) -> dict:
-    """JSON-ready stats record for a materialized graph of one level."""
-    return {
-        "vertex_count": g.vertex_count,
-        "edge_count": g.edge_count,
-        "level": level,
-        "cycle_lengths": [str(length) for length in cycle_lengths],
-    }

@@ -454,6 +454,13 @@ def test_materialize_writes_dot_and_stats(tmp_path, capsys):
     assert (out / "level1.dot").read_text().count("->") == 11
 
 
+def test_materialize_prints_the_stats_record(capsys):
+    code, out = run(capsys, "materialize", "--level", "2")
+    assert code == 0
+    assert json.loads(out) == {"level": 2, "vertex_count": 784, "edge_count": 786,
+                               "cycle_lengths": ["695", "90"]}
+
+
 def test_check_subcommand_single_criterion(capsys):
     code, out = run(capsys, "check", "semigroup")
     assert code == 0

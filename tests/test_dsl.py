@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoscope import (
+    ChaoscopeError,
     DslSyntaxError,
     Formula,
     StructuralError,
@@ -176,6 +177,19 @@ def test_an_empty_sum_body_is_a_violation():
     cycle = replace(level.cycles[0], terms=(head, replace(middle, body=()), tail))
     doc = replace(doc, levels=(doc.levels[0], replace(level, cycles=(cycle,))))
     assert [str(v) for v in resolve(doc)[1]] == ["EmptySum (level 2, c1): empty sum body"]
+
+
+def test_an_empty_formula_is_an_edge_bound_violation():
+    # parse never makes an empty formula, so only a library-built cycle has one;
+    # it does not begin with an edge term, and the walk goes on to the next cycle
+    doc = builtin_document(2)
+    level = replace(doc.levels[1], cycles=(CycleDecl(1, ()), CycleDecl(2, ())))
+    doc = replace(doc, levels=(doc.levels[0], level))
+    assert [str(v) for v in resolve(doc)[1]] == [
+        f"EdgeBoundViolation (level 2, c{i}): image formulas must begin and end with an edge term"
+        for i in (1, 2)]
+    with pytest.raises(ChaoscopeError, match=r"^invalid cover document: EdgeBoundViolation"):
+        document_tower(doc)
 
 
 def test_a_negative_cycle_is_an_unknown_cycle_in_a_formula_and_in_a_sum():

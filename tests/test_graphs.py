@@ -19,7 +19,6 @@ from chaoscope import (
     StructuralError,
     build_level_spec,
     document_tower,
-    graph_stats,
     materialize_graph,
     parse,
     validate_bidirectional,
@@ -389,11 +388,22 @@ SHORT_CYCLE_COVERS = _short_cycle_covers()
 
 def _stacked_cover():
     """Runs of lengths 3, 2 and 1 into targets 20..27 with gaps between, then
-    one run of 10 into 19..28: it meets all three claims and their gaps.
-    Images 3v mod 4 make its in-images conflict with the first on two of
-    the three claims."""
+    one run of 10 into 19..28, over all three and their gaps: one overlap
+    group.  Images 3v mod 4 make the last run's in-images conflict with
+    the first in-images on two of the three short runs."""
     edges = ([(1 + k, 20 + k) for k in range(3)] + [(6 + k, 24 + k) for k in range(2)]
              + [(10, 27)] + [(30 + k, 19 + k) for k in range(10)])
+    target = MaterializedGraph(4, [(a, b) for a in range(4) for b in range(4)])
+    return CoverMap(MaterializedGraph(40, edges), target, [3 * v % 4 for v in range(40)])
+
+
+def _widest_first_cover():
+    """`_stacked_cover` reversed: one run of 10 into targets 19..28, then runs
+    of 3 and 2 into 20..22 and 24..25.  Images 3v mod 4 make each later run
+    conflict with the first on all its targets, so a target must keep the
+    widest run's image, written last."""
+    edges = ([(1 + k, 19 + k) for k in range(10)] + [(13 + k, 20 + k) for k in range(3)]
+             + [(20 + k, 24 + k) for k in range(2)])
     target = MaterializedGraph(4, [(a, b) for a in range(4) for b in range(4)])
     return CoverMap(MaterializedGraph(40, edges), target, [3 * v % 4 for v in range(40)])
 
@@ -403,6 +413,7 @@ def _stacked_cover():
 @example(SHORT_CYCLE_COVERS[0])
 @example(SHORT_CYCLE_COVERS[1])
 @example(_stacked_cover())
+@example(_widest_first_cover())
 def test_validators_equal_the_per_edge_references(cover):
     # runs are cut at `_RUN_CAP`; at 3 a small graph's runs are cut too, at
     # 1 every edge is a run of length 1.  A graph keeps the runs of its
@@ -636,10 +647,3 @@ def test_dot_export_one_line_per_edge(materialized):
     assert text.count("->") == g.edge_count
     assert '0 [label="v0"];' in text
     assert text.startswith("digraph level_1 {")
-
-
-def test_stats_record_fields(materialized):
-    level = materialized[2]
-    record = graph_stats(level.graph, 2, level.cycle_lengths)
-    assert record == {"level": 2, "vertex_count": 784, "edge_count": 786,
-                      "cycle_lengths": ["695", "90"]}
