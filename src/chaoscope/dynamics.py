@@ -15,6 +15,10 @@ inside its cycle.  Driving it to the base is an explicit
 what happens after the base-hit depends on deeper levels the spine does not
 know.  Callers can extend the spine with ``lift_choices`` and re-seed.
 
+``column_of``, ``next_base_time`` and ``distance`` share one walk of
+projections (see ``_walk``), kept in one slot: callers read a point several
+times in a row, and an orbit scan, which never returns, pays one compare.
+
 Distances follow the standard product metric: ``2**-k`` where ``k`` is the
 first level at which two columns differ.
 """
@@ -104,13 +108,6 @@ def _spine_position(h: PointHandle) -> int:
     return pos
 
 
-def spine_coordinate(h: PointHandle) -> VertexAddr:
-    """Level-``spine_level`` coordinate at the handle's current time."""
-    if h.address.is_base:
-        return h.address
-    return VertexAddr(h.spine_level, h.address.cycle, _spine_position(h))
-
-
 def exhaustion_time(h: PointHandle) -> int | None:
     """Smallest forward step that exhausts the spine: the cycle length minus
     the current position (None for the fixed point, which never exhausts).
@@ -133,6 +130,31 @@ def step(h: PointHandle, delta: int) -> PointHandle:
     return moved
 
 
+_kept: tuple[VertexAddr, ...] = ()  # the last walk: one slot, replaced whole
+
+
+def _walk(h: PointHandle, stop: int) -> tuple[VertexAddr, ...]:
+    """Coordinates from the spine down to level ``stop`` or the first base
+    one, entry ``i`` at level ``spine_level - i``.  An equal coordinate's kept
+    walk is reused after the check a miss's first ``project_addr`` makes."""
+    global _kept
+    a = h.address
+    addr = a if a.is_base else VertexAddr(h.spine_level, a.cycle, _spine_position(h))
+    if addr.is_base or addr.level <= stop:
+        return (addr,)
+    walk = _kept
+    if walk and walk[0] == addr:
+        check_addr(addr)  # equal is not identical: 5.0 == 5
+    else:
+        walk = (addr,)
+    last, tail = walk[-1], []
+    while last.level > stop and not last.is_base:
+        last = project_addr(last)
+        tail.append(last)
+    _kept = walk = walk + tuple(tail)
+    return walk
+
+
 def column_of(h: PointHandle, depth: int | None = None) -> list[VertexAddr]:
     """Coordinates at levels ``0..depth`` for the current time.
 
@@ -143,14 +165,8 @@ def column_of(h: PointHandle, depth: int | None = None) -> list[VertexAddr]:
         depth = h.spine_level
     if not (0 <= depth <= h.spine_level):
         raise StructuralError(f"depth {int_text(depth)} outside [0, {int_text(h.spine_level)}]")
-    addr = spine_coordinate(h)
-    column = [addr]
-    while not addr.is_base:
-        addr = project_addr(addr)
-        column.append(addr)
-    column.extend(map(base_addr, range(addr.level - 1, -1, -1)))  # covers keep the base
-    column.reverse()
-    return column[: depth + 1]
+    walk = _walk(h, 0)  # below its last, base entry, covers keep the base
+    return [*map(base_addr, range(walk[-1].level)), *reversed(walk)][: depth + 1]
 
 
 @dataclass(frozen=True)
@@ -197,9 +213,8 @@ def next_base_time(h: PointHandle, target_level: int) -> int:
     if not (0 <= target_level <= h.spine_level):
         raise StructuralError(
             f"target level {int_text(target_level)} outside [0, {int_text(h.spine_level)}]")
-    addr = spine_coordinate(h)
-    while addr.level > target_level and not addr.is_base:
-        addr = project_addr(addr)
+    walk = _walk(h, target_level)
+    addr = walk[min(h.spine_level - target_level, len(walk) - 1)]  # a short walk ends at the base
     if addr.is_base:  # the base projects to the base
         return 0
     return cycle_length(target_level, addr.cycle) - addr.pos
