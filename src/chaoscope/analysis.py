@@ -6,16 +6,18 @@ base-hit times (proximality), moments of small distance, moments of
 separation and realized gap sets of cover images.
 
 Every report embeds the handles, depths, horizons and budgets needed to
-reproduce it exactly.
+reproduce it exactly, and ``proximal_sample`` and ``li_yorke_sample`` draw
+a seeded corpus of them.  ``frobenius_number`` reads one ``representable``
+table up to Schur's bound (a - 1)(b - 1): from there on, every integer is a
+combination of coprime generators whose least is a and greatest b (Brauer,
+Amer. J. Math. 64, 1942).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from functools import reduce
-from itertools import count, islice
 from math import gcd
-from typing import Iterator
 
 from .bouquet import (
     DEFAULT_SCAN_BUDGET,
@@ -31,6 +33,8 @@ from .dynamics import (
     distance,
     exhaustion_time,
     next_base_time,
+    random_handle,
+    random_pair,
     step,
 )
 from .errors import StructuralError
@@ -121,6 +125,14 @@ def proximal_certificate(h: PointHandle, target_level: int,
         hit = start + d if d < length else None
         results.append(WindowHit(start, length, hit))
     return ProximalReport(h, target_level, results)
+
+
+def proximal_sample(spine: int, level: int, windows: list[tuple[int, int]],
+                    count: int, seed: int) -> list[ProximalReport]:
+    """Certificates of ``count`` handles drawn in turn from one seeded rng."""
+    rng = random.Random(seed)
+    return [proximal_certificate(random_handle(spine, rng), level, windows)
+            for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +234,14 @@ def li_yorke_test(a: PointHandle, b: PointHandle,
     )
 
 
+def li_yorke_sample(spine: int, pairs: int, horizon: int, prox_depth: int,
+                    sep_depth: int, seed: int) -> list[LiYorkeReport]:
+    """Scans of ``pairs`` pairs drawn in turn from one seeded rng."""
+    rng = random.Random(seed)
+    return [li_yorke_test(*random_pair(spine, rng), horizon, prox_depth, sep_depth)
+            for _ in range(pairs)]
+
+
 # ---------------------------------------------------------------------------
 # Mixing gap reports.
 # ---------------------------------------------------------------------------
@@ -311,45 +331,22 @@ def return_length_differences(report: OccurrenceReport) -> set[int]:
 # Numerical semigroup arithmetic.
 # ---------------------------------------------------------------------------
 
-def _reachable(generators: tuple[int, ...]) -> Iterator[int]:
-    """1 or 0 for v = 0, 1, 2, ...: whether v is a nonnegative integer
-    combination of the generators, read off the table of smaller values."""
-    reachable = bytearray([1])
-    yield 1
-    for v in count(1):
-        reachable.append(0)
-        for g in generators:
-            if g <= v and reachable[v - g]:
-                reachable[v] = 1
-                break
-        yield reachable[v]
-
-
 def representable(generators: tuple[int, ...], upto: int) -> bytes:
     """Byte v is 1 when v is a nonnegative integer combination of the
-    generators, else 0, for v = 0..upto: one walk of the table."""
-    return bytes(islice(_reachable(generators), upto + 1))
+    generators, else 0, for v = 0..upto, each read off the smaller values."""
+    table = bytearray(upto + 1)
+    for v in range(upto + 1):
+        table[v] = v == 0 or any(table[v - g] for g in generators if 0 < g <= v)
+    return bytes(table)
 
 
 def frobenius_number(generators: tuple[int, ...]) -> int:
-    """Largest integer not representable by the generators (gcd must be 1).
-
-    Brute force: scan upward until ``min(generators)`` consecutive
-    representable values appear; everything past that run is representable.
-    """
-    if reduce(gcd, generators) != 1:
+    """The largest integer that is no combination of the generators, or -1,
+    read off the table to Schur's bound; zeros are ignored, the rest coprime."""
+    positive = tuple(g for g in generators if g > 0)
+    if gcd(*positive) != 1:
         raise StructuralError("generators must be coprime overall")
-    lo = min(generators)
-    run = 0
-    last_missing = 0
-    for v, hit in enumerate(_reachable(generators)):
-        if hit:
-            run += 1
-            if run >= lo:
-                return last_missing
-        else:
-            run = 0
-            last_missing = v
+    return representable(positive, (min(positive) - 1) * (max(positive) - 1)).rfind(0)
 
 
 # ---------------------------------------------------------------------------

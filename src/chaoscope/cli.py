@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import io
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -119,7 +118,11 @@ def _spec_for(cover: str | None):
     """Level lookup for ``--cover``: the built-in tower, or the document's."""
     if cover is None:
         return build_level_spec
-    return dsl.document_tower(_read_cover(cover, "cover file")).__getitem__
+    try:
+        document = _read_cover(cover, "cover file")
+    except dsl.DslSyntaxError as exc:  # a usage error: no property of it is checked
+        raise UsageError(f"cover file: syntax error: {exc}")
+    return dsl.document_tower(document).__getitem__
 
 
 def cmd_levels(args) -> tuple[int, dict[str, str]]:
@@ -230,36 +233,23 @@ def cmd_lift(args) -> tuple[int, dict[str, str]]:
 
 
 def cmd_proximal(args) -> tuple[int, dict[str, str]]:
-    rng = random.Random(args.seed)
-    spans = [(w * args.window_stride, args.window_len)
-             for w in range(args.windows)]
-    results = []
-    all_ok = True
-    for _ in range(args.handles):
-        h = dynamics.random_handle(args.spine, rng)
-        report = analysis.proximal_certificate(h, args.level, spans)
-        all_ok &= report.all_hit
-        results.append(report.to_json())
-    record = {"all_hit": all_ok, "reports": results}
+    spans = [(w * args.window_stride, args.window_len) for w in range(args.windows)]
+    reports = analysis.proximal_sample(args.spine, args.level, spans, args.handles, args.seed)
+    all_ok = all(report.all_hit for report in reports)
+    record = {"all_hit": all_ok, "reports": [report.to_json() for report in reports]}
     return (0 if all_ok else 1), {"proximal.json": _json(record)}
 
 
 def cmd_liyorke(args) -> tuple[int, dict[str, str]]:
-    rng = random.Random(args.seed)
-    reports = []
-    prox = sep = 0
-    for _ in range(args.pairs):
-        a, b = dynamics.random_pair(args.spine, rng)
-        report = analysis.li_yorke_test(a, b, args.horizon,
-                                        args.prox_depth, args.sep_depth)
-        prox += report.proximal_witness is not None
-        sep += report.separation_witness is not None
-        reports.append(report.to_json())
+    reports = analysis.li_yorke_sample(args.spine, args.pairs, args.horizon,
+                                       args.prox_depth, args.sep_depth, args.seed)
+    prox = sum(report.proximal_witness is not None for report in reports)
+    sep = sum(report.separation_witness is not None for report in reports)
     ok = prox == args.pairs and sep >= args.sep_rate * args.pairs
     summary = {"pairs": args.pairs, "proximal_found": prox,
                "separation_found": sep, "sep_rate_required": args.sep_rate,
                "passed": ok, "seed": args.seed, "horizon": args.horizon,
-               "spine": args.spine, "reports": reports}
+               "spine": args.spine, "reports": [report.to_json() for report in reports]}
     print(f"proximal {prox}/{args.pairs}, separated {sep}/{args.pairs}",
           file=sys.stderr)
     return (0 if ok else 1), {"liyorke.json": _json(summary)}

@@ -240,13 +240,9 @@ def check_semigroup() -> CriterionResult:
 def check_proximality() -> CriterionResult:
     handles, spine, target_level, seed = 100, 8, 2, 0
     windows, window_len = 10, 700
-    rng = random.Random(seed)
     spans = [(w * 1000, window_len) for w in range(windows)]
-    hit_all = 0
-    for _ in range(handles):
-        h = dynamics.random_handle(spine, rng)
-        report = analysis.proximal_certificate(h, target_level, spans)
-        hit_all += report.all_hit
+    reports = analysis.proximal_sample(spine, target_level, spans, handles, seed)
+    hit_all = sum(report.all_hit for report in reports)
     ok = hit_all == handles
     gap_bound = cycle_length(target_level, 1)
     return CriterionResult(8, "proximality", ok,
@@ -261,14 +257,10 @@ def check_proximality() -> CriterionResult:
 
 def check_li_yorke() -> CriterionResult:
     pairs, spine, horizon, seed, sep_rate = 100, 8, 10_000, 0, 0.9
-    rng = random.Random(seed)
-    prox_found = 0
-    sep_found = 0
-    for _ in range(pairs):
-        a, b = dynamics.random_pair(spine, rng)
-        report = analysis.li_yorke_test(a, b, horizon)
-        prox_found += report.proximal_witness is not None
-        sep_found += report.separation_witness is not None
+    reports = analysis.li_yorke_sample(spine, pairs, horizon, analysis.DEFAULT_PROX_DEPTH,
+                                       analysis.DEFAULT_SEP_DEPTH, seed)
+    prox_found = sum(report.proximal_witness is not None for report in reports)
+    sep_found = sum(report.separation_witness is not None for report in reports)
     ok = prox_found == pairs and sep_found >= sep_rate * pairs
     return CriterionResult(9, "li-yorke sampling", ok,
                            f"proximal {prox_found}/{pairs}, separated "

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoscope import analysis
 from chaoscope import (
@@ -308,6 +311,55 @@ def test_frobenius_number_of_10_12_13():
 def test_frobenius_requires_coprime_generators():
     with pytest.raises(StructuralError):
         frobenius_number((4, 6))
+
+
+def test_frobenius_numbers_of_known_semigroups():
+    assert frobenius_number((2, 3)) == 1
+    assert frobenius_number((3, 5)) == 7
+    assert frobenius_number((6, 10, 15)) == 29
+    assert frobenius_number((10, 12, 13)) == 41
+    for a in range(2, 20):
+        for b in range(a + 1, 30):
+            if gcd(a, b) == 1:  # Sylvester
+                assert frobenius_number((a, b)) == a * b - a - b
+
+
+def test_frobenius_number_with_a_generator_one_or_zero():
+    assert frobenius_number((1,)) == frobenius_number((1, 5)) == -1  # nothing is missing
+    assert frobenius_number((0, 2, 3)) == 1  # a zero generator adds nothing
+
+
+@pytest.mark.parametrize("generators", [(), (0,)])
+def test_frobenius_refuses_no_positive_generator(generators):
+    with pytest.raises(StructuralError):
+        frobenius_number(generators)
+
+
+def combination_sums(generators: tuple[int, ...], upto: int) -> set[int]:
+    """Every sum c_1 g_1 + ... + c_n g_n <= upto, enumerating the
+    coefficients one generator at a time."""
+    sums = {0}
+    for g in generators:
+        if g:
+            sums = {s + c * g for s in sums for c in range((upto - s) // g + 1)}
+    return sums
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 15), min_size=1, max_size=4).map(tuple))
+def test_semigroup_table_matches_enumerated_combinations(generators):
+    positive = [g for g in generators if g]
+    if gcd(*positive) != 1:
+        with pytest.raises(StructuralError):
+            frobenius_number(generators)
+        return
+    upto = max(positive) ** 2 + max(positive)
+    sums = combination_sums(generators, upto)
+    assert representable(generators, upto) == bytes(v in sums for v in range(upto + 1))
+    # min(positive) representable values in a row leave no gap after them
+    assert all(v in sums for v in range(upto - min(positive) + 1, upto + 1))
+    gaps = [v for v in range(upto + 1) if v not in sums]
+    assert frobenius_number(generators) == (gaps[-1] if gaps else -1)
 
 
 # -- degree stability and windows -------------------------------------------------

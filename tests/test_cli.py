@@ -245,6 +245,10 @@ def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys
     ("levels --max 5 --cover one.cover", 2),
     ("dsl-check bin.cover", 2),  # not UTF-8
     ("levels --cover bin.cover", 2),
+    # a --cover file is input, not a checked property: a syntax error is a usage error
+    ("levels --cover syn.cover", 2),
+    ("validate --cover syn.cover", 2),
+    ("materialize --level 1 --cover syn.cover", 2),
     ("dsl-check sup.cover", 1),  # '\u00b2' is a digit int() cannot read
     ("distance --a 2:1:1 --b 2:0:0 --out afile", 2),  # --out names a file
     ("distance --a 2:1:1 --b 2:0:0 --out afile/x", 2),
@@ -269,12 +273,15 @@ def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatc
     (tmp_path / "bin.cover").write_bytes(b"\xff\xfe bad")
     (tmp_path / "sup.cover").write_text("cover x mode bouquet level 1 { c1 := \u00b2 e; }",
                                         encoding="utf-8")
+    (tmp_path / "syn.cover").write_text("cover x mode bouquet level 1 { c1 := 10 e }")
     (tmp_path / "afile").write_text("")
     assert main(argv.split()) == expected
     err = capsys.readouterr().err
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
     if "one.cover" in argv:
         assert err == "error: cover document ends at level 1\n"
+    if "syn.cover" in argv:
+        assert err.startswith("error: cover file: syntax error: 1:43: ")
     if "abc" in argv:
         assert err == "error: expected a rate in [0, 1], got 'abc'\n"
     if "--spine 1" in argv:
