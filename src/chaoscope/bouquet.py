@@ -29,7 +29,8 @@ sum of its term.  Occurrence scans never expand a path either: they
 compose per-cycle summaries along the image formulas, a level at a time.
 
 Positions on a cycle count edges traversed from the base; position 0 is the
-base itself and is represented as the base address, never stored.
+base itself and is represented as the base address, never stored.  Addresses
+are named tuples: the walks build and compare millions, and tuples do it in C.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, islice
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, StructuralError, int_text
 from .graphs import CoverMap, MaterializedGraph
@@ -419,10 +420,10 @@ def level_spec_json(spec: LevelSpec) -> dict:
 # Vertex addresses.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VertexAddr:
+class VertexAddr(NamedTuple):
     """A vertex of one level: the base (cycle 0, pos 0) or position ``pos``
-    along cycle ``cycle``, counting edges from the base."""
+    along cycle ``cycle``, counting edges from the base.  It equals the plain
+    tuple ``(level, cycle, pos)``, and addresses order as such tuples."""
 
     level: int
     cycle: int
@@ -457,7 +458,7 @@ def check_addr(a: VertexAddr) -> None:
 
 def _image_formula(a: VertexAddr) -> Formula | None:
     """Check ``a``; its cycle's image formula in spec ``a.level - 1``, or None."""
-    level, cycle, pos = a.level, a.cycle, a.pos
+    level, cycle, pos = a
     if not (type(level) is type(cycle) is type(pos) is int):
         raise StructuralError(f"address coordinates must be ints: {a!r}")
     if level < 0:

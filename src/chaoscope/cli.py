@@ -44,6 +44,13 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """argparse type of sample sizes: an int >= 1, so no run checks nothing."""
+    if not text.isdecimal() or not int(text):
+        raise UsageError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _rate(text: str) -> float:
     """argparse type of --sep-rate: a fraction of pairs, in [0, 1]."""
     try:
@@ -393,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("proximal", help="base-hit certificates in windows")
     p.add_argument("--level", type=_count, default=2)
-    p.add_argument("--handles", type=_count, default=100)
-    p.add_argument("--windows", type=_count, default=10)
+    p.add_argument("--handles", type=_positive, default=100)
+    p.add_argument("--windows", type=_positive, default=10)
     p.add_argument("--window-len", type=_count, default=700)
     p.add_argument("--window-stride", type=_count, default=1000)
     p.add_argument("--spine", type=_count, default=dynamics.DEFAULT_SPINE_LEVEL)
@@ -403,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_proximal)
 
     p = subs.add_parser("liyorke", help="proximal + separation scan on pairs")
-    p.add_argument("--pairs", type=_count, default=100)
+    p.add_argument("--pairs", type=_positive, default=100)
     p.add_argument("--spine", type=_count, default=dynamics.DEFAULT_SPINE_LEVEL)
     p.add_argument("--horizon", type=_count, default=analysis.DEFAULT_HORIZON)
     p.add_argument("--prox-depth", type=_count, default=analysis.DEFAULT_PROX_DEPTH)
@@ -455,7 +462,3 @@ def main(argv: list[str] | None = None) -> int:
     except ChaoscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

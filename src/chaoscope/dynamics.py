@@ -18,6 +18,8 @@ know.  Callers can extend the spine with ``lift_choices`` and re-seed.
 ``column_of``, ``next_base_time`` and ``distance`` share one walk of
 projections (see ``_walk``), kept in one slot: callers read a point several
 times in a row, and an orbit scan, which never returns, pays one compare.
+Handles and addresses are named tuples: the walk, the columns and the orbit
+rows build and compare them in C.
 
 Distances follow the standard product metric: ``2**-k`` where ``k`` is the
 first level at which two columns differ.
@@ -28,9 +30,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 from .bouquet import (
+    LEVEL_LIMIT,
     VertexAddr,
     base_addr,
     build_level_spec,
@@ -51,10 +54,10 @@ DEFAULT_POSITION_RESERVE = 10**6
 # positions keep at least the degree-index levels moving
 CYCLE_ONE_BAND = (10**6, 2 * 10**6)
 HIGH_CYCLE_BAND = (1, 10**6)
+_BASES = tuple(map(base_addr, range(LEVEL_LIMIT + 2)))  # a column's base levels
 
 
-@dataclass(frozen=True)
-class PointHandle:
+class PointHandle(NamedTuple):
     """A truncated limit point: one spine address plus a time offset.
 
     ``address`` is the coordinate at time 0; the coordinate at the current
@@ -94,16 +97,17 @@ def new_handle(spine_level: int, cycle: int, pos: int, offset: int = 0) -> Point
 
 def _spine_position(h: PointHandle) -> int:
     """Current position along the spine cycle (0 for the fixed point)."""
-    if h.address.is_base:
+    spine, (_, cycle, start), offset = h
+    if not cycle:
         return 0
-    pos = h.address.pos + h.offset
-    length = cycle_length(h.spine_level, h.address.cycle)
+    pos = start + offset
+    length = cycle_length(spine, cycle)
     if not (1 <= pos <= length - 1):
         # the spine reaches the base at position `length` going forward, 0 going back
-        bad = length - h.address.pos if pos > 0 else -h.address.pos
+        bad = length - start if pos > 0 else -start
         raise SpineExhausted(
-            f"offset {int_text(h.offset)} drives spine position to {int_text(pos)}, outside "
-            f"[1, {int_text(length - 1)}] on cycle {h.address.cycle} of level {h.spine_level}",
+            f"offset {int_text(offset)} drives spine position to {int_text(pos)}, outside "
+            f"[1, {int_text(length - 1)}] on cycle {cycle} of level {spine}",
             first_invalid_offset=bad)
     return pos
 
@@ -139,19 +143,23 @@ def _walk(h: PointHandle, stop: int) -> tuple[VertexAddr, ...]:
     walk is reused after the check a miss's first ``project_addr`` makes."""
     global _kept
     a = h.address
-    addr = a if a.is_base else VertexAddr(h.spine_level, a.cycle, _spine_position(h))
-    if addr.is_base or addr.level <= stop:
-        return (addr,)
+    if not a.cycle:
+        return (a,)
+    addr = VertexAddr(h.spine_level, a.cycle, a.pos + h.offset)
     walk = _kept
     if walk and walk[0] == addr:
         check_addr(addr)  # equal is not identical: 5.0 == 5
     else:
+        _spine_position(h)  # SpineExhausted outside the range; a hit is inside it
         walk = (addr,)
-    last, tail = walk[-1], []
-    while last.level > stop and not last.is_base:
+    last = walk[-1]
+    if not last.cycle or last.level <= stop:
+        return walk  # it reaches far enough: returned as it is
+    tail = list(walk)
+    while last.level > stop and last.cycle:
         last = project_addr(last)
         tail.append(last)
-    _kept = walk = walk + tuple(tail)
+    _kept = walk = tuple(tail)
     return walk
 
 
@@ -166,7 +174,10 @@ def column_of(h: PointHandle, depth: int | None = None) -> list[VertexAddr]:
     if not (0 <= depth <= h.spine_level):
         raise StructuralError(f"depth {int_text(depth)} outside [0, {int_text(h.spine_level)}]")
     walk = _walk(h, 0)  # below its last, base entry, covers keep the base
-    return [*map(base_addr, range(walk[-1].level)), *reversed(walk)][: depth + 1]
+    low = walk[-1].level
+    column = [*(_BASES[:low] if low < len(_BASES) else map(base_addr, range(low))), *walk[::-1]]
+    del column[depth + 1:]
+    return column
 
 
 @dataclass(frozen=True)
@@ -190,10 +201,8 @@ class DistanceValue:
 def distance(a: PointHandle, b: PointHandle) -> DistanceValue:
     """Product-metric distance from the columns, compared level by level."""
     depth = min(a.spine_level, b.spine_level)
-    col_a = column_of(a, depth)
-    col_b = column_of(b, depth)
-    for level in range(1, depth + 1):
-        if col_a[level] != col_b[level]:
+    for level, (x, y) in enumerate(zip(column_of(a, depth), column_of(b, depth))):
+        if x != y:  # never at level 0, which is all base
             return DistanceValue(exact=True, level=level)
     return DistanceValue(exact=False, level=depth)
 
@@ -215,7 +224,7 @@ def next_base_time(h: PointHandle, target_level: int) -> int:
             f"target level {int_text(target_level)} outside [0, {int_text(h.spine_level)}]")
     walk = _walk(h, target_level)
     addr = walk[min(h.spine_level - target_level, len(walk) - 1)]  # a short walk ends at the base
-    if addr.is_base:  # the base projects to the base
+    if not addr.cycle:  # the base projects to the base
         return 0
     return cycle_length(target_level, addr.cycle) - addr.pos
 
@@ -228,7 +237,7 @@ def _dwell(column: list[VertexAddr]) -> int | None:
     """Steps in which ``column`` moves by arithmetic alone, None if never.
     Its lowest off-base level ``M`` hits the base no later than those above;
     the levels below ``M`` stay at the base until ``M``'s image leaves it."""
-    upper = next((a for a in column if not a.is_base), None)
+    upper = next((a for a in column if a.cycle), None)
     if upper is None:
         return None
     formula = build_level_spec(upper.level - 1).image_formulas[upper.cycle - 1]
@@ -276,10 +285,10 @@ def orbit_rows(h: PointHandle, depth: int, horizon: int) -> Iterator[tuple[int, 
         column = column_of(step(h, t))
         dwell = _dwell(column)
         end = horizon + 1 if dwell is None else min(t + dwell, horizon + 1)
-        base = [a for a in column[: depth + 1] if a.is_base]
-        moving = [a for a in column[: depth + 1] if not a.is_base]
+        base = [a for a in column[: depth + 1] if not a.cycle]  # a prefix: see column_of
+        moving = column[len(base): depth + 1]
         for s in range(end - t):
-            yield t + s, base + [VertexAddr(a.level, a.cycle, a.pos + s) for a in moving]
+            yield t + s, base + [VertexAddr(level, cycle, pos + s) for level, cycle, pos in moving]
         t = end
 
 

@@ -507,6 +507,31 @@ def test_huge_integers_are_named_by_size_at_the_default_digit_limit(call, text,
     assert result == text
 
 
+FIELD = st.one_of(st.integers(-1, 2), st.sampled_from([BIG, 1.0, True]))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.tuples(FIELD, FIELD, FIELD), st.tuples(FIELD, FIELD, FIELD))
+def test_addresses_are_equal_exactly_when_their_fields_are(f, g):
+    a, b = VertexAddr(*f), VertexAddr(*g)
+    assert (a == b) == (f == g) and (a != b) == (f != g)
+    assert hash(a) == hash(f) and a == f  # an address is the tuple of its fields
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a < b) == (f < g)  # ordered as tuples: level, then cycle, then pos
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-digit limit")
+def test_address_text_is_unchanged(default_digit_limit):
+    assert str(VertexAddr(3, 1, 5)) == "3:1:5"
+    assert repr(VertexAddr(3, 1, 5)) == "VertexAddr(level=3, cycle=1, pos=5)"
+    assert repr(base_addr(3)) == "VertexAddr(level=3, cycle=0, pos=0)"
+    assert str(VertexAddr(3, 1, BIG)) == f"3:1:{BIG_TEXT}"
+    assert repr(VertexAddr(3, 1, -BIG)) == (
+        f"VertexAddr(level=3, cycle=1, pos={NEGATIVE_BIG_TEXT})")
+    assert [VertexAddr(3, 1, 5)] == [(3, 1, 5)] and VertexAddr(3, 1, 5).is_base is False
+
+
 def test_non_integer_coordinates_are_structural_errors():
     with pytest.raises(StructuralError):
         new_handle(3, 1, 2.5)

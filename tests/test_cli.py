@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +292,14 @@ def test_bad_input_ends_in_one_line(argv, expected, tmp_path, capsys, monkeypatc
         assert "has length 10" in err and not re.search(r"-\d", err)
 
 
+@pytest.mark.parametrize("argv", [
+    "proximal --handles 0", "proximal --windows 0", "liyorke --pairs 0"])
+def test_an_empty_sample_is_a_usage_error(argv, capsys):
+    # a sample of nothing checks nothing, so it cannot pass
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == "error: expected a positive integer, got '0'\n"
+
+
 def test_validate_a_cover_with_fewer_cycles_than_levels(tmp_path, capsys):
     path = tmp_path / "few.cover"
     path.write_text("cover few mode bouquet\n"
@@ -525,3 +537,15 @@ def test_manifest_records_every_option(argv, option, values, tmp_path, capsys):
         configs.append(json.loads((out / "manifest.json").read_text())["config"])
     assert configs[0] != configs[1]
     assert configs[1][option[2:].replace("-", "_")] == values[1]
+
+
+def test_python_dash_m_runs_the_command_line():
+    # `python -m chaoscope` works from a checkout, with src/ on the path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "chaoscope", "check", "--list"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == \
+        "0e43044695f13f0d0a75d1bef5ed74fa647a5c04e5a6558cbc64976d2ddb91ae"

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import io
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoscope import (
     SpineExhausted,
@@ -48,6 +51,8 @@ def test_fixed_point_is_the_base_handle():
     for spine in (0, 5, 21):
         assert fixed_point(spine) == new_handle(spine, 0, 0) == \
             PointHandle(spine, base_addr(spine), 0)
+    # a handle built unchecked past the address levels still gets every level
+    assert column_of(PointHandle(30, base_addr(30), 0)) == [base_addr(n) for n in range(31)]
     bad = {-1: "negative level in -1:0:0",
            22: "level 22 is past 21, the deepest level an address can have"}
     for spine, message in bad.items():
@@ -55,6 +60,56 @@ def test_fixed_point_is_the_base_handle():
             with pytest.raises(StructuralError) as err:
                 make(spine)
             assert str(err.value) == message
+
+
+SMALL = st.integers(0, 2)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.tuples(SMALL, st.tuples(SMALL, SMALL, SMALL), st.sampled_from([0, 1, 0.0, True])),
+       st.tuples(SMALL, st.tuples(SMALL, SMALL, SMALL), st.sampled_from([0, 1, 0.0, True])))
+def test_handles_are_equal_exactly_when_their_fields_are(f, g):
+    a = PointHandle(f[0], VertexAddr(*f[1]), f[2])
+    b = PointHandle(g[0], VertexAddr(*g[1]), g[2])
+    assert (a == b) == (f == g) and (a != b) == (f != g)
+    assert hash(a) == hash(f) and a == f  # a handle is the tuple of its fields
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-digit limit")
+def test_handle_text_is_unchanged():
+    big = 10**5000
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the library's callers keep Python's default
+    try:
+        h = PointHandle(3, VertexAddr(3, 1, 5), 7)
+        assert str(h) == "3:1:5@7"
+        assert repr(h) == ("PointHandle(spine_level=3, "
+                           "address=VertexAddr(level=3, cycle=1, pos=5), offset=7)")
+        assert PointHandle(3, VertexAddr(3, 1, 5)).offset == 0
+        far = PointHandle(3, VertexAddr(3, 1, big), 0)
+        assert str(far) == "3:1:a 16,610-bit integer@0"
+        assert repr(far) == ("PointHandle(spine_level=3, address=VertexAddr(level=3, "
+                             "cycle=1, pos=a 16,610-bit integer), offset=0)")
+        assert h.to_json() == {"spine_level": 3, "cycle": 1, "pos": "5", "offset": "7"}
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("h", [
+    PointHandle(8, VertexAddr(8, 1, 5.0), 0),
+    PointHandle(8, VertexAddr(8, 1, 5), 0.0),
+    PointHandle(8, VertexAddr(8, True, 5), 0),
+], ids=["float position", "float offset", "bool cycle"])
+@pytest.mark.parametrize("kept", [False, True], ids=["miss", "hit"])
+def test_a_float_or_bool_coordinate_is_refused_on_a_miss_and_a_hit(h, kept):
+    if kept:  # keep the walk of the equal, all-int coordinate 8:1:5
+        column_of(new_handle(8, 1, 5))
+    for query in (lambda: column_of(h), lambda: next_base_time(h, 2),
+                  lambda: distance(h, fixed_point(8))):
+        with pytest.raises(StructuralError, match="address coordinates must be ints"):
+            query()
 
 
 def test_readme_library_example():
