@@ -26,7 +26,9 @@ flat tables of its runs and block bodies and each block sum's constants,
 so a query costs what its offset needs, not what the cycle's size would.
 Every other walk reads an item as a block sum, a run being the one-block
 sum of its term.  Occurrence scans never expand a path either: they
-compose per-cycle summaries along the image formulas, a level at a time.
+compose per-cycle summaries along the image formulas, a level at a time,
+and fold each block sum in closed form, so their time does not grow with
+the block count.
 
 Positions on a cycle count edges traversed from the base; position 0 is the
 base itself and is represented as the base address, never stored.  Addresses
@@ -327,7 +329,7 @@ class Formula:
                         yield Run(t.cycle, cnt)
 
     def __repr__(self) -> str:
-        return f"Formula({len(self.items)} items, length={self.length})"
+        return f"Formula({len(self.items)} items, length={int_text(self.length)})"
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +504,10 @@ class LiftReport:
     total: int
     truncated: bool
 
+    def __repr__(self) -> str:
+        return (f"LiftReport(address={self.address!r}, choices={self.choices!r}, "
+                f"total={int_text(self.total)}, truncated={self.truncated!r})")
+
 
 def lift_choices(a: VertexAddr, max_results: int) -> LiftReport:
     """All level-(n+1) addresses projecting onto ``a``, in increasing
@@ -577,58 +583,112 @@ class OccurrenceReport:
 class _Summary:
     """What one path contributes to an :class:`OccurrenceReport`: length,
     copy count, prefix and suffix as ``(length, all_base)`` (both the whole
-    path while it holds no copy), gap histogram, ``gaps_all_base`` and the
-    first ``MAX_OFFSETS`` copy offsets.  A leaf is a base edge, a foreign
-    cycle or the target (one copy); :meth:`add` joins paths."""
+    path while it holds no copy), gaps, ``gaps_all_base`` and the first
+    ``MAX_OFFSETS`` copy offsets.  The gaps are a dict of single gaps with
+    their counts and ranges ``(first, last, step, count)``: ``count`` of each
+    gap in ``range(first, last + 1, step)``.  A leaf is a base edge, a foreign
+    cycle or the target (one copy); :meth:`add_blocks` joins paths."""
 
-    __slots__ = ("length", "count", "prefix", "suffix", "gaps", "gaps_all_base", "offsets")
+    __slots__ = ("length", "count", "prefix", "suffix", "gaps", "ranges", "gaps_all_base",
+                 "offsets")
 
     def __init__(self, length: int, count: int, all_base: bool):
         self.length, self.count = length, count
         self.prefix = self.suffix = (0 if count else length, all_base)
         self.gaps: dict[int, int] = {}
+        self.ranges: list[tuple[int, int, int, int]] = []
         self.gaps_all_base = True
         self.offsets = [0] if count else []
 
+    def histogram(self) -> dict[int, int]:
+        """Every gap with its count, the ranges expanded."""
+        gaps = dict(self.gaps)
+        for first, last, step, count in self.ranges:
+            for gap in range(first, last + 1, step):
+                gaps[gap] = gaps.get(gap, 0) + count
+        return gaps
+
     def add(self, x: _Summary, r: int) -> None:
-        """Append ``r`` back-to-back copies of the path ``x``."""
-        if not x.count:
-            self.suffix = (self.suffix[0] + r * x.length, self.suffix[1] and x.suffix[1])
-            if not self.count:
+        """Append ``r`` back-to-back copies of the path ``x``: one block of one term."""
+        self.add_blocks([(x, r, 0)], 1, 1)
+
+    def add_blocks(self, terms: list[tuple[_Summary, int, int]], lo: int, hi: int) -> None:
+        """Append blocks j = lo..hi in closed form, whatever their number: in
+        block j a term ``(x, const, coef)`` is ``const + coef*j >= 1`` copies
+        of the path ``x``.  Each seam between two copies is affine in j, so
+        it adds one range of gaps."""
+        n, prefix, had = hi - lo + 1, Formula._prefix, self.count
+        pa = pb = 0  # the next term starts pa + pb*j edges into block j
+        a, b, clean = 0, 0, True  # the a + b*j edges since the block's last copy
+        lead, held = None, []
+        for x, const, coef in terms:
+            if x.count:
+                total = prefix(const, coef, hi) - prefix(const, coef, lo - 1)
+                held.append((x, pa, pb, pa + const * x.length, pb + coef * x.length))
+                a, clean = a + x.prefix[0], clean and x.prefix[1]
+                if lead is None:
+                    lead = (a, b, clean)
+                else:  # the seam from the block's previous copy
+                    self._seam(a + b * lo, b, n, clean)
+                for gap, c in x.gaps.items():
+                    self.gaps[gap] = self.gaps.get(gap, 0) + total * c
+                self.ranges += [(f, last, s, c * total) for f, last, s, c in x.ranges]
+                if total > n:  # count - 1 inner gaps per block
+                    self._seam(x.suffix[0] + x.prefix[0], 0, total - n,
+                               x.suffix[1] and x.prefix[1])
+                self.gaps_all_base = self.gaps_all_base and x.gaps_all_base
+                self.count += total * x.count
+                a, b, clean = x.suffix[0], 0, x.suffix[1]
+            else:
+                a, b, clean = a + const * x.length, b + coef * x.length, clean and x.suffix[1]
+            pa, pb = pa + const * x.length, pb + coef * x.length
+        start = self.length
+        self.length += prefix(pa, pb, hi) - prefix(pa, pb, lo - 1)
+        if lead is None:
+            self.suffix = (self.suffix[0] + self.length - start, self.suffix[1] and clean)
+            if not had:
                 self.prefix = self.suffix
-            self.length += r * x.length
             return
-        # one gap at the seam with what came before (or, before any copy,
-        # the prefix) and r - 1 inner gaps between the copies of x
-        seam = (self.suffix[0] + x.prefix[0], self.suffix[1] and x.prefix[1])
-        inner = (x.suffix[0] + x.prefix[0], x.suffix[1] and x.prefix[1])
-        gaps = self.gaps
-        for gap, count in x.gaps.items():
-            gaps[gap] = gaps.get(gap, 0) + r * count
-        if r > 1:
-            gaps[inner[0]] = gaps.get(inner[0], 0) + r - 1
-        if self.count:
-            gaps[seam[0]] = gaps.get(seam[0], 0) + 1
+        la, lb, lclean = lead
+        seam = (self.suffix[0] + la + lb * lo, self.suffix[1] and lclean)
+        if had:
+            self._seam(seam[0], 0, 1, seam[1])
         else:
             self.prefix = seam
-        self.gaps_all_base = (self.gaps_all_base and x.gaps_all_base
-                              and (r == 1 or inner[1]) and (not self.count or seam[1]))
-        for start in range(self.length, self.length + r * x.length, x.length):
+        if n > 1:  # from block j - 1's last copy to block j's first
+            self._seam(a + b * lo + la + lb * (lo + 1), b + lb, n - 1, clean and lclean)
+        self.suffix = (a + b * hi, clean)
+        for j in range(lo, hi + 1):
             room = MAX_OFFSETS - len(self.offsets)
             if room <= 0:
                 break
-            self.offsets += map(start.__add__, x.offsets[:room])
-        self.suffix = x.suffix
-        self.count += r * x.count
-        self.length += r * x.length
+            # each term's copies in edges [xa + xb*j, ya + yb*j), as many as fill the room
+            self.offsets += [s + o for x, xa, xb, ya, yb in held
+                             for s in islice(range(start + xa + xb * j, start + ya + yb * j,
+                                                   x.length), -(-room // len(x.offsets)))
+                             for o in x.offsets][:room]
+            start += pa + pb * j
+
+    def _seam(self, first: int, step: int, n: int, all_base: bool) -> None:
+        """Add the ``n`` gaps ``first + i*step``, i < n, all base or not."""
+        if step and n > 1:
+            self.ranges.append((first, first + step * (n - 1), step, 1))
+        else:
+            self.gaps[first] = self.gaps.get(first, 0) + n
+        self.gaps_all_base = self.gaps_all_base and all_base
 
 
 def _fold(formula: Formula, below: list[_Summary]) -> _Summary:
     """Summary of one traversal of the cycle whose image is ``formula``;
-    ``below[c]`` summarizes symbol c of the formula's level."""
+    ``below[c]`` summarizes symbol c of the formula's level.  Each item is
+    read once, a run as the one-block sum of its term."""
     path = _Summary(0, 0, True)
-    for run in formula.iter_runs():
-        path.add(below[run.cycle], run.count)
+    for item in formula.items:
+        # a term keeps const + coef >= 0 <= coef, so its count is 0 at j = 1
+        # alone or at every j: blocks 2..k all hold copies of one set of terms
+        for lo, hi in ((1, 1), (2, item.bound))[:item.bound]:
+            path.add_blocks([(below[t.cycle], t.const, t.coef) for t in item.body
+                             if t.const + t.coef * lo], lo, hi)
     return path
 
 
@@ -638,11 +698,12 @@ def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
     of the target cycle.
 
     The scan composes summaries and never expands the path: each cycle of
-    levels m+1 .. m' gets a summary, its image formula's runs folded over
-    the summaries of the level below, kept for this call only.  The budget
-    bounds the projected path's edge length (which equals the source
-    cycle's length, covers being edge-count preserving), and with it the
-    runs the fold reads.
+    levels m+1 .. m' gets a summary, its image formula's items folded in
+    closed form over the summaries of the level below, kept for this call
+    only.  Its time grows with the items, the offsets kept and the gaps
+    reported, not with the block counts.  The budget still bounds the
+    projected path's edge length (which equals the source cycle's length,
+    covers being edge-count preserving).
     """
     if not (0 <= m < m_prime):
         raise StructuralError(f"need 0 <= m < m', got {int_text(m)}..{int_text(m_prime)}")
@@ -668,7 +729,7 @@ def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
         target_level=m, target_cycle=target_cycle,
         total_length=total_length, copy_length=cycle_length(m, target_cycle),
         copy_count=path.count, offsets=tuple(path.offsets),
-        offsets_truncated=path.count > len(path.offsets), gap_histogram=path.gaps,
+        offsets_truncated=path.count > len(path.offsets), gap_histogram=path.histogram(),
         gaps_all_base=path.gaps_all_base,
         prefix_length=path.prefix[0], prefix_all_base=path.prefix[1],
         suffix_length=path.suffix[0], suffix_all_base=path.suffix[1],

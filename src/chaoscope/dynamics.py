@@ -73,6 +73,10 @@ class PointHandle(NamedTuple):
     def __str__(self) -> str:
         return f"{self.address}@{int_text(self.offset)}"
 
+    def __repr__(self) -> str:
+        return (f"PointHandle(spine_level={int_text(self.spine_level)}, "
+                f"address={self.address!r}, offset={int_text(self.offset)})")
+
     def to_json(self) -> dict:
         return {
             "spine_level": self.spine_level,

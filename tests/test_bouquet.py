@@ -7,7 +7,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chaoscope import bouquet
@@ -532,6 +532,26 @@ def test_address_text_is_unchanged(default_digit_limit):
     assert [VertexAddr(3, 1, 5)] == [(3, 1, 5)] and VertexAddr(3, 1, 5).is_base is False
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-digit limit")
+def test_reprs_name_huge_integers_by_size(default_digit_limit):
+    # the generated reprs formatted these fields in decimal and raised ValueError
+    assert repr(PointHandle(3, VertexAddr(3, 1, 5), 7)) == (
+        "PointHandle(spine_level=3, address=VertexAddr(level=3, cycle=1, pos=5), offset=7)")
+    assert repr(PointHandle(3, VertexAddr(3, 1, 5), BIG)) == (
+        f"PointHandle(spine_level=3, address=VertexAddr(level=3, cycle=1, pos=5), "
+        f"offset={BIG_TEXT})")
+    assert repr(build_level_spec(3).image_formulas[0]) == "Formula(5 items, length=70594865633727)"
+    assert repr(build_level_spec(12).image_formulas[0]) == (
+        "Formula(14 items, length=a 24,876-bit integer)")
+    assert repr(lift_choices(VertexAddr(0, 0, 0), 1)) == (
+        "LiftReport(address=VertexAddr(level=0, cycle=0, pos=0), "
+        "choices=(VertexAddr(level=1, cycle=0, pos=0),), total=10, truncated=True)")
+    assert repr(lift_choices(VertexAddr(14, 1, 1), 1)) == (
+        "LiftReport(address=VertexAddr(level=14, cycle=1, pos=1), "
+        "choices=(VertexAddr(level=15, cycle=1, pos=2),), total=a 49,756-bit integer, "
+        "truncated=True)")
+
+
 def test_non_integer_coordinates_are_structural_errors():
     with pytest.raises(StructuralError):
         new_handle(3, 1, 2.5)
@@ -784,22 +804,44 @@ def test_occurrences_equal_the_copy_by_copy_scan(max_offsets, monkeypatch):
 
 
 def test_occurrence_scan_reads_formula_runs_not_the_path(monkeypatch):
-    # the literal walk reads 146,200 runs; the fold reads each formula once,
-    # and a second call reads them all again (no memo outlives a call)
-    reads = [0]
-    real_iter_runs = Formula.iter_runs
+    # the literal walk reads 146,200 runs; the fold reads each formula item
+    # once and never expands a block sum into runs
+    expansions = []
+    monkeypatch.setattr(Formula, "iter_runs", lambda self: expansions.append(self) or iter(()))
+    for m, m_prime in ((1, 2), (1, 3), (2, 3)):
+        find_occurrences(m, m_prime, 1, 1)
+    assert expansions == []
 
-    def counted_iter_runs(self):
-        for run in real_iter_runs(self):
-            reads[0] += 1
-            yield run
 
-    monkeypatch.setattr(Formula, "iter_runs", counted_iter_runs)
-    find_occurrences(1, 3, 1, 1)
-    first, reads[0] = reads[0], 0
-    find_occurrences(1, 3, 1, 1)
-    assert first <= 5000
-    assert reads[0] == first
+def _profile_events(fn):
+    """Python and C calls made by ``fn()``, with its result."""
+    events = [0]
+
+    def count(frame, event, arg):
+        events[0] += 1
+
+    sys.setprofile(count)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return events[0], result
+
+
+def test_block_sum_fold_does_the_same_work_at_any_bound(monkeypatch):
+    # sum(j=1..k){ j e + 2 c1 } over a c1 holding 3 copies of the target
+    monkeypatch.setattr(bouquet, "MAX_OFFSETS", 100)
+    base, target = bouquet._Summary(1, 0, True), bouquet._Summary(4, 1, True)
+    c1 = bouquet._Summary(0, 0, True)
+    for leaf, r in ((base, 1), (target, 3), (base, 2)):
+        c1.add(leaf, r)
+    work = {}
+    for k in (10**3, 10**30):
+        formula = Formula([BlockSum(k, (BlockTerm(0, 0, 1), BlockTerm(1, 2, 0)))], (c1.length,))
+        work[k], path = _profile_events(lambda: bouquet._fold(formula, [base, c1]))
+        assert path.count == 2 * k * c1.count
+        assert len(path.offsets) == 100 and path.length == formula.length
+    assert work[10**3] == work[10**30]
 
 
 def _summary_by_symbols(symbols, lengths):
@@ -861,6 +903,102 @@ def test_summary_join_equals_the_symbol_by_symbol_scan(lengths, words, top, max_
         symbols = [c for w, r in top for _ in range(r) for c, n in words[w] for _ in range(n)]
         assert (path.length, path.count, path.prefix, path.suffix, path.gaps,
                 path.gaps_all_base, path.offsets) == _summary_by_symbols(symbols, lengths)
+
+
+def _join_copies(path, x, r):
+    """Append ``r`` back-to-back copies of the summary ``x`` (which has no
+    gap ranges) to ``path``, one run at a time."""
+    if not x.count:
+        path.suffix = (path.suffix[0] + r * x.length, path.suffix[1] and x.suffix[1])
+        if not path.count:
+            path.prefix = path.suffix
+        path.length += r * x.length
+        return
+    # one gap at the seam with what came before (or, before any copy, the
+    # prefix) and r - 1 inner gaps between the copies of x
+    seam = (path.suffix[0] + x.prefix[0], path.suffix[1] and x.prefix[1])
+    inner = (x.suffix[0] + x.prefix[0], x.suffix[1] and x.prefix[1])
+    gaps = path.gaps
+    for gap, count in x.gaps.items():
+        gaps[gap] = gaps.get(gap, 0) + r * count
+    if r > 1:
+        gaps[inner[0]] = gaps.get(inner[0], 0) + r - 1
+    if path.count:
+        gaps[seam[0]] = gaps.get(seam[0], 0) + 1
+    else:
+        path.prefix = seam
+    path.gaps_all_base = (path.gaps_all_base and x.gaps_all_base
+                          and (r == 1 or inner[1]) and (not path.count or seam[1]))
+    for start in range(path.length, path.length + r * x.length, x.length):
+        room = bouquet.MAX_OFFSETS - len(path.offsets)
+        if room <= 0:
+            break
+        path.offsets += map(start.__add__, x.offsets[:room])
+    path.suffix = x.suffix
+    path.count += r * x.count
+    path.length += r * x.length
+
+
+def _fold_block_by_block(formula, below):
+    """Reference for ``_fold``: the literal fold, every block sum expanded
+    into its runs and each run joined by :func:`_join_copies`."""
+    path = bouquet._Summary(0, 0, True)
+    for run in formula.iter_runs():
+        _join_copies(path, below[run.cycle], run.count)
+    return path
+
+
+def _summary_fields(summary):
+    return (summary.length, summary.count, summary.prefix, summary.suffix,
+            summary.histogram(), summary.gaps_all_base, summary.offsets)
+
+
+@st.composite
+def formula_items(draw, symbols):
+    """A run, or a block sum of 1-4 terms whose constants may be <= 0."""
+    if draw(st.booleans()):
+        return Run(draw(st.integers(0, symbols - 1)), draw(st.integers(1, 4)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        coef = draw(st.integers(0, 3))
+        terms.append(BlockTerm(draw(st.integers(0, symbols - 1)),
+                               draw(st.integers(-coef, 3)), coef))
+    return BlockSum(draw(st.integers(1, 7)), tuple(terms))
+
+
+@st.composite
+def two_level_formulas(draw):
+    """Formulas of 1-3 cycles over the symbols 0-3, and one over those cycles."""
+    mids = draw(st.lists(st.lists(formula_items(4), min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    return mids, draw(st.lists(formula_items(len(mids) + 1), min_size=1, max_size=3))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.tuples(st.just(1), *[st.integers(1, 4)] * 3), two_level_formulas(),
+       st.sampled_from([bouquet.MAX_OFFSETS, 3, 7]))
+def test_closed_form_fold_equals_the_block_by_block_fold(lengths, formulas, max_offsets):
+    # level-m symbols as in find_occurrences (0 a base edge, 1 the target,
+    # 2 and 3 foreign), folded twice, so that the top fold scales the ranges
+    # of the summaries below it
+    mids, top = formulas
+    leaves = [bouquet._Summary(lengths[c], int(c == 1), c <= 1) for c in range(4)]
+    with mock.patch.object(bouquet, "MAX_OFFSETS", max_offsets):
+        closed, literal = leaves[:1], leaves[:1]
+        for items in mids:
+            try:
+                formula = Formula(items, lengths[1:])
+            except StructuralError:  # an item of length 0
+                assume(False)
+            closed.append(bouquet._fold(formula, leaves))
+            literal.append(_fold_block_by_block(formula, leaves))
+            assert _summary_fields(closed[-1]) == _summary_fields(literal[-1])
+        try:
+            formula = Formula(top, [c.length for c in closed[1:]])
+        except StructuralError:
+            assume(False)
+        assert _summary_fields(bouquet._fold(formula, closed)) == \
+            _summary_fields(_fold_block_by_block(formula, literal))
 
 
 def test_occurrence_budget_error_names_requirement():
