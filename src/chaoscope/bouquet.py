@@ -79,6 +79,9 @@ class Run:
     def body(self) -> tuple[BlockTerm]:
         return (BlockTerm(self.cycle, self.count, 0),)
 
+    def __repr__(self) -> str:
+        return f"Run(cycle={int_text(self.cycle)}, count={int_text(self.count)})"
+
 
 @dataclass(frozen=True)
 class BlockTerm:
@@ -98,6 +101,10 @@ class BlockTerm:
     def count_at(self, j: int) -> int:
         return self.const + self.coef * j
 
+    def __repr__(self) -> str:
+        return (f"BlockTerm(cycle={int_text(self.cycle)}, const={int_text(self.const)}, "
+                f"coef={int_text(self.coef)})")
+
 
 @dataclass(frozen=True)
 class BlockSum:
@@ -115,6 +122,9 @@ class BlockSum:
             raise StructuralError(f"block sum bound must be >= 1, got {int_text(self.bound)}")
         if not self.body:
             raise StructuralError("block sum needs a nonempty body")
+
+    def __repr__(self) -> str:
+        return f"BlockSum(bound={int_text(self.bound)}, body={self.body!r})"
 
 
 FormulaItem = Run | BlockSum

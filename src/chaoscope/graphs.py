@@ -2,7 +2,7 @@
 
 These materialized objects are the verification oracle for the symbolic
 machinery in :mod:`chaoscope.bouquet`: everything here is stored explicitly
-(vertex counts, sorted edge arrays, dense vertex maps) and all checks are
+(vertex counts, sorted edge columns, dense vertex maps) and all checks are
 exhaustive scans that return complete violation lists rather than booleans.
 
 A graph is a finite set of vertices ``0..vertex_count-1`` with directed
@@ -15,24 +15,24 @@ check the axioms that make it a usable covering:
   share a single image, which is what makes the limit dynamics
   single-valued and invertible.
 
-Edges are packed as ``(u << 32) | v`` in an ascending int array, so graphs
-in the millions of vertices stay within a few tens of megabytes.
-:func:`chaoscope.bouquet.materialize_graph` writes a level's keys already
-ascending, as slices of one ``0, 1, 2, ...`` ramp copied into the keys'
-32-bit words in C, so building a level never sorts.  The validators read
-the edges by *runs*: stretches ``(u0 + k, v0 + k)`` of the edge array,
-which is how a cycle's edges lie, so level 3's 3.4 million edges form 62
-runs; any other edge is a run of length 1.  A graph finds its runs once,
-on the first validator call, and keeps them: one scan serves a cover's
-source and its target.  Runs are checked by slices, compared and assigned
-in C.  A run's images come in pieces that follow one run of the target's
-keys or repeat one key, each measured by one slice compare.  For
-bidirectionality the runs' target intervals are sorted once: a vertex can
-have two in-images only where two of them overlap, and each group of
-overlapping runs keeps its targets' first in-images in one array over its
-span, met by each run in one compare.  So the validators hold lists as
-long as the runs and one array as wide as the widest overlap group (one
-vertex on a bouquet, whose only vertex with two in-edges is the base),
+Edges are held as two ascending ``array("I")`` columns of ids, heads and
+tails, in (u, v) order, so graphs in the millions of vertices stay within a
+few tens of megabytes.  :func:`chaoscope.bouquet.materialize_graph` writes
+a level's columns already ascending, as contiguous slices of one
+``0, 1, 2, ...`` ramp copied in C, so building a level never sorts.  The
+validators read the edges by *runs*: stretches ``(u0 + k, v0 + k)`` of the
+columns, which is how a cycle's edges lie, so level 3's 3.4 million edges
+form 62 runs; any other edge is a run of length 1.  A graph finds its runs
+once, on the first validator call, and keeps them: one scan serves a
+cover's source and its target.  Runs are checked by slices, compared and
+assigned in C.  A run's images come in pieces that follow one run of the
+target's edges or repeat one edge, each measured by one slice compare per
+column.  For bidirectionality the runs' target intervals are sorted once: a
+vertex can have two in-images only where two of them overlap, and each
+group of overlapping runs keeps its targets' first in-images in one array
+over its span, met by each run in one compare.  So the validators hold
+lists as long as the runs and one array as wide as the widest overlap group
+(one vertex on a bouquet, whose only vertex with two in-edges is the base),
 never one as long as the vertices.
 """
 
@@ -46,16 +46,9 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import StructuralError
 
-_SHIFT = 32
-_MASK = (1 << _SHIFT) - 1
 _MAX_VERTICES = 1 << 31
-_LOW = 0 if sys.byteorder == "little" else 1  # index of the low word of a key
+_LOW = 0 if sys.byteorder == "little" else 1  # index of the low word of an int64
 _RUN_CAP = 1 << 16  # edges per run, so that a run's temporary arrays stay small
-_RUN_STEP = (1 << _SHIFT) + 1  # packed (u + 1, v + 1) minus packed (u, v)
-
-
-def _pack(u: int, v: int) -> int:
-    return (u << _SHIFT) | v
 
 
 class MaterializedGraph:
@@ -65,50 +58,49 @@ class MaterializedGraph:
     at construction.  Instances are immutable.
     """
 
-    __slots__ = ("vertex_count", "_edges", "_runs")
+    __slots__ = ("vertex_count", "_heads", "_tails", "_runs")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0 or vertex_count > _MAX_VERTICES:
             raise StructuralError(f"vertex_count {vertex_count} out of range (at most 2**31)")
-        packed = array("q")
+        pairs = set()
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise StructuralError(f"edge ({u}, {v}) references a vertex >= {vertex_count}")
-            packed.append(_pack(u, v))
-        dedup = sorted(set(packed))
+            pairs.add((u, v))
+        ordered = sorted(pairs)
         self.vertex_count = vertex_count
-        self._edges = array("q", dedup)
-        self._runs = None  # the edge array's runs, found on first use
+        self._heads = array("I", [u for u, _ in ordered])
+        self._tails = array("I", [v for _, v in ordered])
+        self._runs = None  # the columns' runs, found on first use
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._heads)
+
+    def _span(self, u: int) -> tuple[int, int]:
+        """The edges from ``u``: a stretch of the heads column."""
+        lo = bisect_left(self._heads, u)
+        return lo, bisect_left(self._heads, u + 1, lo)
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = _pack(u, v)
-        i = bisect_left(self._edges, key)
-        return i < len(self._edges) and self._edges[i] == key
+        lo, hi = self._span(u)
+        i = bisect_left(self._tails, v, lo, hi)
+        return i < hi and self._tails[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as (source, target) pairs in sorted order."""
-        for key in self._edges:
-            yield key >> _SHIFT, key & _MASK
+        """Edges as (source, target) pairs in sorted order."""
+        return zip(self._heads, self._tails)
 
     def successors(self, u: int) -> list[int]:
-        lo = bisect_left(self._edges, _pack(u, 0))
-        out = []
-        for i in range(lo, len(self._edges)):
-            key = self._edges[i]
-            if key >> _SHIFT != u:
-                break
-            out.append(key & _MASK)
-        return out
+        return self._tails[slice(*self._span(u))].tolist()
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MaterializedGraph)
             and self.vertex_count == other.vertex_count
-            and self._edges == other._edges
+            and self._heads == other._heads
+            and self._tails == other._tails
         )
 
     def __repr__(self) -> str:
@@ -118,19 +110,20 @@ class MaterializedGraph:
     def _bouquet(cls, starts: Sequence[int], lengths: Sequence[int]) -> "MaterializedGraph":
         # internal fast path, the bouquet of cycles at base 0, its count range-checked
         # by the constructor before any allocation: the caller guarantees lengths >= 2,
-        # cycle i on ids starts[i]..starts[i+1] - 1.  Keys come out ascending, their
-        # 32-bit words copied from the id ramp: the base loop, (0, start) per cycle,
-        # then each cycle's path, whose last edge keeps a zero low word, the base
+        # cycle i on ids starts[i]..starts[i+1] - 1.  Edges come out ascending: the
+        # base loop, (0, start) per cycle, then one edge from each other vertex u, at
+        # m + u, whose tail is u + 1 but at its cycle's last vertex, which keeps the
+        # zero fill, the base.  Every copy is of one contiguous slice, in C: the
+        # heads from the id ramp, and each cycle's tails from the heads themselves
         g = cls(starts[-1] + lengths[-1] - 1 if starts else 1, ())
         m = len(starts)
-        keys = array("q", [0]) * (g.vertex_count + m)
-        keys[1:m + 1] = array("q", starts)
-        high, low = _words(keys)
-        ramp = _identity(g.vertex_count)
-        high[m + 1:] = ramp[1:]
+        g._heads = array("I", [0]) * (g.vertex_count + m)
+        g._tails = array("I", [0]) * (g.vertex_count + m)
+        g._tails[1:m + 1] = array("I", starts)
+        heads, tails = memoryview(g._heads), memoryview(g._tails)
+        heads[m + 1:] = _identity(g.vertex_count)[1:]
         for start, length in zip(starts, lengths):
-            low[m + start:m + start + length - 2] = ramp[start + 1:start + length - 1]
-        g._edges = keys
+            tails[m + start:m + start + length - 2] = heads[m + start + 1:m + start + length - 1]
         return g
 
 
@@ -202,24 +195,23 @@ def validate_edge_surjective(g: MaterializedGraph) -> list[tuple[int, str]]:
 def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
     """Source edges whose images are not edges of the target."""
     vm = c.vertex_map
-    _, images = _words(vm)  # an image is below 2**31: its low word
-    target = c.target._edges
-    heads, tails = _words(target)
-    rank = {key: p for p, key in enumerate(target)}
-    # stop[p]: the end of the target's run through key p
-    stop = [0] * len(target)
+    images = _low_words(vm)  # an image is below 2**31: its low word
+    heads, tails = memoryview(c.target._heads), memoryview(c.target._tails)
+    rank = {edge: p for p, edge in enumerate(c.target.edges())}
+    # stop[p]: the end of the target's run through edge p
+    stop = [0] * len(heads)
     for p, length, _, _ in _runs(c.target):
         stop[p:p + length] = [p + length] * length
 
     violations: list[tuple[int, int]] = []
     for _, length, u0, v0 in _runs(c.source):
         # a run's images come in pieces: each repeats one target edge, or
-        # follows the target's keys from its first edge's rank p at most to
+        # follows the target's edges from its first edge's rank p at most to
         # the end of their run; a compare that fails is galloped to the break
         j = 0
         while j < length:
             u, v = u0 + j, v0 + j
-            p = rank.get(_pack(vm[u], vm[v]))
+            p = rank.get((vm[u], vm[v]))
             if p is None:
                 violations.append((u, v))
                 j += 1
@@ -282,16 +274,15 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
 
 
 def _runs(g: MaterializedGraph) -> list[tuple[int, int, int, int]]:
-    """Cover ``g``'s edge array, in order, with runs ``(index, length, u0, v0)``
+    """Cover ``g``'s edges, in order, with runs ``(index, length, u0, v0)``
     of edges ``(u0 + k, v0 + k)``, cut at a break or at ``_RUN_CAP`` edges.
 
-    Where the next key is one ``_RUN_STEP`` on, a run is measured by comparing
-    the halves of the keys with 0, 1, 2, ... in galloping slices, in C.
+    Where both columns step by 1 to the next edge, a run is measured by
+    comparing column slices with 0, 1, 2, ... in galloping slices, in C.
     Scanned on the first call and kept in the graph.
     """
     if g._runs is None:
-        edges = g._edges
-        high, low = _words(edges)
+        heads, tails = memoryview(g._heads), memoryview(g._tails)
         # one ramp over every id, not one per `_RUN_CAP` tile: a run's source
         # and target intervals each start anywhere below vertex_count, and it
         # is measured against ramp slices at both starts, so tiles would be
@@ -299,17 +290,52 @@ def _runs(g: MaterializedGraph) -> list[tuple[int, int, int, int]]:
         # or all kept, which is this ramp again; it is freed on return
         ramp = _identity(g.vertex_count)
         runs, k = [], 0
-        while k < len(edges):
-            u0, v0 = edges[k] >> _SHIFT, edges[k] & _MASK
+        while k < len(heads):
+            u0, v0 = heads[k], tails[k]
             length = 1
-            if k + 1 < len(edges) and edges[k + 1] - edges[k] == _RUN_STEP:
-                length = _gallop(lambda a, b: high[k + a:k + b] == ramp[u0 + a:u0 + b]
-                                 and low[k + a:k + b] == ramp[v0 + a:v0 + b],
-                                 min(len(edges) - k, _RUN_CAP))
+            if k + 1 < len(heads) and heads[k + 1] == u0 + 1 and tails[k + 1] == v0 + 1:
+                length = _gallop(lambda a, b: heads[k + a:k + b] == ramp[u0 + a:u0 + b]
+                                 and tails[k + a:k + b] == ramp[v0 + a:v0 + b],
+                                 min(len(heads) - k, _RUN_CAP))
             runs.append((k, length, u0, v0))
             k += length
         g._runs = runs
     return g._runs
+
+
+def walk_lengths(g: MaterializedGraph, starts: Iterable[int]) -> list[int]:
+    """The edges walked from the base into each start and on, along each
+    vertex's last out-edge, until back at the base 0.  Raises
+    :class:`StructuralError`, naming the start, at a vertex without an
+    out-edge or past ``vertex_count`` edges, where a walk never returns."""
+    n = g.vertex_count
+    succ, ramp, lengths = _successors(g), _identity(n), []
+    for start in starts:
+        if not g.has_edge(0, start):
+            raise StructuralError(f"walk from {start}: no edge (0, {start}) into it")
+        steps, v = 1, start
+        while v != 0 and steps <= n:
+            # where succ[v + k] is v + k + 1, the walk runs on in one compare
+            run = _gallop(lambda a, b: succ[v + a:v + b] == ramp[v + 1 + a:v + 1 + b], n - 1 - v)
+            if run == 0 and succ[v] == n:
+                raise StructuralError(f"walk from {start}: vertex {v} has no out-edge")
+            v, steps = (v + run, steps + run) if run else (succ[v], steps + 1)
+        if v != 0:
+            raise StructuralError(f"walk from {start} is not back at the base after {n} edges")
+        lengths.append(steps)
+    return lengths
+
+
+def _successors(g: MaterializedGraph) -> memoryview:
+    """Each vertex's successor, the tail of its last edge, or ``vertex_count``
+    where it has no out-edge or is the base: one column slice per run,
+    written in edge order, so that a vertex's last edge is written last."""
+    succ = memoryview(array("I", [g.vertex_count]) * g.vertex_count)
+    tails = memoryview(g._tails)
+    for k, length, u0, _ in _runs(g):
+        skip = u0 == 0  # a run from the base: its first edge is the base's
+        succ[u0 + skip:u0 + length] = tails[k + skip:k + length]
+    return succ
 
 
 def _gallop(same: Callable[[int, int], bool], limit: int) -> int:
@@ -329,10 +355,9 @@ def _gallop(same: Callable[[int, int], bool], limit: int) -> int:
     return good
 
 
-def _words(keys: array) -> tuple[memoryview, memoryview]:
-    """The high and the low 32-bit words of an ``array("q")``, as strided views."""
-    words = memoryview(keys).cast("B").cast("I")
-    return words[1 - _LOW::2], words[_LOW::2]
+def _low_words(ints: array) -> memoryview:
+    """The low 32-bit words of an ``array("q")``, as a strided view."""
+    return memoryview(ints).cast("B").cast("I")[_LOW::2]
 
 
 def _identity(n: int) -> memoryview:

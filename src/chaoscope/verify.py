@@ -11,7 +11,6 @@ stream-built vertex maps, and set memberships are recomputed by brute force.
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 from functools import cache
 
@@ -42,33 +41,6 @@ def _materialized(n: int) -> MaterializedLevel:
     return bouquet.materialize_graph(n)
 
 
-def _successor_array(g: graphs.MaterializedGraph) -> array:
-    """Unique successor per non-base vertex, read off the explicit edges."""
-    succ = array("q", [-1]) * g.vertex_count
-    for u, v in g.edges():
-        if u != 0:
-            succ[u] = v
-    return succ
-
-
-def _measured_cycle_lengths(level: MaterializedLevel) -> list[int]:
-    """Cycle lengths re-measured by walking the materialized graph."""
-    g = level.graph
-    succ = _successor_array(g)
-    lengths = []
-    for start in level.cycle_starts:
-        if not g.has_edge(0, start):
-            raise AssertionError(f"missing entry edge (0, {start})")
-        # simple walk along forced successors until the base-hit
-        steps = 1
-        v = start
-        while v != 0:
-            v = succ[v]
-            steps += 1
-        lengths.append(steps)
-    return lengths
-
-
 # ---------------------------------------------------------------------------
 # 1. Length table.
 # ---------------------------------------------------------------------------
@@ -89,7 +61,8 @@ def check_length_table() -> CriterionResult:
     # with the defining shapes, independently of the symbolic recurrences
     measured: dict[int, list[int]] = {0: []}
     for n in (1, 2, 3):
-        measured[n] = _measured_cycle_lengths(_materialized(n))
+        level = _materialized(n)
+        measured[n] = graphs.walk_lengths(level.graph, level.cycle_starts)
     for (n, i), expected in EXPECTED_LENGTHS.items():
         ok &= measured[n][i - 1] == expected
     for n in (1, 2):

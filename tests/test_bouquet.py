@@ -552,6 +552,23 @@ def test_reprs_name_huge_integers_by_size(default_digit_limit):
         "truncated=True)")
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-digit limit")
+def test_formula_item_reprs_name_huge_integers_by_size(default_digit_limit):
+    # small items keep the generated dataclass text
+    assert repr(build_level_spec(2).image_formulas[0].items) == (
+        "(BlockSum(bound=1572, body=(BlockTerm(cycle=0, const=0, coef=1), "
+        "BlockTerm(cycle=1, const=2, coef=0))), Run(cycle=0, count=1), "
+        "Run(cycle=2, count=2), Run(cycle=0, count=1))")
+    spec = build_level_spec(13)
+    assert repr(spec.image_formulas[0].items[0]) == (
+        "BlockSum(bound=a 24,877-bit integer, body=(BlockTerm(cycle=0, const=0, coef=1), "
+        "BlockTerm(cycle=1, const=2, coef=0)))")
+    last = [item for item in spec.image_formulas[13].items if isinstance(item, Run)][-1]
+    assert repr(last) == "Run(cycle=0, count=a 24,884-bit integer)"
+    assert repr(Run(0, BIG)) == f"Run(cycle=0, count={BIG_TEXT})"
+    assert repr(BlockTerm(0, BIG, 0)) == f"BlockTerm(cycle=0, const={BIG_TEXT}, coef=0)"
+
+
 def test_non_integer_coordinates_are_structural_errors():
     with pytest.raises(StructuralError):
         new_handle(3, 1, 2.5)

@@ -193,7 +193,7 @@ level 2 { c1 := sum(j=1..k){ j e + 2 c1 } + e + e; c2 := 54 e; }
 
 
 def test_materialize_refuses_a_level_past_32_bit_ids(tmp_path, capsys):
-    # no --vertex-budget lets a level overflow the packed keys, so the
+    # no --vertex-budget lets a level overflow the 32-bit id columns, so the
     # default budget does not suggest a rerun with a larger one either
     path = tmp_path / "huge.cover"
     path.write_text("cover huge mode bouquet level 1 { c1 := 2147483650 e; }")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import itertools
 import random
+import sys
 import tracemalloc
 from array import array
 
@@ -140,23 +141,41 @@ def _strictly_ascending(keys) -> bool:
     return all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def packed_keys(g):
+    """``g``'s edges as the ascending keys ``(u << 32) | v`` of one
+    ``array("q")``, its two columns written into the keys' 32-bit words."""
+    keys = array("q", [0]) * g.edge_count
+    heads, tails = split_keys(keys)
+    heads[:], tails[:] = memoryview(g._heads), memoryview(g._tails)
+    return keys
+
+
+def split_keys(keys):
+    """The high and the low 32-bit words of the keys, the heads and tails
+    columns of the edges they pack, as strided views."""
+    words = memoryview(keys).cast("B").cast("I")
+    low = 0 if sys.byteorder == "little" else 1
+    return words[1 - low::2], words[low::2]
+
+
 def test_materialized_edges_are_strictly_ascending(materialized):
     # materialize_graph does not sort its edges: the order has to come out
     # of the construction, length-2 cycles included
     for n in range(4):
-        assert _strictly_ascending(list(materialized[n].graph._edges))
+        assert _strictly_ascending(packed_keys(materialized[n].graph))
     tower = document_tower(parse(SHORT_CYCLES))
     level = materialize_graph(3, spec_for=tower.__getitem__)
     assert 2 in level.cycle_lengths
     g = level.graph
-    assert _strictly_ascending(list(g._edges))
+    assert _strictly_ascending(packed_keys(g))
     assert MaterializedGraph(g.vertex_count, g.edges()) == g
     assert validate_edge_surjective(g) == []
     assert validate_homomorphism(level.cover) == []
 
 
 # `materialize_graph` as it was, one Python int per edge and per image: the
-# references for the word-slice edge keys and the zero-filled vertex map.
+# references for the edge columns, split from the packed keys, and the
+# zero-filled vertex map.
 
 def edges_reference(starts, lengths):
     step = (1 << 32) | 1
@@ -185,9 +204,14 @@ def vertex_map_reference(level, below, prev_spec):
     return vm
 
 
+def assert_columns_equal_the_keys(g, keys):
+    heads, tails = split_keys(keys)
+    assert bytes(g._heads) == bytes(heads) and bytes(g._tails) == bytes(tails)
+
+
 def assert_level_equals_the_references(level, below, prev_spec):
-    assert bytes(level.graph._edges) == bytes(
-        edges_reference(level.cycle_starts, level.cycle_lengths))
+    assert_columns_equal_the_keys(
+        level.graph, edges_reference(level.cycle_starts, level.cycle_lengths))
     if below is None:
         assert level.cover is None
     else:
@@ -222,11 +246,11 @@ def test_materialized_levels_equal_the_per_edge_references(materialized):
 @example([3])
 @example([2, 3, 60, 2])
 def test_bouquet_edges_equal_the_per_edge_reference(lengths):
-    # a length-2 cycle writes no low word, a length-3 cycle one
+    # a length-2 cycle copies no tail, a length-3 cycle one
     level = materialize_graph(0, spec_for=lambda n: LevelSpec(n, tuple(lengths), 0, ()))
     assert level.graph.vertex_count == 1 + sum(length - 1 for length in lengths)
-    assert bytes(level.graph._edges) == bytes(
-        edges_reference(level.cycle_starts, level.cycle_lengths))
+    assert_columns_equal_the_keys(
+        level.graph, edges_reference(level.cycle_starts, level.cycle_lengths))
 
 
 def test_homomorphism_violations_match_has_edge(materialized):
@@ -299,7 +323,7 @@ def test_level_three_images_moved_at_the_cycle_ends_branch(materialized):
 def surjective_reference(g):
     has_out = bytearray(g.vertex_count)
     has_in = bytearray(g.vertex_count)
-    for key in g._edges:
+    for key in packed_keys(g):
         has_out[key >> 32] = 1
         has_in[key & 0xFFFFFFFF] = 1
     return sorted([(v, "in") for v in range(g.vertex_count) if not has_in[v]]
@@ -308,9 +332,9 @@ def surjective_reference(g):
 
 def homomorphism_reference(c):
     vm = c.vertex_map
-    target_keys = set(c.target._edges)
+    target_keys = set(packed_keys(c.target))
     violations = []
-    for key in c.source._edges:
+    for key in packed_keys(c.source):
         u = key >> 32
         v = key & 0xFFFFFFFF
         if (vm[u] << 32) | vm[v] not in target_keys:
@@ -324,7 +348,7 @@ def bidirectional_reference(c):
     out_img = array("q", [-1]) * n
     in_img = array("q", [-1]) * n
     violations = []
-    for key in c.source._edges:
+    for key in packed_keys(c.source):
         u = key >> 32
         v = key & 0xFFFFFFFF
         iu, iv = vm[u], vm[v]
@@ -418,7 +442,7 @@ def test_validators_equal_the_per_edge_references(cover):
     # runs are cut at `_RUN_CAP`; at 3 a small graph's runs are cut too, at
     # 1 every edge is a run of length 1.  A graph keeps the runs of its
     # first scan, so each setting scans fresh graphs built from copies of
-    # the edge arrays
+    # the edge columns
     for cap in (graphs._RUN_CAP, 3, 1):
         fresh = _fresh(cover)
         with pytest.MonkeyPatch.context() as patch:
@@ -434,9 +458,9 @@ def _fresh(cover):
 
 
 def _copy(g):
-    """A new graph on a copy of ``g``'s edge array, its runs not yet scanned."""
+    """A new graph on copies of ``g``'s edge columns, its runs not yet scanned."""
     fresh = MaterializedGraph(g.vertex_count, [])
-    fresh._edges = array("q", g._edges)
+    fresh._heads, fresh._tails = array("I", g._heads), array("I", g._tails)
     return fresh
 
 
@@ -470,7 +494,7 @@ def assert_runs_are_maximal(g, cap):
     # ends at a break or at the cap: this determines them, and scans by
     # slices, fast enough for level 3
     step = (1 << 32) | 1
-    edges = g._edges
+    edges = packed_keys(g)
     done = 0
     for i, length, u0, v0 in graphs._runs(g):
         assert i == done and 1 <= length <= cap
@@ -519,6 +543,127 @@ def test_validators_agree_in_any_call_order(cover):
             fresh = _fresh(cover)
             got = {k: validators[k](fresh) for k in order}
             assert [got[k] for k in range(3)] == expected
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_graphs())
+@example((3, [(0, 0), (0, 0), (2, 1), (2, 1), (2, 2)]))  # duplicates, self-loops, 1 bare
+@example((5, [(1, 2), (1, 3)]))  # heads end below vertex 4
+@example((1, []))
+def test_graph_queries_equal_a_set_of_pairs(graph):
+    n, pairs = graph
+    g = MaterializedGraph(n, pairs)
+    expected = set(pairs)
+    assert list(g.edges()) == sorted(expected) and g.edge_count == len(expected)
+    for u in range(-1, n + 2):  # u past the last head, and past the vertices
+        assert g.successors(u) == sorted(v for w, v in expected if w == u)
+        for v in range(-1, n + 2):
+            assert g.has_edge(u, v) == ((u, v) in expected)
+    assert g == MaterializedGraph(n, reversed(pairs))
+    assert (g == MaterializedGraph(n + 1, pairs)) is False
+
+
+# Criterion 1's walk as it was, one Python statement per edge and per step:
+# the references for `graphs.walk_lengths` and its successor column.
+
+def successor_reference(g):
+    """Unique successor per non-base vertex, read off the explicit edges."""
+    succ = array("q", [-1]) * g.vertex_count
+    for u, v in g.edges():
+        if u != 0:
+            succ[u] = v
+    return succ
+
+
+def walk_reference(g, start):
+    """The walk from ``start`` step by step, or None where it meets a
+    vertex without a successor or does not return within vertex_count."""
+    succ = successor_reference(g)
+    steps, v = 1, start
+    while v != 0:
+        if succ[v] == -1 or steps > g.vertex_count:
+            return None
+        v = succ[v]
+        steps += 1
+    return steps
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_covers())
+@example(_stacked_cover())
+def test_successor_columns_equal_the_per_edge_reference(cover):
+    # the last edge from a vertex wins and the base's edges are skipped,
+    # whatever the runs' cut
+    for cap in (graphs._RUN_CAP, 3, 1):
+        fresh = _fresh(cover)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_RUN_CAP", cap)
+            for g in (fresh.source, fresh.target):
+                none = g.vertex_count
+                assert [-1 if s == none else s for s in graphs._successors(g)] == list(
+                    successor_reference(g))
+
+
+@st.composite
+def walk_graphs(draw):
+    """A bouquet of short cycles at the base, with a few edges added and a
+    few dropped: most walks return, some meet a vertex without an out-edge
+    or a cycle that avoids the base."""
+    lengths = draw(st.lists(st.integers(2, 12), min_size=1, max_size=4))
+    g = materialize_graph(0, spec_for=lambda n: LevelSpec(n, tuple(lengths), 0, ())).graph
+    vertex = st.integers(0, g.vertex_count - 1)
+    edges = list(g.edges()) + draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    for dropped in draw(st.lists(st.integers(0, len(edges) - 1), max_size=2, unique=True)):
+        edges[dropped] = None
+    return MaterializedGraph(g.vertex_count, [edge for edge in edges if edge])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(walk_graphs())
+@example(_stacked_cover().source)
+def test_walks_equal_the_step_by_step_walk_or_raise(g):
+    for cap in (graphs._RUN_CAP, 3, 1):
+        fresh = _copy(g)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_RUN_CAP", cap)
+            for start in range(g.vertex_count):
+                expected = walk_reference(g, start) if g.has_edge(0, start) else None
+                if expected is None:
+                    with pytest.raises(StructuralError, match=f"walk from {start}:? "):
+                        graphs.walk_lengths(fresh, [start])
+                else:
+                    assert graphs.walk_lengths(fresh, [start]) == [expected]
+
+
+def test_level_walks_equal_the_step_by_step_walk(materialized):
+    towers = [document_tower(parse(document)) for document in (NOSURJ, SHORT_CYCLES)]
+    levels = [materialized[n] for n in (1, 2, 3)] + [
+        materialize_graph(n, spec_for=tower.__getitem__) for tower in towers
+        for n in (1, 2, 3)]
+    for level in levels:
+        lengths = graphs.walk_lengths(level.graph, level.cycle_starts)
+        assert lengths == list(level.cycle_lengths)
+        assert lengths == [walk_reference(level.graph, start) for start in level.cycle_starts]
+
+
+@pytest.mark.parametrize("edges, start, message", [
+    ([(0, 1), (1, 2)], 1, "walk from 1: vertex 2 has no out-edge"),
+    ([(0, 1), (1, 2), (2, 3), (3, 1)], 1, "walk from 1 is not back at the base after 4"),
+    ([(0, 0), (0, 3)] + [(k, k + 1) for k in range(3, 99)] + [(99, 3)], 3,
+     "walk from 3 is not back at the base after 100"),  # a long cycle, walked by runs
+    ([(0, 1), (1, 0)], 2, "walk from 2: no edge"),
+])
+def test_a_walk_that_does_not_return_raises_naming_its_start(edges, start, message):
+    g = MaterializedGraph(max(max(e) for e in edges) + 1, edges)
+    with pytest.raises(StructuralError, match=message):
+        graphs.walk_lengths(g, [start])
 
 
 # A target with one long run of keys, (1, 2), (2, 3), ..., (19, 20), entered
