@@ -52,7 +52,7 @@ INITIAL_CYCLE_LENGTH = 10
 DEFAULT_VERTEX_BUDGET = 10**7
 DEFAULT_SCAN_BUDGET = 10**8
 MAX_OFFSETS = 200_000  # copy offsets an OccurrenceReport keeps
-LEVEL_LIMIT = 20
+LEVEL_LIMIT = 21  # the deepest level, of specs and addresses alike
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +348,13 @@ class Formula:
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """Symbolic description of one level and of the cover onto it.
+    """Symbolic description of one level and of the cover from it onto the
+    level below.
 
     ``cycle_lengths`` are the lengths of this level's cycles,
     ``k_value = 2 * (1 + sum(cycle_lengths))`` and ``image_formulas[i-1]`` is
-    the image of cycle ``i`` of the next level, written over this level's
-    symbols.  There are ``level + 1`` formulas.  The lengths come from the
-    formulas of spec ``level - 1``; building a spec also builds the next
-    level's lengths, which at depth are as wide as ``k_value`` squared.
+    the image of this level's cycle ``i``, written over the symbols of the
+    level below.  There are ``level`` formulas; level 0 has none.
 
     A tower is any lookup ``spec_for(n)`` (or ``tower[n]``) returning level
     ``n``'s spec; it raises :class:`StructuralError` for a level it lacks.
@@ -379,28 +378,30 @@ def build_level_spec(n: int) -> LevelSpec:
             f"level {int_text(n)} exceeds the practical limit {LEVEL_LIMIT}; "
             "cycle lengths roughly double in bit size per level")
     if n == 0:
-        return LevelSpec(0, (), 2, (Formula([Run(0, INITIAL_CYCLE_LENGTH)], ()),))
-    lengths = tuple(f.length for f in build_level_spec(n - 1).image_formulas)
-    k = 2 * (1 + sum(lengths))
+        return LevelSpec(0, (), 2, ())
+    below = build_level_spec(n - 1)
 
     def walk(i: int) -> list[FormulaItem]:
-        # one base edge, 2 passes of each of cycles i..n, one base edge
-        return [Run(0, 1), *(Run(c, 2) for c in range(i, n + 1)), Run(0, 1)]
+        # one base edge, 2 passes of each of cycles i..n-1, one base edge
+        return [Run(0, 1), *(Run(c, 2) for c in range(i, n)), Run(0, 1)]
 
-    # cycle 1: the block sum, then cycle 2's walk; cycle n+1: a pure base run
-    images = [[BlockSum(k, (BlockTerm(0, 0, 1), BlockTerm(1, 2, 0))), *walk(2)]]
-    images += [walk(i) for i in range(2, n + 1)]
-    images.append([Run(0, (n + 2) ** 2 * sum(lengths))])
-    return LevelSpec(n, lengths, k, tuple(Formula(items, lengths) for items in images))
+    if n == 1:  # one run of base edges
+        images = [[Run(0, INITIAL_CYCLE_LENGTH)]]
+    else:  # cycle 1: the block sum, then cycle 2's walk; cycle n: a pure base run
+        images = [[BlockSum(below.k_value, (BlockTerm(0, 0, 1), BlockTerm(1, 2, 0))), *walk(2)]]
+        images += [walk(i) for i in range(2, n)]
+        images.append([Run(0, (n + 1) ** 2 * sum(below.cycle_lengths))])
+    formulas = tuple(Formula(items, below.cycle_lengths) for items in images)
+    lengths = tuple(f.length for f in formulas)
+    return LevelSpec(n, lengths, 2 * (1 + sum(lengths)), formulas)
 
 
 def cycle_length(n: int, i: int) -> int:
-    """Length of cycle ``i`` at level ``n``, read from the formula that
-    defines it in spec ``n - 1`` (spec ``n`` would build level ``n+1``)."""
+    """Length of cycle ``i`` at level ``n``."""
     if not (1 <= i <= n):
         raise StructuralError(
             f"level {int_text(n)} has cycles 1..{int_text(n)}, asked for {int_text(i)}")
-    return build_level_spec(n - 1).image_formulas[i - 1].length
+    return build_level_spec(n).cycle_lengths[i - 1]
 
 
 def level_spec_json(spec: LevelSpec) -> dict:
@@ -453,12 +454,12 @@ class VertexAddr(NamedTuple):
                 f"pos={int_text(self.pos)})")
 
 
-_BASES = tuple(VertexAddr(n, 0, 0) for n in range(LEVEL_LIMIT + 2))
+_BASES = tuple(VertexAddr(n, 0, 0) for n in range(LEVEL_LIMIT + 1))
 
 
 def base_addr(level: int) -> VertexAddr:
-    """The base of a level: shared within the address levels, else fresh."""
-    if type(level) is int and 0 <= level <= LEVEL_LIMIT + 1:
+    """The base of a level: shared up to the level limit, else fresh."""
+    if type(level) is int and 0 <= level <= LEVEL_LIMIT:
         return _BASES[level]
     return VertexAddr(level, 0, 0)
 
@@ -469,7 +470,7 @@ def check_addr(a: VertexAddr) -> None:
 
 
 def _image_formula(a: VertexAddr) -> Formula | None:
-    """Check ``a``; its cycle's image formula in spec ``a.level - 1``, or None."""
+    """Check ``a``; its cycle's image formula in spec ``a.level``, or None."""
     level, cycle, pos = a
     if not (type(level) is type(cycle) is type(pos) is int):
         raise StructuralError(f"address coordinates must be ints: {a!r}")
@@ -478,14 +479,14 @@ def _image_formula(a: VertexAddr) -> Formula | None:
     if cycle == 0:
         if pos != 0:
             raise StructuralError(f"base address must have pos 0: {a}")
-        if level > LEVEL_LIMIT + 1:  # no cycle address is deeper
-            raise StructuralError(f"level {int_text(level)} is past {LEVEL_LIMIT + 1}, "
+        if level > LEVEL_LIMIT:  # no cycle address is deeper
+            raise StructuralError(f"level {int_text(level)} is past {LEVEL_LIMIT}, "
                                   "the deepest level an address can have")
         return None
     if not (1 <= cycle <= level):
         raise StructuralError(
             f"cycle {int_text(cycle)} does not exist at level {int_text(level)}")
-    formula = build_level_spec(level - 1).image_formulas[cycle - 1]
+    formula = build_level_spec(level).image_formulas[cycle - 1]
     if not (1 <= pos < formula.length):
         raise StructuralError(
             f"position {int_text(pos)} outside [1, {int_text(formula.length - 1)}] "
@@ -522,11 +523,13 @@ class LiftReport:
 def lift_choices(a: VertexAddr, max_results: int) -> LiftReport:
     """All level-(n+1) addresses projecting onto ``a``, in increasing
     (cycle, position) order, truncated to ``max_results``."""
-    # spec a.level first: past the level limit it raises before check_addr
-    # builds spec a.level - 1, which at the limit takes seconds
-    spec = build_level_spec(a.level)
-    check_addr(a)
+    # spec a.level + 1 first: past the level limit it raises before check_addr
+    # builds spec a.level, which at the limit takes seconds
+    if type(a.level) is not int:
+        check_addr(a)  # refuses it before the level is added to
     up = a.level + 1
+    spec = build_level_spec(up)
+    check_addr(a)
     lifts = chain([base_addr(up)] if a.is_base else [],
                   (VertexAddr(up, i, p)
                    for i, formula in enumerate(spec.image_formulas, start=1)
@@ -617,10 +620,6 @@ class _Summary:
             for gap in range(first, last + 1, step):
                 gaps[gap] = gaps.get(gap, 0) + count
         return gaps
-
-    def add(self, x: _Summary, r: int) -> None:
-        """Append ``r`` back-to-back copies of the path ``x``: one block of one term."""
-        self.add_blocks([(x, r, 0)], 1, 1)
 
     def add_blocks(self, terms: list[tuple[_Summary, int, int]], lo: int, hi: int) -> None:
         """Append blocks j = lo..hi in closed form, whatever their number: in
@@ -732,8 +731,8 @@ def find_occurrences(m: int, m_prime: int, target_cycle: int, source_cycle: int,
         _Summary(cycle_length(m, c), int(c == target_cycle), c == target_cycle)
         for c in range(1, m + 1)]
     for n in range(m + 1, m_prime):
-        below = below[:1] + [_fold(f, below) for f in build_level_spec(n - 1).image_formulas]
-    path = _fold(build_level_spec(m_prime - 1).image_formulas[source_cycle - 1], below)
+        below = below[:1] + [_fold(f, below) for f in build_level_spec(n).image_formulas]
+    path = _fold(build_level_spec(m_prime).image_formulas[source_cycle - 1], below)
     return OccurrenceReport(
         source_level=m_prime, source_cycle=source_cycle,
         target_level=m, target_cycle=target_cycle,
@@ -792,7 +791,8 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     budget, and as out of range any past 2**31; level 4 of the built-in tower
     is already around 7e13 vertices and must never be materialized.
     """
-    lengths = spec_for(n).cycle_lengths
+    spec = spec_for(n)
+    lengths = spec.cycle_lengths
     starts = []
     next_id = 1
     for length in lengths:
@@ -813,15 +813,14 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     if n >= 1:
         below = materialize_graph(n - 1, vertex_budget, spec_for)
         vm = array("q", [0]) * vertex_count  # zero-filled: base image
-        prev_spec = spec_for(n - 1)
         ids = array("q", range(below.graph.vertex_count))
-        for formula, vid in zip(prev_spec.image_formulas, starts):
+        for formula, vid in zip(spec.image_formulas, starts):
             # vid: id of the vertex one edge past the walk cursor
             for run in formula.iter_runs():
                 if run.cycle == 0:
                     vid += run.count  # base positions: image stays 0
                     continue
-                clen = prev_spec.cycle_lengths[run.cycle - 1]
+                clen = below.cycle_lengths[run.cycle - 1]
                 img_start = below.cycle_starts[run.cycle - 1]
                 block = ids[img_start:img_start + clen - 1]  # the cycle's interior
                 for _ in range(run.count):

@@ -437,14 +437,13 @@ def resolve(doc: CoverDocument) -> tuple[Tower, list[Violation]]:
     (empty = valid).  Each cycle's terms become a :class:`Formula` exactly
     once; the tower means something only when there are no violations.
 
-    Spec ``n`` carries level ``n``'s cycle lengths and the formulas of level
-    ``n+1``'s cycles; the deepest spec has no formulas (the document ends).
+    Spec 0 is the implicit base level; each level block adds the spec of its
+    level, its cycles' formulas written over the spec before it.
     """
     violations: list[Violation] = []
-    specs: list[LevelSpec] = []
-    below_lengths: tuple[int, ...] = ()
-    k_below = 2
+    specs = [LevelSpec(0, (), 2, ())]
     for expected, block in enumerate(doc.levels, start=1):
+        below = specs[-1]
         if block.level != expected:
             violations.append(Violation(
                 "NonContiguousLevels",
@@ -462,10 +461,10 @@ def resolve(doc: CoverDocument) -> tuple[Tower, list[Violation]]:
                     f"cycle indices {indices} are not 1..{len(indices)}",
                     level=block.level))
         formulas: list[Formula] = []
-        new_lengths = []
+        lengths = []
         for cyc in block.cycles:
             errs: list[tuple[str, str]] = []
-            items = _convert_terms(cyc.terms, k_below, len(below_lengths), errs)
+            items = _convert_terms(cyc.terms, below.k_value, len(below.cycle_lengths), errs)
             violations.extend(Violation(code, msg, block.level, cyc.index)
                               for code, msg in errs)
             first = _end_atom(cyc.terms, 0)
@@ -476,14 +475,14 @@ def resolve(doc: CoverDocument) -> tuple[Tower, list[Violation]]:
                     "image formulas must begin and end with an edge term",
                     block.level, cyc.index))
             if errs or not items:
-                new_lengths.append(0)
+                lengths.append(0)
                 continue
             try:
-                formula = Formula(items, below_lengths)
+                formula = Formula(items, below.cycle_lengths)
             except ChaoscopeError as exc:
                 violations.append(Violation("BadTerm", str(exc),
                                             block.level, cyc.index))
-                new_lengths.append(0)
+                lengths.append(0)
                 continue
             if formula.length < 2:
                 violations.append(Violation(
@@ -498,12 +497,9 @@ def resolve(doc: CoverDocument) -> tuple[Tower, list[Violation]]:
                     f"expands to {formula.length}",
                     block.level, cyc.index))
             formulas.append(formula)
-            new_lengths.append(formula.length)
-        specs.append(LevelSpec(block.level - 1, below_lengths, k_below,
+            lengths.append(formula.length)
+        specs.append(LevelSpec(block.level, tuple(lengths), 2 * (1 + sum(lengths)),
                                tuple(formulas)))
-        below_lengths = tuple(new_lengths)
-        k_below = 2 * (1 + sum(below_lengths))
-    specs.append(LevelSpec(len(doc.levels), below_lengths, k_below, ()))
     return Tower(specs), violations
 
 
@@ -561,8 +557,8 @@ def equals_builtin(tower: Tower, up_to_level: int) -> bool:
     if len(tower) <= up_to_level:
         return False
     for n in range(1, up_to_level + 1):
-        doc_spec = tower[n - 1]
-        ref_spec = build_level_spec(n - 1)
+        doc_spec = tower[n]
+        ref_spec = build_level_spec(n)
         if len(doc_spec.image_formulas) != len(ref_spec.image_formulas):
             return False
         for mine, ref in zip(doc_spec.image_formulas, ref_spec.image_formulas):

@@ -54,7 +54,7 @@ DEFAULT_POSITION_RESERVE = 10**6
 # positions keep at least the degree-index levels moving
 CYCLE_ONE_BAND = (10**6, 2 * 10**6)
 HIGH_CYCLE_BAND = (1, 10**6)
-_BASES = tuple(map(base_addr, range(LEVEL_LIMIT + 2)))  # a column's base levels
+_BASES = tuple(map(base_addr, range(LEVEL_LIMIT + 1)))  # a column's base levels
 
 
 class PointHandle(NamedTuple):
@@ -244,7 +244,7 @@ def _dwell(column: list[VertexAddr]) -> int | None:
     upper = next((a for a in column if a.cycle), None)
     if upper is None:
         return None
-    formula = build_level_spec(upper.level - 1).image_formulas[upper.cycle - 1]
+    formula = build_level_spec(upper.level).image_formulas[upper.cycle - 1]
     q = formula.next_off_base(upper.pos)
     return (formula.length if q is None else q) - upper.pos
 

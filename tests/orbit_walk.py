@@ -31,9 +31,8 @@ class WalkingCursor:
         self.handle = handle
         self.time = handle.offset
         self.column = column_of(handle)
-        # level n's lengths are spec n-1's formula lengths (see cycle_length)
-        self._lengths = [()] + [[f.length for f in build_level_spec(lvl).image_formulas]
-                                for lvl in range(handle.spine_level)]
+        self._lengths = [build_level_spec(lvl).cycle_lengths
+                         for lvl in range(handle.spine_level + 1)]
 
     def advance(self) -> None:
         col = self.column

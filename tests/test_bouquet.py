@@ -58,10 +58,10 @@ def test_known_k_values():
     assert build_level_spec(2).k_value == 1572
 
 
-def test_level_zero_spec_is_ten_base_edges():
+def test_level_zero_spec_is_empty_and_level_one_is_ten_base_edges():
     spec = build_level_spec(0)
-    assert spec.cycle_lengths == ()
-    assert spec.image_formulas[0].items == (Run(0, 10),)
+    assert spec.cycle_lengths == () and spec.image_formulas == ()
+    assert build_level_spec(1).image_formulas[0].items == (Run(0, 10),)
 
 
 def test_level_four_first_cycle_against_independent_summation():
@@ -78,7 +78,7 @@ def test_level_four_first_cycle_against_independent_summation():
 
 
 def test_formulas_start_and_end_with_base_edges():
-    for n in range(0, 13):
+    for n in range(1, 14):
         for formula in build_level_spec(n).image_formulas:
             runs_first = formula.items[0]
             runs_last = formula.items[-1]
@@ -270,8 +270,8 @@ def _locate_by_bisection(formula, offset):
 
 def _block_sums():
     """(formula, item index) of every block sum in the formulas of the
-    built-in levels 1-16 (the specs of levels 0-15) and of WIDE_BLOCKS."""
-    formulas = [f for n in range(16) for f in build_level_spec(n).image_formulas]
+    built-in levels 1-16 and of WIDE_BLOCKS."""
+    formulas = [f for n in range(1, 17) for f in build_level_spec(n).image_formulas]
     formulas += [f for spec in document_tower(parse(WIDE_BLOCKS))
                  for f in spec.image_formulas]
     for formula in formulas:
@@ -359,7 +359,7 @@ def test_band_column_takes_no_wide_square_root(monkeypatch):
         for lower, upper in zip(column, column[1:]):
             if upper.is_base:
                 continue
-            formula = build_level_spec(lower.level).image_formulas[upper.cycle - 1]
+            formula = build_level_spec(upper.level).image_formulas[upper.cycle - 1]
             assert (lower.cycle, lower.pos) == _locate_by_bisection(formula, upper.pos)
 
 
@@ -386,8 +386,8 @@ BAD_ADDRESSES = [
     (VertexAddr(3, -1, 1), "cycle -1 does not exist at level 3"),
     (VertexAddr(3, 2, 0), "position 0 outside [1, 181] on cycle 2 of level 3"),
     (VertexAddr(3, 2, 182), "position 182 outside [1, 181] on cycle 2 of level 3"),
-    # a cycle address reads spec level - 1, and spec 21 is past the limit
-    (VertexAddr(22, 1, 1), "level 21 exceeds the practical limit 20; "
+    # a cycle address reads the spec of its level, and spec 22 is past the limit
+    (VertexAddr(22, 1, 1), "level 22 exceeds the practical limit 21; "
                            "cycle lengths roughly double in bit size per level"),
 ]
 
@@ -445,7 +445,7 @@ HUGE_INTEGER_TEXTS = [
                  f"level {BIG_TEXT} is past 21, the deepest level an address can have",
                  id="address-base-level"),
     pytest.param(lambda: bouquet.check_addr(VertexAddr(BIG, 1, 1)),
-                 f"level {BIG_TEXT} exceeds the practical limit 20; "
+                 f"level {BIG_TEXT} exceeds the practical limit 21; "
                  "cycle lengths roughly double in bit size per level",
                  id="address-cycle-level"),
     pytest.param(lambda: bouquet.check_addr(VertexAddr(3, BIG, 1)),
@@ -475,7 +475,7 @@ HUGE_INTEGER_TEXTS = [
     pytest.param(lambda: next(base_changes(new_handle(3, 1, 5), BIG, 10)),
                  f"level {BIG_TEXT} outside [0, 3]", id="base_changes"),
     pytest.param(lambda: build_level_spec(BIG),
-                 f"level {BIG_TEXT} exceeds the practical limit 20; "
+                 f"level {BIG_TEXT} exceeds the practical limit 21; "
                  "cycle lengths roughly double in bit size per level",
                  id="build_level_spec-high"),
     pytest.param(lambda: build_level_spec(-BIG),
@@ -540,8 +540,8 @@ def test_reprs_name_huge_integers_by_size(default_digit_limit):
     assert repr(PointHandle(3, VertexAddr(3, 1, 5), BIG)) == (
         f"PointHandle(spine_level=3, address=VertexAddr(level=3, cycle=1, pos=5), "
         f"offset={BIG_TEXT})")
-    assert repr(build_level_spec(3).image_formulas[0]) == "Formula(5 items, length=70594865633727)"
-    assert repr(build_level_spec(12).image_formulas[0]) == (
+    assert repr(build_level_spec(4).image_formulas[0]) == "Formula(5 items, length=70594865633727)"
+    assert repr(build_level_spec(13).image_formulas[0]) == (
         "Formula(14 items, length=a 24,876-bit integer)")
     assert repr(lift_choices(VertexAddr(0, 0, 0), 1)) == (
         "LiftReport(address=VertexAddr(level=0, cycle=0, pos=0), "
@@ -555,11 +555,11 @@ def test_reprs_name_huge_integers_by_size(default_digit_limit):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-digit limit")
 def test_formula_item_reprs_name_huge_integers_by_size(default_digit_limit):
     # small items keep the generated dataclass text
-    assert repr(build_level_spec(2).image_formulas[0].items) == (
+    assert repr(build_level_spec(3).image_formulas[0].items) == (
         "(BlockSum(bound=1572, body=(BlockTerm(cycle=0, const=0, coef=1), "
         "BlockTerm(cycle=1, const=2, coef=0))), Run(cycle=0, count=1), "
         "Run(cycle=2, count=2), Run(cycle=0, count=1))")
-    spec = build_level_spec(13)
+    spec = build_level_spec(14)
     assert repr(spec.image_formulas[0].items[0]) == (
         "BlockSum(bound=a 24,877-bit integer, body=(BlockTerm(cycle=0, const=0, coef=1), "
         "BlockTerm(cycle=1, const=2, coef=0)))")
@@ -757,7 +757,7 @@ def test_occurrence_offsets_truncate_but_histogram_does_not(monkeypatch):
 def _run_stream(level_from, cycle, level_to):
     """Literal runs at ``level_to`` (below ``level_from``) for one full
     traversal of the given cycle."""
-    spec = build_level_spec(level_from - 1)
+    spec = build_level_spec(level_from)
     for run in spec.image_formulas[cycle - 1].iter_runs():
         if run.cycle == 0 or level_from - 1 == level_to:
             yield run
@@ -845,13 +845,19 @@ def _profile_events(fn):
     return events[0], result
 
 
+def _add(path, x, r):
+    """Append ``r`` back-to-back copies of the summary ``x`` to ``path``:
+    one block of one term."""
+    path.add_blocks([(x, r, 0)], 1, 1)
+
+
 def test_block_sum_fold_does_the_same_work_at_any_bound(monkeypatch):
     # sum(j=1..k){ j e + 2 c1 } over a c1 holding 3 copies of the target
     monkeypatch.setattr(bouquet, "MAX_OFFSETS", 100)
     base, target = bouquet._Summary(1, 0, True), bouquet._Summary(4, 1, True)
     c1 = bouquet._Summary(0, 0, True)
     for leaf, r in ((base, 1), (target, 3), (base, 2)):
-        c1.add(leaf, r)
+        _add(c1, leaf, r)
     work = {}
     for k in (10**3, 10**30):
         formula = Formula([BlockSum(k, (BlockTerm(0, 0, 1), BlockTerm(1, 2, 0)))], (c1.length,))
@@ -912,11 +918,11 @@ def test_summary_join_equals_the_symbol_by_symbol_scan(lengths, words, top, max_
         for word in words:
             summary = bouquet._Summary(0, 0, True)
             for cycle, r in word:
-                summary.add(leaves[cycle], r)
+                _add(summary, leaves[cycle], r)
             summaries.append(summary)
         path = bouquet._Summary(0, 0, True)
         for w, r in top:
-            path.add(summaries[w], r)
+            _add(path, summaries[w], r)
         symbols = [c for w, r in top for _ in range(r) for c, n in words[w] for _ in range(n)]
         assert (path.length, path.count, path.prefix, path.suffix, path.gaps,
                 path.gaps_all_base, path.offsets) == _summary_by_symbols(symbols, lengths)
@@ -1103,7 +1109,7 @@ def test_spec_json_uses_decimal_strings():
     record = level_spec_json(build_level_spec(2))
     assert record["cycle_lengths"] == ["695", "90"]
     assert record["k"] == "1572"
-    sum_item = record["image_formulas"][0][0]
+    sum_item = level_spec_json(build_level_spec(3))["image_formulas"][0][0]
     assert sum_item["kind"] == "sum" and sum_item["bound"] == "1572"
 
 

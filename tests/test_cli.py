@@ -14,9 +14,13 @@ import pytest
 
 from chaoscope import (
     StructuralError,
+    VertexAddr,
     bouquet,
     build_level_spec,
     builtin_document,
+    cycle_length,
+    fixed_point,
+    lift_choices,
     serialize,
     verify,
 )
@@ -44,7 +48,7 @@ def test_levels_json_format(capsys):
 def test_levels_formulas_expose_specs(capsys):
     code, out = run(capsys, "levels", "--max", "2", "--formulas")
     rows = json.loads(out)
-    assert rows[1]["image_formulas"][0][0] == {"kind": "sum", "bound": "22",
+    assert rows[2]["image_formulas"][0][0] == {"kind": "sum", "bound": "22",
                                                "body": [
                                                    {"cycle": 0, "const": "0", "coef": "1"},
                                                    {"cycle": 1, "const": "2", "coef": "0"}]}
@@ -219,7 +223,7 @@ def test_levels_formulas_bytes_are_pinned(capsys):
     code, out = run(capsys, "levels", "--max", "6", "--formulas")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "9c93773c55a903dca050be2a6ea16f6b4452d5cba5d73a5573d04e90ae074da7")
+        "e518f084f040f26fb350009714bfde6943c7522994900be637e6a3be2f317ca8")
 
 
 def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys):
@@ -233,11 +237,32 @@ def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys
     assert from_cover == builtin
 
 
+def test_level_formulas_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys):
+    path = tmp_path / "builtin.cover"
+    path.write_text(serialize(builtin_document(5)))
+    code, from_cover = run(capsys, "levels", "--max", "5", "--formulas", "--cover", str(path))
+    assert code == 0
+    code, builtin = run(capsys, "levels", "--max", "5", "--formulas")
+    assert code == 0
+    assert from_cover == builtin
+
+
+def test_each_levels_formulas_record_holds_its_own_cycles(capsys):
+    # record n holds level n's n formulas; levels 1-6 hold these 21, in order
+    code, out = run(capsys, "levels", "--max", "6", "--formulas")
+    assert code == 0
+    rows = json.loads(out)
+    assert [len(row["image_formulas"]) for row in rows] == list(range(7))
+    flat = [formula for row in rows[1:] for formula in row["image_formulas"]]
+    assert hashlib.sha256(json.dumps(flat).encode()).hexdigest() == (
+        "23307cf7a6771ddf3660af14f579ce5183739fa55fc3feb14e3a890d470d5f6b")
+
+
 @pytest.mark.parametrize("argv, expected", [
     ("levels --max -2", 2),
-    ("levels --max 21", 2),  # past LEVEL_LIMIT: refused before any level is built
-    ("degree --handle 22:3:5", 2),  # needs spec 21: refused, not warned about
-    ("lift --level 21 --cycle 1 --pos 1", 2),  # refused before spec 20 is built
+    ("levels --max 22", 2),  # past LEVEL_LIMIT: refused before any level is built
+    ("degree --handle 22:3:5", 2),  # needs spec 22: refused, not warned about
+    ("lift --level 21 --cycle 1 --pos 1", 2),  # refused before spec 21 is built
     ("liyorke --pairs -3", 2),
     ("liyorke --pairs 2 --horizon 2000 --sep-rate -1", 2),  # a rate is in [0, 1]
     ("liyorke --pairs 2 --horizon 2000 --sep-rate nan", 2),
@@ -260,7 +285,7 @@ def test_levels_of_the_builtin_document_match_the_builtin_tower(tmp_path, capsys
     ("liyorke --pairs 1 --spine 1 --horizon 5", 2),  # cycle 1 of level 1 is too short
     # a base address deeper than level 21, where no cycle address exists
     ("degree --handle 22:0:0", 2),
-    ("orbit --spine 22 --base --horizon 0", 2),  # refused before spec 20 is built
+    ("orbit --spine 22 --base --horizon 0", 2),  # refused before spec 21 is built
     ("distance --a 300000:0:0 --b 2:0:0", 2),
     # argparse's own errors
     ("liyorke --seed x", 2),
@@ -323,6 +348,16 @@ def test_level_limit_is_one_error_for_library_and_cli(monkeypatch, capsys):
         assert str(err.value) == message
         assert main(["levels", "--max", "4"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        # specs and addresses end at the same level
+        assert fixed_point(3).address == (3, 0, 0) and cycle_length(3, 1) == 3_421_640
+        with pytest.raises(StructuralError, match="^level 4 is past 3, the deepest level"):
+            fixed_point(4)
+        assert lift_choices(VertexAddr(2, 1, 1), 1).total > 0
+        build_level_spec.cache_clear()
+        with pytest.raises(StructuralError) as err:
+            lift_choices(VertexAddr(3, 1, 1), 1)
+        assert str(err.value) == message
+        assert build_level_spec.cache_info().currsize == 0  # refused before any spec
     finally:
         build_level_spec.cache_clear()
 
@@ -339,11 +374,11 @@ PINNED = [
      "807d067c208604bfc5c1cd989af05179ede88deceaf4f981ce0e50d68e13552d",
      ""),
     ("levels --max 1 --formulas", 0,
-     "9d066ded2661b87fcced1f72500cf3946b9de2170516494869df11afb77c9588",
+     "b9d4c9c700a5117e51b5dc254edabee395faf0404a1661f509eda12ebf49d904",
      ""),
-    ("levels --max 21", 2,
+    ("levels --max 22", 2,
      EMPTY,
-     "error: level 21 exceeds the practical limit 20; cycle lengths roughly double"
+     "error: level 22 exceeds the practical limit 21; cycle lengths roughly double"
      " in bit size per level\n"),
     ("levels --cover missing.cover", 2,
      EMPTY,

@@ -26,7 +26,7 @@ from chaoscope import (
     resolve,
     serialize,
 )
-from chaoscope.dsl import CycleDecl, DocSum, DocTerm
+from chaoscope.dsl import CycleDecl, DocSum, DocTerm, _normalize_items
 from chaoscope.verify import DSL_MUTATIONS, rejection_stage
 
 MINIMAL = """\
@@ -58,7 +58,7 @@ level 2 {
     doc = parse(text)
     assert resolve(doc)[1] == []
     tower = document_tower(doc)
-    assert tower[1].image_formulas[0].length == 695
+    assert tower[2].image_formulas[0].length == 695
     assert tower[2].cycle_lengths == (695, 90)
 
 
@@ -240,6 +240,19 @@ def test_builtin_document_levels_up_to_five_are_equivalent():
     assert equals_builtin(tower, 5)
 
 
+def test_each_document_spec_is_the_builtin_spec_of_its_level():
+    # spec n holds level n's lengths, its k and its own cycles' formulas
+    tower, problems = resolve(builtin_document(6))
+    assert problems == [] and len(tower) == 7
+    assert tower[0].image_formulas == ()
+    for n, spec in enumerate(tower):
+        ref = build_level_spec(n)
+        assert (spec.level, spec.cycle_lengths, spec.k_value) == (
+            ref.level, ref.cycle_lengths, ref.k_value)
+        assert [_normalize_items(f.items) for f in spec.image_formulas] == [
+            _normalize_items(f.items) for f in ref.image_formulas]
+
+
 def test_builtin_document_is_written_without_the_generator(monkeypatch):
     # criterion 11 compares the document with build_level_spec, so the
     # document must not borrow its counts from it: each top cycle's length
@@ -282,7 +295,7 @@ def test_a_valid_level_with_a_third_cycle_is_not_the_builtin_tower():
     text = serialize(builtin_document(2)).replace("c2 := 90 e;", "c2 := 90 e;\n  c3 := 50 e;")
     tower, problems = resolve(parse(text))
     assert problems == []
-    assert [f.length for f in tower[1].image_formulas] == [695, 90, 50]
+    assert [f.length for f in tower[2].image_formulas] == [695, 90, 50]
     assert equals_builtin(tower, 1)
     assert not equals_builtin(tower, 2)
 
@@ -361,7 +374,7 @@ level 2 { c1 := e + c1 + e; c2 := e + c2 + e; c3 := e + c1 + e + c2 + e; }
     assert level2.cycle_lengths == (6, 5, 10)
     for vid in range(1, level2.graph.vertex_count):
         addr = level2.id_to_addr(vid)
-        cycle, pos = tower[1].image_formulas[addr.cycle - 1].locate(addr.pos)
+        cycle, pos = tower[2].image_formulas[addr.cycle - 1].locate(addr.pos)
         assert level2.cover.vertex_map[vid] == level1.addr_to_id(VertexAddr(1, cycle, pos))
 
 

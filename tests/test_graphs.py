@@ -189,14 +189,14 @@ def edges_reference(starts, lengths):
     return packed
 
 
-def vertex_map_reference(level, below, prev_spec):
+def vertex_map_reference(level, below, spec):
     vm = array("q", bytes(8 * level.graph.vertex_count))
-    for formula, vid in zip(prev_spec.image_formulas, level.cycle_starts):
+    for formula, vid in zip(spec.image_formulas, level.cycle_starts):
         for run in formula.iter_runs():
             if run.cycle == 0:
                 vid += run.count
                 continue
-            clen = prev_spec.cycle_lengths[run.cycle - 1]
+            clen = below.cycle_lengths[run.cycle - 1]
             img_start = below.cycle_starts[run.cycle - 1]
             for _ in range(run.count):
                 vm[vid:vid + clen - 1] = array("q", range(img_start, img_start + clen - 1))
@@ -209,14 +209,14 @@ def assert_columns_equal_the_keys(g, keys):
     assert bytes(g._heads) == bytes(heads) and bytes(g._tails) == bytes(tails)
 
 
-def assert_level_equals_the_references(level, below, prev_spec):
+def assert_level_equals_the_references(level, below, spec):
     assert_columns_equal_the_keys(
         level.graph, edges_reference(level.cycle_starts, level.cycle_lengths))
     if below is None:
         assert level.cover is None
     else:
         assert bytes(level.cover.vertex_map) == bytes(
-            vertex_map_reference(level, below, prev_spec))
+            vertex_map_reference(level, below, spec))
 
 
 NOSURJ = """\
@@ -230,14 +230,13 @@ level 3 { c1 := e + 2 c1 + e; c2 := e + c2 + e; c3 := 4 e; }
 def test_materialized_levels_equal_the_per_edge_references(materialized):
     for n in range(4):
         assert_level_equals_the_references(
-            materialized[n], materialized[n - 1] if n else None,
-            build_level_spec(n - 1) if n else None)
+            materialized[n], materialized[n - 1] if n else None, build_level_spec(n))
     for document in (NOSURJ, SHORT_CYCLES):
         tower = document_tower(parse(document))
         levels = [materialize_graph(n, spec_for=tower.__getitem__) for n in range(4)]
         for n in range(4):
             assert_level_equals_the_references(
-                levels[n], levels[n - 1] if n else None, tower[n - 1] if n else None)
+                levels[n], levels[n - 1] if n else None, tower[n])
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

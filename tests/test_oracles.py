@@ -52,7 +52,7 @@ def _literal_vertices(formula):
 
 
 def test_locate_matches_literal_expansion_at_level_two():
-    spec = build_level_spec(1)
+    spec = build_level_spec(2)
     for formula in spec.image_formulas:
         literal = _literal_vertices(formula)
         assert len(literal) == formula.length + 1
@@ -62,7 +62,7 @@ def test_locate_matches_literal_expansion_at_level_two():
 
 def test_locate_matches_literal_expansion_sampled_at_level_three():
     rng = random.Random(13)
-    spec = build_level_spec(2)
+    spec = build_level_spec(3)
     formula = spec.image_formulas[0]  # the long one: 3_421_640 edges
     literal = _literal_vertices(spec.image_formulas[1])
     for offset, expected in enumerate(literal):
@@ -165,7 +165,7 @@ def test_li_yorke_witnesses_replay(materialized):
 def test_occurrence_scan_matches_vertex_walk():
     # brute-force route: enumerate the level-1 vertex sequence of the
     # projected path and slide a window over it looking for complete copies
-    spec = build_level_spec(1)
+    spec = build_level_spec(2)
     vertices = _literal_vertices(spec.image_formulas[0])
     copies = [s for s in range(len(vertices) - 10)
               if vertices[s] == (0, 0)
