@@ -20,27 +20,27 @@ tails, in (u, v) order, so graphs in the millions of vertices stay within a
 few tens of megabytes.  :func:`chaoscope.bouquet.materialize_graph` writes
 a level's columns already ascending, as contiguous slices of one
 ``0, 1, 2, ...`` ramp copied in C, so building a level never sorts.  The
-validators read the edges by *runs*: stretches ``(u0 + k, v0 + k)`` of the
-columns, which is how a cycle's edges lie, so level 3's 3.4 million edges
-form 62 runs; any other edge is a run of length 1.  A graph finds its runs
-once, on the first validator call, and keeps them: one scan serves a
-cover's source and its target.  Runs are checked by slices, compared and
-assigned in C.  A run's images come in pieces that follow one run of the
-target's edges or repeat one edge, each measured by one slice compare per
-column.  For bidirectionality the runs' target intervals are sorted once: a
-vertex can have two in-images only where two of them overlap, and each
-group of overlapping runs keeps its targets' first in-images in one array
-over its span, met by each run in one compare.  So the validators hold
-lists as long as the runs and one array as wide as the widest overlap group
-(one vertex on a bouquet, whose only vertex with two in-edges is the base),
-never one as long as the vertices.
+validators and criterion 1's walk read the edges by maximal *runs*:
+stretches ``(u0 + k, v0 + k)`` of the columns, which is how a cycle's
+edges lie, so level 3's 3.4 million edges form 10 runs, seven of them
+single edges.  A graph finds its runs once, on first use, and keeps them:
+one scan serves a cover's source and its target.  Runs are checked by
+slices, compared and assigned in C.  A run's images come in pieces that
+follow one run of the target's edges or repeat one edge, each measured by
+one slice compare per column.  For bidirectionality the runs' target
+intervals are sorted once: a vertex can have two in-images only where two
+of them overlap, and each group of overlapping runs keeps its targets'
+first in-images in one array over its span, met by each run in one
+compare.  So the validators hold lists as long as the runs and one array
+as wide as the widest overlap group (one vertex on a bouquet, whose only
+vertex with two in-edges is the base), never one as long as the vertices.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -48,7 +48,6 @@ from .errors import StructuralError
 
 _MAX_VERTICES = 1 << 31
 _LOW = 0 if sys.byteorder == "little" else 1  # index of the low word of an int64
-_RUN_CAP = 1 << 16  # edges per run, so that a run's temporary arrays stay small
 
 
 class MaterializedGraph:
@@ -197,12 +196,9 @@ def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
     vm = c.vertex_map
     images = _low_words(vm)  # an image is below 2**31: its low word
     heads, tails = memoryview(c.target._heads), memoryview(c.target._tails)
-    rank = {edge: p for p, edge in enumerate(c.target.edges())}
-    # stop[p]: the end of the target's run through edge p
-    stop = [0] * len(heads)
-    for p, length, _, _ in _runs(c.target):
-        stop[p:p + length] = [p + length] * length
-
+    # each target edge's rank and the end of its run
+    rank = {(u0 + k, v0 + k): (p + k, p + length)
+            for p, length, u0, v0 in _runs(c.target) for k in range(length)}
     violations: list[tuple[int, int]] = []
     for _, length, u0, v0 in _runs(c.source):
         # a run's images come in pieces: each repeats one target edge, or
@@ -211,7 +207,7 @@ def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
         j = 0
         while j < length:
             u, v = u0 + j, v0 + j
-            p = rank.get((vm[u], vm[v]))
+            p, end = rank.get((vm[u], vm[v]), (None, 0))
             if p is None:
                 violations.append((u, v))
                 j += 1
@@ -223,7 +219,7 @@ def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
                 def follows(a: int, b: int) -> bool:
                     return (images[u + a:u + b] == heads[p + a:p + b]
                             and images[v + a:v + b] == tails[p + a:p + b])
-                n = min(length - j, stop[p] - p)
+                n = min(length - j, end - p)
                 j += n if follows(0, n) else _gallop(follows, n)
     return violations
 
@@ -233,7 +229,7 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
 
     Each violation is ("out"|"in", vertex, image_seen_first, conflicting_image).
     """
-    vm = c.vertex_map
+    vm = memoryview(c.vertex_map)  # its slices are views, not copies
     runs = _runs(c.source)
     # each violation is found tagged (run index, target, or -1 for "out"),
     # so that sorting lists them by run in edge order, "out" first
@@ -260,7 +256,7 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
                 # each target keeps the image of its first in-edge, in an
                 # array as wide as the group, one vertex on a bouquet
                 group = sorted(order[start:k])
-                first = array("q", [0]) * (reach - lo)
+                first = memoryview(array("q", [0]) * (reach - lo))
                 for _, n, u0, t0 in reversed(group):
                     first[t0 - lo:t0 - lo + n] = vm[u0:u0 + n]
                 for i, n, u0, t0 in group:
@@ -274,8 +270,8 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
 
 
 def _runs(g: MaterializedGraph) -> list[tuple[int, int, int, int]]:
-    """Cover ``g``'s edges, in order, with runs ``(index, length, u0, v0)``
-    of edges ``(u0 + k, v0 + k)``, cut at a break or at ``_RUN_CAP`` edges.
+    """Cover ``g``'s edges, in order, with maximal runs ``(index, length,
+    u0, v0)`` of edges ``(u0 + k, v0 + k)``, each cut only at a break.
 
     Where both columns step by 1 to the next edge, a run is measured by
     comparing column slices with 0, 1, 2, ... in galloping slices, in C.
@@ -283,11 +279,9 @@ def _runs(g: MaterializedGraph) -> list[tuple[int, int, int, int]]:
     """
     if g._runs is None:
         heads, tails = memoryview(g._heads), memoryview(g._tails)
-        # one ramp over every id, not one per `_RUN_CAP` tile: a run's source
-        # and target intervals each start anywhere below vertex_count, and it
-        # is measured against ramp slices at both starts, so tiles would be
-        # rebuilt run by run (thousands of times on a tower of short cycles)
-        # or all kept, which is this ramp again; it is freed on return
+        # one ramp over every id: a run's source and target intervals each
+        # start anywhere below vertex_count, and it is measured against ramp
+        # slices at both starts; the ramp is freed on return
         ramp = _identity(g.vertex_count)
         runs, k = [], 0
         while k < len(heads):
@@ -296,7 +290,7 @@ def _runs(g: MaterializedGraph) -> list[tuple[int, int, int, int]]:
             if k + 1 < len(heads) and heads[k + 1] == u0 + 1 and tails[k + 1] == v0 + 1:
                 length = _gallop(lambda a, b: heads[k + a:k + b] == ramp[u0 + a:u0 + b]
                                  and tails[k + a:k + b] == ramp[v0 + a:v0 + b],
-                                 min(len(heads) - k, _RUN_CAP))
+                                 len(heads) - k)
             runs.append((k, length, u0, v0))
             k += length
         g._runs = runs
@@ -307,35 +301,29 @@ def walk_lengths(g: MaterializedGraph, starts: Iterable[int]) -> list[int]:
     """The edges walked from the base into each start and on, along each
     vertex's last out-edge, until back at the base 0.  Raises
     :class:`StructuralError`, naming the start, at a vertex without an
-    out-edge or past ``vertex_count`` edges, where a walk never returns."""
+    out-edge or past ``vertex_count`` edges, where a walk never returns.
+    Along a run whose tails step with its heads, one step reaches its end."""
     n = g.vertex_count
-    succ, ramp, lengths = _successors(g), _identity(n), []
+    runs, lengths = _runs(g), []
+    firsts = [u0 for _, _, u0, _ in runs]
     for start in starts:
         if not g.has_edge(0, start):
             raise StructuralError(f"walk from {start}: no edge (0, {start}) into it")
         steps, v = 1, start
         while v != 0 and steps <= n:
-            # where succ[v + k] is v + k + 1, the walk runs on in one compare
-            run = _gallop(lambda a, b: succ[v + a:v + b] == ramp[v + 1 + a:v + 1 + b], n - 1 - v)
-            if run == 0 and succ[v] == n:
+            # the last run starting at or below v holds v's last out-edge (a later
+            # run can start only at that run's last source); the edge (0, start)
+            # puts source 0 first, so the bisection never lands before the first run
+            _, length, u0, v0 = runs[bisect_right(firsts, v) - 1]
+            last = u0 + length - 1
+            if v > last:
                 raise StructuralError(f"walk from {start}: vertex {v} has no out-edge")
-            v, steps = (v + run, steps + run) if run else (succ[v], steps + 1)
+            v, steps = (last, steps + last - v) if v0 == u0 + 1 and v < last else (
+                v0 + v - u0, steps + 1)
         if v != 0:
             raise StructuralError(f"walk from {start} is not back at the base after {n} edges")
         lengths.append(steps)
     return lengths
-
-
-def _successors(g: MaterializedGraph) -> memoryview:
-    """Each vertex's successor, the tail of its last edge, or ``vertex_count``
-    where it has no out-edge or is the base: one column slice per run,
-    written in edge order, so that a vertex's last edge is written last."""
-    succ = memoryview(array("I", [g.vertex_count]) * g.vertex_count)
-    tails = memoryview(g._tails)
-    for k, length, u0, _ in _runs(g):
-        skip = u0 == 0  # a run from the base: its first edge is the base's
-        succ[u0 + skip:u0 + length] = tails[k + skip:k + length]
-    return succ
 
 
 def _gallop(same: Callable[[int, int], bool], limit: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from chaoscope import verify
+from chaoscope import analysis, verify
 
 
 def _assert(result, line):
@@ -94,6 +94,32 @@ def test_criterion_11_cover_dsl():
             "criterion 11 [PASS] cover DSL: "
             "levels <= 5 round-trip and generator-equal; 25/25 mutants "
             "rejected (equivalence: 5, syntax: 8, validation: 12)")
+
+
+# Planted faults: criteria 10 and 11 can fail, each naming what it found.
+
+def test_criterion_10_fails_on_a_degree_that_grows_with_depth(monkeypatch):
+    real = analysis.degree_of_column
+    monkeypatch.setattr(analysis, "degree_of_column", lambda h, depth=None: (
+        analysis.DegreeValue(99) if depth == 8 else real(h, depth)))  # 8: the spine
+    result = verify.check_degree_properties()
+    assert not result.passed
+    assert result.line() == (
+        "criterion 10 [FAIL] degree properties: "
+        "monotonicity on 10000 columns: False; stability on 100 "
+        "handles: True; window minimum <= deg+1 on 92 handles: True "
+        "(window 2000, seed 0)")
+
+
+def test_criterion_11_fails_on_a_mutant_that_changes_nothing(monkeypatch):
+    monkeypatch.setattr(verify, "DSL_MUTATIONS",
+                        verify.DSL_MUTATIONS + (("no-op", "mode bouquet", "mode bouquet"),))
+    result = verify.check_dsl()
+    assert not result.passed
+    assert result.line() == (
+        "criterion 11 [FAIL] cover DSL: "
+        "levels <= 5 round-trip and generator-equal; 25/26 mutants "
+        "rejected (equivalence: 5, syntax: 8, validation: 12)")
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -550,6 +550,15 @@ def test_a_criterion_that_raises_prints_a_fail_line(capsys, monkeypatch):
     assert first.startswith("criterion  7 [PASS]") and last.startswith("criterion 11 [PASS]")
 
 
+def test_a_mutation_whose_pattern_is_absent_fails_criterion_11(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "DSL_MUTATIONS",
+                        verify.DSL_MUTATIONS + (("absent", "no such text", "e"),))
+    code, out = run(capsys, "check", "11")
+    assert code == 1
+    assert out == ("criterion 11 [FAIL] dsl: "
+                   "AssertionError: mutation 'absent': pattern not in document\n")
+
+
 def test_parse_handle_specs():
     assert parse_handle("8:1:5@3").offset == 3
     assert parse_handle("4:0:0").address.is_base

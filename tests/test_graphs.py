@@ -97,15 +97,20 @@ def test_a_cover_map_holds_an_int64_array_and_copies_any_other_map():
 
 
 def test_level_three_validators_allocate_by_runs_not_vertices(materialized):
-    # with the runs found, neither validator holds a per-vertex array: level
-    # 3 has 3.4 million vertices, so one such array would be several MiB
-    cover = materialized[3].cover
-    graphs._runs(cover.source)  # found once per graph, before either call
-    for validate, arg in ((validate_bidirectional, cover),
-                          (validate_edge_surjective, cover.source)):
+    # with the runs found, neither validator nor criterion 1's walk holds a
+    # per-vertex array: level 3 has 3.4 million vertices, so one such array
+    # would be several MiB
+    level = materialized[3]
+    cover = level.cover
+    graphs._runs(cover.source)  # found once per graph, before any call
+    for validate, arg, expected in (
+            (validate_bidirectional, cover, []),
+            (validate_edge_surjective, cover.source, []),
+            (lambda g: graphs.walk_lengths(g, level.cycle_starts), level.graph,
+             list(level.cycle_lengths))):
         tracemalloc.start()
         try:
-            assert validate(arg) == []
+            assert validate(arg) == expected
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -438,28 +443,35 @@ def _widest_first_cover():
 @example(_stacked_cover())
 @example(_widest_first_cover())
 def test_validators_equal_the_per_edge_references(cover):
-    # runs are cut at `_RUN_CAP`; at 3 a small graph's runs are cut too, at
-    # 1 every edge is a run of length 1.  A graph keeps the runs of its
-    # first scan, so each setting scans fresh graphs built from copies of
-    # the edge columns
-    for cap in (graphs._RUN_CAP, 3, 1):
-        fresh = _fresh(cover)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_RUN_CAP", cap)
-            assert validate_edge_surjective(fresh.source) == surjective_reference(fresh.source)
-            assert validate_homomorphism(fresh) == homomorphism_reference(fresh)
-            assert validate_bidirectional(fresh) == bidirectional_reference(fresh)
+    # the validators read any tiling of the edges by runs: the maximal runs,
+    # scanned fresh, those runs cut every 3 edges, and every edge alone
+    for size in (None, 3, 1):
+        fresh = _fresh(cover, size)
+        assert validate_edge_surjective(fresh.source) == surjective_reference(fresh.source)
+        assert validate_homomorphism(fresh) == homomorphism_reference(fresh)
+        assert validate_bidirectional(fresh) == bidirectional_reference(fresh)
 
 
-def _fresh(cover):
-    """The same cover on new graphs, whose runs are not yet scanned."""
-    return CoverMap(_copy(cover.source), _copy(cover.target), cover.vertex_map)
+def _fresh(cover, size):
+    """The same cover on new graphs, tiled as by :func:`_tiled`."""
+    return CoverMap(_tiled(cover.source, size), _tiled(cover.target, size), cover.vertex_map)
 
 
 def _copy(g):
     """A new graph on copies of ``g``'s edge columns, its runs not yet scanned."""
     fresh = MaterializedGraph(g.vertex_count, [])
     fresh._heads, fresh._tails = array("I", g._heads), array("I", g._tails)
+    return fresh
+
+
+def _tiled(g, size):
+    """A new graph on copies of ``g``'s edge columns whose runs are ``g``'s
+    maximal runs cut every ``size`` edges; for ``None``, not yet scanned."""
+    fresh = _copy(g)
+    if size is not None:
+        fresh._runs = [(i + a, min(size, length - a), u0 + a, v0 + a)
+                       for i, length, u0, v0 in graphs._runs(_copy(g))
+                       for a in range(0, length, size)]
     return fresh
 
 
@@ -475,57 +487,56 @@ def test_a_graph_keeps_the_runs_of_its_first_scan(materialized):
         assert runs == graphs._runs(_copy(g))
 
 
-def runs_reference(g, cap):
-    """Maximal runs ``(index, length, u0, v0)`` cut at ``cap``, edge by edge."""
+def runs_reference(g):
+    """Maximal runs ``(index, length, u0, v0)``, edge by edge."""
     runs = []
     for k, (u, v) in enumerate(g.edges()):
         if runs:
             i, length, u0, v0 = runs[-1]
-            if length < cap and (u, v) == (u0 + length, v0 + length):
+            if (u, v) == (u0 + length, v0 + length):
                 runs[-1] = (i, length + 1, u0, v0)
                 continue
         runs.append((k, 1, u, v))
     return runs
 
 
-def assert_runs_are_maximal(g, cap):
+def assert_runs_are_maximal(g):
     # the runs tile the edge array, each holds (u0 + k, v0 + k), and each
-    # ends at a break or at the cap: this determines them, and scans by
-    # slices, fast enough for level 3
+    # ends at a break: this determines them, and scans by slices, fast
+    # enough for level 3
     step = (1 << 32) | 1
     edges = packed_keys(g)
     done = 0
     for i, length, u0, v0 in graphs._runs(g):
-        assert i == done and 1 <= length <= cap
+        assert i == done and length >= 1
         first = (u0 << 32) | v0
         assert edges[i:i + length] == array("q", range(first, first + length * step, step))
         done = i + length
-        assert length == cap or done == len(edges) or edges[done] - edges[done - 1] != step
+        assert done == len(edges) or edges[done] - edges[done - 1] != step
     assert done == len(edges)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(small_covers())
 def test_runs_are_the_maximal_runs_of_the_per_edge_reference(cover):
-    for cap in (graphs._RUN_CAP, 3, 2, 1):
-        fresh = _fresh(cover)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_RUN_CAP", cap)
-            for g in (fresh.source, fresh.target):
-                assert graphs._runs(g) == runs_reference(g, cap)
-                assert_runs_are_maximal(g, cap)
+    fresh = _fresh(cover, None)
+    for g in (fresh.source, fresh.target):
+        assert graphs._runs(g) == runs_reference(g)
+        assert_runs_are_maximal(g)
 
 
 def test_level_runs_are_maximal(materialized):
     # the per-edge reference takes seconds at level 3's 3.4 million edges,
     # so that level is checked by the slice properties alone
     for g in [materialized[n].graph for n in range(3)] + _nosurj_graphs():
-        assert graphs._runs(g) == runs_reference(g, graphs._RUN_CAP)
+        assert graphs._runs(g) == runs_reference(g)
     for n in range(4):
-        assert_runs_are_maximal(materialized[n].graph, graphs._RUN_CAP)
-    assert len(graphs._runs(materialized[3].graph)) == 62
+        assert_runs_are_maximal(materialized[n].graph)
+    runs = graphs._runs(materialized[3].graph)
+    assert len(runs) == 10 and sum(run[1] == 1 for run in runs) == 7
+    assert max(run[1] for run in runs) == 3_421_638  # cycle 1, but for its two base edges
     short = _copy(SHORT_CYCLE_COVERS[0].source)
-    assert graphs._runs(short) == runs_reference(short, graphs._RUN_CAP)
+    assert graphs._runs(short) == runs_reference(short)
     assert short.edge_count == 801 and max(run[1] for run in graphs._runs(short)) == 2
 
 
@@ -535,13 +546,11 @@ def test_validators_agree_in_any_call_order(cover):
     # whichever validator scans a graph first, the others read the same runs
     validators = (lambda c: validate_edge_surjective(c.source), validate_homomorphism,
                   validate_bidirectional)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphs, "_RUN_CAP", 3)
-        expected = [check(_fresh(cover)) for check in validators]
-        for order in itertools.permutations(range(3)):
-            fresh = _fresh(cover)
-            got = {k: validators[k](fresh) for k in order}
-            assert [got[k] for k in range(3)] == expected
+    expected = [check(_fresh(cover, None)) for check in validators]
+    for order in itertools.permutations(range(3)):
+        fresh = _fresh(cover, None)
+        got = {k: validators[k](fresh) for k in order}
+        assert [got[k] for k in range(3)] == expected
 
 
 @st.composite
@@ -570,7 +579,7 @@ def test_graph_queries_equal_a_set_of_pairs(graph):
 
 
 # Criterion 1's walk as it was, one Python statement per edge and per step:
-# the references for `graphs.walk_lengths` and its successor column.
+# the reference for `graphs.walk_lengths`.
 
 def successor_reference(g):
     """Unique successor per non-base vertex, read off the explicit edges."""
@@ -594,22 +603,6 @@ def walk_reference(g, start):
     return steps
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(small_covers())
-@example(_stacked_cover())
-def test_successor_columns_equal_the_per_edge_reference(cover):
-    # the last edge from a vertex wins and the base's edges are skipped,
-    # whatever the runs' cut
-    for cap in (graphs._RUN_CAP, 3, 1):
-        fresh = _fresh(cover)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_RUN_CAP", cap)
-            for g in (fresh.source, fresh.target):
-                none = g.vertex_count
-                assert [-1 if s == none else s for s in graphs._successors(g)] == list(
-                    successor_reference(g))
-
-
 @st.composite
 def walk_graphs(draw):
     """A bouquet of short cycles at the base, with a few edges added and a
@@ -627,18 +620,21 @@ def walk_graphs(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(walk_graphs())
 @example(_stacked_cover().source)
+# the first run's last source, 2, starts the next run: from 1 the walk takes
+# 5 edges, where one that crossed the first run to its end would take 4
+@example(MaterializedGraph(6, [(0, 1), (1, 2), (2, 3), (2, 5), (3, 0), (4, 0), (5, 4)]))
 def test_walks_equal_the_step_by_step_walk_or_raise(g):
-    for cap in (graphs._RUN_CAP, 3, 1):
-        fresh = _copy(g)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_RUN_CAP", cap)
-            for start in range(g.vertex_count):
-                expected = walk_reference(g, start) if g.has_edge(0, start) else None
-                if expected is None:
-                    with pytest.raises(StructuralError, match=f"walk from {start}:? "):
-                        graphs.walk_lengths(fresh, [start])
-                else:
-                    assert graphs.walk_lengths(fresh, [start]) == [expected]
+    # the last edge from a vertex wins and the base's edges are skipped,
+    # whatever the tiling of the runs
+    for size in (None, 3, 1):
+        fresh = _tiled(g, size)
+        for start in range(g.vertex_count):
+            expected = walk_reference(g, start) if g.has_edge(0, start) else None
+            if expected is None:
+                with pytest.raises(StructuralError, match=f"walk from {start}:? "):
+                    graphs.walk_lengths(fresh, [start])
+            else:
+                assert graphs.walk_lengths(fresh, [start]) == [expected]
 
 
 def test_level_walks_equal_the_step_by_step_walk(materialized):
