@@ -45,7 +45,7 @@ from itertools import chain, islice
 from math import isqrt
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceeded, StructuralError, int_text
+from .errors import BudgetExceeded, StructuralError, decimal_text, int_text
 from .graphs import CoverMap, MaterializedGraph
 
 INITIAL_CYCLE_LENGTH = 10
@@ -409,21 +409,21 @@ def level_spec_json(spec: LevelSpec) -> dict:
     def item_json(item: FormulaItem) -> dict:
         if isinstance(item, Run):
             kind = "edges" if item.cycle == 0 else "cycle"
-            rec: dict = {"kind": kind, "count": str(item.count)}
+            rec: dict = {"kind": kind, "count": decimal_text(item.count)}
             if item.cycle:
                 rec["index"] = item.cycle
             return rec
         return {
             "kind": "sum",
-            "bound": str(item.bound),
+            "bound": decimal_text(item.bound),
             "body": [{"cycle": t.cycle, "const": str(t.const), "coef": str(t.coef)}
                      for t in item.body],
         }
 
     return {
         "level": spec.level,
-        "k": str(spec.k_value),
-        "cycle_lengths": [str(length) for length in spec.cycle_lengths],
+        "k": decimal_text(spec.k_value),
+        "cycle_lengths": [decimal_text(length) for length in spec.cycle_lengths],
         "image_formulas": [[item_json(it) for it in f.items]
                            for f in spec.image_formulas],
     }

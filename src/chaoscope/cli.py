@@ -22,7 +22,7 @@ from pathlib import Path
 from . import analysis, bouquet, dsl, dynamics, graphs, verify
 from .bouquet import DEFAULT_SCAN_BUDGET, VertexAddr, build_level_spec
 from .dynamics import PointHandle
-from .errors import ChaoscopeError
+from .errors import ChaoscopeError, decimal_text
 
 class UsageError(ChaoscopeError):
     pass
@@ -143,8 +143,8 @@ def cmd_levels(args) -> tuple[int, dict[str, str]]:
         if args.formulas:
             rows.append(bouquet.level_spec_json(spec))
         else:
-            rows.append({"level": n, "k": str(spec.k_value),
-                         "cycle_lengths": [str(x) for x in spec.cycle_lengths]})
+            rows.append({"level": n, "k": decimal_text(spec.k_value),
+                         "cycle_lengths": [decimal_text(x) for x in spec.cycle_lengths]})
     if args.format == "json" or args.formulas:
         return 0, {"levels.json": _json(rows)}
     lines = [f"{'level':>5}  {'k':>12}  cycle lengths"]
@@ -233,9 +233,9 @@ def cmd_degree(args) -> tuple[int, dict[str, str]]:
 def cmd_lift(args) -> tuple[int, dict[str, str]]:
     addr = VertexAddr(args.level, args.cycle, args.pos)
     report = bouquet.lift_choices(addr, args.max)
-    record = {"address": str(addr), "total": str(report.total),
+    record = {"address": str(addr), "total": decimal_text(report.total),
               "truncated": report.truncated,
-              "choices": [str(c) for c in report.choices]}
+              "choices": [f"{c.level}:{c.cycle}:{decimal_text(c.pos)}" for c in report.choices]}
     return 0, {"lift.json": _json(record)}
 
 

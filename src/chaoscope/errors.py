@@ -1,6 +1,8 @@
-"""Shared exception types, and the integer rendering their messages use."""
+"""Shared exception types, and the integer renderings of messages and records."""
 
 from __future__ import annotations
+
+import decimal
 
 
 def int_text(n: int) -> str:
@@ -12,6 +14,30 @@ def int_text(n: int) -> str:
         return repr(n)
     except ValueError:
         return f"a {'negative ' * (n < 0)}{n.bit_length():,}-bit integer"
+
+
+def decimal_text(n: int) -> str:
+    """``str(n)`` for ``n >= 0``, past the int-digit limit and in
+    subquadratic time: split by bits, joined in :mod:`decimal` at full
+    precision, where products of huge numbers are fast."""
+    # 2**2048 has 617 digits, below 640, the least int-digit limit Python
+    # accepts, so str() never refuses a base case
+    if n.bit_length() <= 2048:
+        return str(n)
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        powers: dict[int, decimal.Decimal] = {}  # 2**w: each width recurs
+
+        def join(n: int, w: int) -> decimal.Decimal:  # n below 2**w
+            if w <= 2048:
+                return decimal.Decimal(n)
+            half = w >> 1
+            if half not in powers:
+                powers[half] = decimal.Decimal(2) ** half
+            high = n >> half
+            return join(n - (high << half), half) + join(high, w - half) * powers[half]
+        return str(join(n, n.bit_length()))
 
 
 class ChaoscopeError(Exception):

@@ -2,7 +2,7 @@
 
 These materialized objects are the verification oracle for the symbolic
 machinery in :mod:`chaoscope.bouquet`: everything here is stored explicitly
-(vertex counts, sorted edge columns, dense vertex maps) and all checks are
+(vertex counts, every edge in its runs, dense vertex maps) and all checks are
 exhaustive scans that return complete violation lists rather than booleans.
 
 A graph is a finite set of vertices ``0..vertex_count-1`` with directed
@@ -15,32 +15,28 @@ check the axioms that make it a usable covering:
   share a single image, which is what makes the limit dynamics
   single-valued and invertible.
 
-Edges are held as two ascending ``array("I")`` columns of ids, heads and
-tails, in (u, v) order, so graphs in the millions of vertices stay within a
-few tens of megabytes.  :func:`chaoscope.bouquet.materialize_graph` writes
-a level's columns already ascending, as contiguous slices of one
-``0, 1, 2, ...`` ramp copied in C, so building a level never sorts.  The
-validators and criterion 1's walk read the edges by maximal *runs*:
-stretches ``(u0 + k, v0 + k)`` of the columns, which is how a cycle's
-edges lie, so level 3's 3.4 million edges form 10 runs, seven of them
-single edges.  A graph finds its runs once, on first use, and keeps them:
-one scan serves a cover's source and its target.  Runs are checked by
-slices, compared and assigned in C.  A run's images come in pieces that
-follow one run of the target's edges or repeat one edge, each measured by
-one slice compare per column.  For bidirectionality the runs' target
-intervals are sorted once: a vertex can have two in-images only where two
-of them overlap, and each group of overlapping runs keeps its targets'
-first in-images in one array over its span, met by each run in one
-compare.  So the validators hold lists as long as the runs and one array
-as wide as the widest overlap group (one vertex on a bouquet, whose only
-vertex with two in-edges is the base), never one as long as the vertices.
+A graph is its maximal *runs* ``(index, length, u0, v0)``: stretches of
+edges ``(u0 + k, v0 + k)`` in (u, v) order, each cut only where the next
+edge does not go on from it.  So a cycle's edges are one run, level 3's 3.4
+million edges are 10 runs, and no graph holds an array as long as its
+edges.  Both constructors merge stretches into the runs, and an edge query
+is one bisection of them.  A run's images come in pieces that follow one
+run of the target's edges or repeat one edge, each measured by slice
+compares in C.  For bidirectionality the runs' target intervals are sorted
+once: a vertex can have two in-images only where two of them overlap, and
+each group of overlapping runs keeps its targets' first in-images in one
+array over its span (one vertex on a bouquet, whose only vertex with two
+in-edges is the base), met by each run in one compare.  So the validators
+hold lists as long as the runs, that array, and for homomorphism one id
+ramp as long as the target's vertices (784 on the built-in covers).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -57,7 +53,7 @@ class MaterializedGraph:
     at construction.  Instances are immutable.
     """
 
-    __slots__ = ("vertex_count", "_heads", "_tails", "_runs")
+    __slots__ = ("vertex_count", "edge_count", "_runs")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0 or vertex_count > _MAX_VERTICES:
@@ -67,40 +63,29 @@ class MaterializedGraph:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise StructuralError(f"edge ({u}, {v}) references a vertex >= {vertex_count}")
             pairs.add((u, v))
-        ordered = sorted(pairs)
         self.vertex_count = vertex_count
-        self._heads = array("I", [u for u, _ in ordered])
-        self._tails = array("I", [v for _, v in ordered])
-        self._runs = None  # the columns' runs, found on first use
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._heads)
-
-    def _span(self, u: int) -> tuple[int, int]:
-        """The edges from ``u``: a stretch of the heads column."""
-        lo = bisect_left(self._heads, u)
-        return lo, bisect_left(self._heads, u + 1, lo)
+        self.edge_count, self._runs = _maximal((u, v, 1) for u, v in sorted(pairs))
 
     def has_edge(self, u: int, v: int) -> bool:
-        lo, hi = self._span(u)
-        i = bisect_left(self._tails, v, lo, hi)
-        return i < hi and self._tails[i] == v
+        return _left(self._runs, u, v) > 0
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (source, target) pairs in sorted order."""
-        return zip(self._heads, self._tails)
+        return chain.from_iterable(zip(range(u0, u0 + length), range(v0, v0 + length))
+                                   for _, length, u0, v0 in self._runs)
 
     def successors(self, u: int) -> list[int]:
-        return self._tails[slice(*self._span(u))].tolist()
+        # the runs holding u's out-edges end at the last one starting at or below u
+        runs, found = self._runs, []
+        r = bisect_right(runs, u, key=itemgetter(2))
+        while r and u < runs[r - 1][2] + runs[r - 1][1]:
+            r -= 1
+            found.append(runs[r][3] + u - runs[r][2])
+        return found[::-1]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MaterializedGraph)
-            and self.vertex_count == other.vertex_count
-            and self._heads == other._heads
-            and self._tails == other._tails
-        )
+        return isinstance(other, MaterializedGraph) and (
+            (self.vertex_count, self._runs) == (other.vertex_count, other._runs))
 
     def __repr__(self) -> str:
         return f"MaterializedGraph(vertices={self.vertex_count}, edges={self.edge_count})"
@@ -108,22 +93,44 @@ class MaterializedGraph:
     @classmethod
     def _bouquet(cls, starts: Sequence[int], lengths: Sequence[int]) -> "MaterializedGraph":
         # internal fast path, the bouquet of cycles at base 0, its count range-checked
-        # by the constructor before any allocation: the caller guarantees lengths >= 2,
-        # cycle i on ids starts[i]..starts[i+1] - 1.  Edges come out ascending: the
-        # base loop, (0, start) per cycle, then one edge from each other vertex u, at
-        # m + u, whose tail is u + 1 but at its cycle's last vertex, which keeps the
-        # zero fill, the base.  Every copy is of one contiguous slice, in C: the
-        # heads from the id ramp, and each cycle's tails from the heads themselves
+        # by the constructor: the caller guarantees lengths >= 2, cycle i on ids
+        # starts[i]..starts[i+1] - 1.  Its edges, in order, are the base loop,
+        # (0, start) per cycle, then per cycle its body (u, u + 1) and the edge
+        # from its last vertex back to the base
         g = cls(starts[-1] + lengths[-1] - 1 if starts else 1, ())
-        m = len(starts)
-        g._heads = array("I", [0]) * (g.vertex_count + m)
-        g._tails = array("I", [0]) * (g.vertex_count + m)
-        g._tails[1:m + 1] = array("I", starts)
-        heads, tails = memoryview(g._heads), memoryview(g._tails)
-        heads[m + 1:] = _identity(g.vertex_count)[1:]
-        for start, length in zip(starts, lengths):
-            tails[m + start:m + start + length - 2] = heads[m + start + 1:m + start + length - 1]
+        g.edge_count, g._runs = _maximal(chain(
+            [(0, 0, 1)], ((0, start, 1) for start in starts),
+            *(((start, start + 1, length - 2), (start + length - 2, 0, 1))
+              for start, length in zip(starts, lengths))))
         return g
+
+
+def _maximal(stretches: Iterable[tuple[int, int, int]]) -> tuple[int, list]:
+    """The edge count and the maximal runs ``(index, length, u0, v0)`` of
+    the edges tiled in order by stretches ``(u0, v0, n)``, each the edges
+    ``(u0 + k, v0 + k)`` for ``k < n``: a stretch that goes on from the run
+    before it joins that run, and an empty one is skipped."""
+    runs, count = [], 0
+    for u0, v0, n in stretches:
+        if runs and u0 - runs[-1][2] == v0 - runs[-1][3] == runs[-1][1]:
+            i, length, a, b = runs[-1]
+            runs[-1] = (i, length + n, a, b)
+        elif n:
+            runs.append((count, n, u0, v0))
+        count += n
+    return count, runs
+
+
+def _left(runs: list, x: int, y: int) -> int:
+    """The edges from ``(x, y)`` to the end of its run, or 0 if ``(x, y)``
+    is no edge.  The runs tile the sorted edges, so the one run that can
+    hold it is the last whose first edge is at or below it."""
+    r = bisect_right(runs, (x, y), key=itemgetter(2, 3))
+    if r:
+        _, length, u0, v0 = runs[r - 1]
+        if x - u0 == y - v0 < length:
+            return length - (x - u0)
+    return 0
 
 
 class CoverMap:
@@ -181,7 +188,7 @@ def validate_edge_surjective(g: MaterializedGraph) -> list[tuple[int, str]]:
     """Vertices lacking an in-edge or an out-edge, as (vertex, "in"|"out") pairs."""
     # a vertex lacks an in-edge (out-edge) in the gaps between the runs'
     # target (source) intervals; the sources ascend, the targets are sorted
-    runs, missing = _runs(g), []
+    runs, missing = g._runs, []
     for side, spans in (("in", sorted((v0, length) for _, length, _, v0 in runs)),
                         ("out", [(u0, length) for _, length, u0, _ in runs])):
         reached = 0
@@ -193,33 +200,31 @@ def validate_edge_surjective(g: MaterializedGraph) -> list[tuple[int, str]]:
 
 def validate_homomorphism(c: CoverMap) -> list[tuple[int, int]]:
     """Source edges whose images are not edges of the target."""
-    vm = c.vertex_map
+    vm, targets = c.vertex_map, c.target._runs
     images = _low_words(vm)  # an image is below 2**31: its low word
-    heads, tails = memoryview(c.target._heads), memoryview(c.target._tails)
-    # each target edge's rank and the end of its run
-    rank = {(u0 + k, v0 + k): (p + k, p + length)
-            for p, length, u0, v0 in _runs(c.target) for k in range(length)}
+    ids = memoryview(array("I", range(c.target.vertex_count)))
     violations: list[tuple[int, int]] = []
-    for _, length, u0, v0 in _runs(c.source):
+    for _, length, u0, v0 in c.source._runs:
         # a run's images come in pieces: each repeats one target edge, or
-        # follows the target's edges from its first edge's rank p at most to
-        # the end of their run; a compare that fails is galloped to the break
+        # follows the target's edges from an edge (x, y) at most to the end
+        # of their run; a compare that fails is galloped to the break
         j = 0
         while j < length:
             u, v = u0 + j, v0 + j
-            p, end = rank.get((vm[u], vm[v]), (None, 0))
-            if p is None:
+            x, y = vm[u], vm[v]
+            left = _left(targets, x, y)
+            if not left:
                 violations.append((u, v))
                 j += 1
-            elif j + 1 < length and vm[u + 1] == vm[u] and vm[v + 1] == vm[v]:
+            elif j + 1 < length and vm[u + 1] == x and vm[v + 1] == y:
                 j += 1 + _gallop(lambda a, b: images[u + a:u + b] == images[u + a + 1:u + b + 1]
                                  and images[v + a:v + b] == images[v + a + 1:v + b + 1],
                                  length - j - 1)
             else:
                 def follows(a: int, b: int) -> bool:
-                    return (images[u + a:u + b] == heads[p + a:p + b]
-                            and images[v + a:v + b] == tails[p + a:p + b])
-                n = min(length - j, end - p)
+                    return (images[u + a:u + b] == ids[x + a:x + b]
+                            and images[v + a:v + b] == ids[y + a:y + b])
+                n = min(length - j, left)
                 j += n if follows(0, n) else _gallop(follows, n)
     return violations
 
@@ -230,7 +235,7 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
     Each violation is ("out"|"in", vertex, image_seen_first, conflicting_image).
     """
     vm = memoryview(c.vertex_map)  # its slices are views, not copies
-    runs = _runs(c.source)
+    runs = c.source._runs
     # each violation is found tagged (run index, target, or -1 for "out"),
     # so that sorting lists them by run in edge order, "out" first
     found: list[tuple[int, int, tuple[str, int, int, int]]] = []
@@ -269,43 +274,14 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
     return [violation for *_, violation in sorted(found)]
 
 
-def _runs(g: MaterializedGraph) -> list[tuple[int, int, int, int]]:
-    """Cover ``g``'s edges, in order, with maximal runs ``(index, length,
-    u0, v0)`` of edges ``(u0 + k, v0 + k)``, each cut only at a break.
-
-    Where both columns step by 1 to the next edge, a run is measured by
-    comparing column slices with 0, 1, 2, ... in galloping slices, in C.
-    Scanned on the first call and kept in the graph.
-    """
-    if g._runs is None:
-        heads, tails = memoryview(g._heads), memoryview(g._tails)
-        # one ramp over every id: a run's source and target intervals each
-        # start anywhere below vertex_count, and it is measured against ramp
-        # slices at both starts; the ramp is freed on return
-        ramp = _identity(g.vertex_count)
-        runs, k = [], 0
-        while k < len(heads):
-            u0, v0 = heads[k], tails[k]
-            length = 1
-            if k + 1 < len(heads) and heads[k + 1] == u0 + 1 and tails[k + 1] == v0 + 1:
-                length = _gallop(lambda a, b: heads[k + a:k + b] == ramp[u0 + a:u0 + b]
-                                 and tails[k + a:k + b] == ramp[v0 + a:v0 + b],
-                                 len(heads) - k)
-            runs.append((k, length, u0, v0))
-            k += length
-        g._runs = runs
-    return g._runs
-
-
 def walk_lengths(g: MaterializedGraph, starts: Iterable[int]) -> list[int]:
     """The edges walked from the base into each start and on, along each
     vertex's last out-edge, until back at the base 0.  Raises
     :class:`StructuralError`, naming the start, at a vertex without an
     out-edge or past ``vertex_count`` edges, where a walk never returns.
-    Along a run whose tails step with its heads, one step reaches its end."""
+    Along a run of edges ``(u, u + 1)``, one step reaches its end."""
     n = g.vertex_count
-    runs, lengths = _runs(g), []
-    firsts = [u0 for _, _, u0, _ in runs]
+    runs, lengths = g._runs, []
     for start in starts:
         if not g.has_edge(0, start):
             raise StructuralError(f"walk from {start}: no edge (0, {start}) into it")
@@ -314,7 +290,7 @@ def walk_lengths(g: MaterializedGraph, starts: Iterable[int]) -> list[int]:
             # the last run starting at or below v holds v's last out-edge (a later
             # run can start only at that run's last source); the edge (0, start)
             # puts source 0 first, so the bisection never lands before the first run
-            _, length, u0, v0 = runs[bisect_right(firsts, v) - 1]
+            _, length, u0, v0 = runs[bisect_right(runs, v, key=itemgetter(2)) - 1]
             last = u0 + length - 1
             if v > last:
                 raise StructuralError(f"walk from {start}: vertex {v} has no out-edge")
@@ -346,22 +322,6 @@ def _gallop(same: Callable[[int, int], bool], limit: int) -> int:
 def _low_words(ints: array) -> memoryview:
     """The low 32-bit words of an ``array("q")``, as a strided view."""
     return memoryview(ints).cast("B").cast("I")[_LOW::2]
-
-
-def _identity(n: int) -> memoryview:
-    """``0, 1, ..., n - 1`` as unsigned 32-bit ints, like ``array("I", range(n))``.
-
-    Built from copies of one 2**16-long ramp, whose high halves are then set
-    tile by tile with strided byte writes: C-level copies, not n Python ints.
-    """
-    tile = 1 << 16
-    tiles = -(-n // tile)
-    ramp = bytearray(array("I", range(min(n, tile)))) * tiles
-    high = 2 if sys.byteorder == "little" else 0  # byte offset of the high half
-    for t in range(1, tiles):
-        for k, byte in enumerate(t.to_bytes(2, sys.byteorder)):
-            ramp[4 * t * tile + high + k:4 * (t + 1) * tile:4] = bytes([byte]) * tile
-    return memoryview(ramp).cast("I")[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from chaoscope import (
     verify,
 )
 from chaoscope.cli import main, parse_handle
+from chaoscope.errors import decimal_text
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -216,6 +218,21 @@ def test_levels_prints_lengths_past_the_int_digit_limit(capsys):
     top = [int(x) for x in rows[16]["cycle_lengths"]]
     assert len(str(top[0])) > 4300
     assert int(rows[16]["k"]) == 2 * (1 + sum(top))
+
+
+def test_decimal_text_equals_str_past_the_int_digit_limit():
+    # written at the least digit limit Python accepts, read back with none
+    rng = random.Random(35)
+    numbers = [0, 1, (1 << 2048) - 1, 1 << 2048, 10**50_000 - 1, 10**50_000] + [
+        rng.getrandbits(rng.randrange(1, 166_000)) for _ in range(20)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        texts = [decimal_text(n) for n in numbers]
+        sys.set_int_max_str_digits(0)
+        assert texts == [str(n) for n in numbers]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_levels_formulas_bytes_are_pinned(capsys):

@@ -8,6 +8,7 @@ import random
 import sys
 import tracemalloc
 from array import array
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -97,12 +98,10 @@ def test_a_cover_map_holds_an_int64_array_and_copies_any_other_map():
 
 
 def test_level_three_validators_allocate_by_runs_not_vertices(materialized):
-    # with the runs found, neither validator nor criterion 1's walk holds a
-    # per-vertex array: level 3 has 3.4 million vertices, so one such array
-    # would be several MiB
+    # neither validator nor criterion 1's walk holds a per-vertex array:
+    # level 3 has 3.4 million vertices, so one such array would be several MiB
     level = materialized[3]
     cover = level.cover
-    graphs._runs(cover.source)  # found once per graph, before any call
     for validate, arg, expected in (
             (validate_bidirectional, cover, []),
             (validate_edge_surjective, cover.source, []),
@@ -147,17 +146,19 @@ def _strictly_ascending(keys) -> bool:
 
 
 def packed_keys(g):
-    """``g``'s edges as the ascending keys ``(u << 32) | v`` of one
-    ``array("q")``, its two columns written into the keys' 32-bit words."""
+    """``g``'s edges as the keys ``(u << 32) | v`` of one ``array("q")``,
+    in the order of ``edges()``, their sources and targets written into
+    the keys' 32-bit words."""
     keys = array("q", [0]) * g.edge_count
     heads, tails = split_keys(keys)
-    heads[:], tails[:] = memoryview(g._heads), memoryview(g._tails)
+    heads[:] = array("I", map(itemgetter(0), g.edges()))
+    tails[:] = array("I", map(itemgetter(1), g.edges()))
     return keys
 
 
 def split_keys(keys):
-    """The high and the low 32-bit words of the keys, the heads and tails
-    columns of the edges they pack, as strided views."""
+    """The high and the low 32-bit words of the keys, the sources and
+    targets of the edges they pack, as strided views."""
     words = memoryview(keys).cast("B").cast("I")
     low = 0 if sys.byteorder == "little" else 1
     return words[1 - low::2], words[low::2]
@@ -179,8 +180,7 @@ def test_materialized_edges_are_strictly_ascending(materialized):
 
 
 # `materialize_graph` as it was, one Python int per edge and per image: the
-# references for the edge columns, split from the packed keys, and the
-# zero-filled vertex map.
+# references for the edges, as packed keys, and the zero-filled vertex map.
 
 def edges_reference(starts, lengths):
     step = (1 << 32) | 1
@@ -209,13 +209,12 @@ def vertex_map_reference(level, below, spec):
     return vm
 
 
-def assert_columns_equal_the_keys(g, keys):
-    heads, tails = split_keys(keys)
-    assert bytes(g._heads) == bytes(heads) and bytes(g._tails) == bytes(tails)
+def assert_edges_equal_the_keys(g, keys):
+    assert g.edge_count == len(keys) and packed_keys(g) == keys
 
 
 def assert_level_equals_the_references(level, below, spec):
-    assert_columns_equal_the_keys(
+    assert_edges_equal_the_keys(
         level.graph, edges_reference(level.cycle_starts, level.cycle_lengths))
     if below is None:
         assert level.cover is None
@@ -250,11 +249,55 @@ def test_materialized_levels_equal_the_per_edge_references(materialized):
 @example([3])
 @example([2, 3, 60, 2])
 def test_bouquet_edges_equal_the_per_edge_reference(lengths):
-    # a length-2 cycle copies no tail, a length-3 cycle one
+    # a length-2 cycle has no body, a length-3 cycle a body of one edge
     level = materialize_graph(0, spec_for=lambda n: LevelSpec(n, tuple(lengths), 0, ()))
     assert level.graph.vertex_count == 1 + sum(length - 1 for length in lengths)
-    assert_columns_equal_the_keys(
+    assert_edges_equal_the_keys(
         level.graph, edges_reference(level.cycle_starts, level.cycle_lengths))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 40), max_size=6))
+@example([10])  # one cycle: its entry edge (0, 1) joins its body
+@example([2])  # one cycle with no body: (0, 1) stays a run of its own
+@example([2, 2, 3])
+def test_bouquet_runs_equal_the_generic_constructor(lengths):
+    starts = [1 + sum(length - 1 for length in lengths[:i]) for i in range(len(lengths))]
+    g = MaterializedGraph._bouquet(starts, lengths)
+    keys = edges_reference(starts, lengths)
+    generic = MaterializedGraph(g.vertex_count, ((key >> 32, key & 0xFFFFFFFF) for key in keys))
+    assert g == generic and g.edge_count == generic.edge_count == len(keys)
+    assert g._runs == generic._runs == runs_reference(g)
+    if lengths == [10]:
+        assert g._runs == [(0, 1, 0, 0), (1, 9, 0, 1), (10, 1, 9, 0)]
+
+
+def test_building_level_three_allocates_by_runs_not_edges(materialized):
+    # level 3 has 3.4 million edges: one array as long as them is many MiB
+    level = materialized[3]
+    tracemalloc.start()
+    try:
+        g = MaterializedGraph._bouquet(level.cycle_starts, level.cycle_lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == level.graph and len(g._runs) == 10
+    assert peak < 64 << 10, peak
+
+
+def test_homomorphism_onto_a_long_run_allocates_by_runs_not_edges():
+    # one cycle whose entry edge and body are one 200,000-edge run, mapped
+    # onto itself: no table holds its edges one by one
+    g = MaterializedGraph._bouquet([1], [200_001])
+    assert max(run[1] for run in g._runs) == 200_000
+    cover = CoverMap(g, g, array("q", range(g.vertex_count)))
+    tracemalloc.start()
+    try:
+        assert validate_homomorphism(cover) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_homomorphism_violations_match_has_edge(materialized):
@@ -444,7 +487,7 @@ def _widest_first_cover():
 @example(_widest_first_cover())
 def test_validators_equal_the_per_edge_references(cover):
     # the validators read any tiling of the edges by runs: the maximal runs,
-    # scanned fresh, those runs cut every 3 edges, and every edge alone
+    # those runs cut every 3 edges, and every edge alone
     for size in (None, 3, 1):
         fresh = _fresh(cover, size)
         assert validate_edge_surjective(fresh.source) == surjective_reference(fresh.source)
@@ -458,19 +501,19 @@ def _fresh(cover, size):
 
 
 def _copy(g):
-    """A new graph on copies of ``g``'s edge columns, its runs not yet scanned."""
+    """A new graph on a copy of ``g``'s runs."""
     fresh = MaterializedGraph(g.vertex_count, [])
-    fresh._heads, fresh._tails = array("I", g._heads), array("I", g._tails)
+    fresh.edge_count, fresh._runs = g.edge_count, list(g._runs)
     return fresh
 
 
 def _tiled(g, size):
-    """A new graph on copies of ``g``'s edge columns whose runs are ``g``'s
-    maximal runs cut every ``size`` edges; for ``None``, not yet scanned."""
+    """A new graph whose runs are ``g``'s maximal runs cut every ``size``
+    edges; for ``None``, a copy of them."""
     fresh = _copy(g)
     if size is not None:
         fresh._runs = [(i + a, min(size, length - a), u0 + a, v0 + a)
-                       for i, length, u0, v0 in graphs._runs(_copy(g))
+                       for i, length, u0, v0 in g._runs
                        for a in range(0, length, size)]
     return fresh
 
@@ -478,13 +521,6 @@ def _tiled(g, size):
 def _nosurj_graphs():
     tower = document_tower(parse(NOSURJ))
     return [materialize_graph(n, spec_for=tower.__getitem__).graph for n in range(4)]
-
-
-def test_a_graph_keeps_the_runs_of_its_first_scan(materialized):
-    for g in [materialized[n].graph for n in range(4)] + _nosurj_graphs():
-        runs = graphs._runs(g)
-        assert graphs._runs(g) is runs
-        assert runs == graphs._runs(_copy(g))
 
 
 def runs_reference(g):
@@ -507,7 +543,7 @@ def assert_runs_are_maximal(g):
     step = (1 << 32) | 1
     edges = packed_keys(g)
     done = 0
-    for i, length, u0, v0 in graphs._runs(g):
+    for i, length, u0, v0 in g._runs:
         assert i == done and length >= 1
         first = (u0 << 32) | v0
         assert edges[i:i + length] == array("q", range(first, first + length * step, step))
@@ -521,7 +557,7 @@ def assert_runs_are_maximal(g):
 def test_runs_are_the_maximal_runs_of_the_per_edge_reference(cover):
     fresh = _fresh(cover, None)
     for g in (fresh.source, fresh.target):
-        assert graphs._runs(g) == runs_reference(g)
+        assert g._runs == runs_reference(g)
         assert_runs_are_maximal(g)
 
 
@@ -529,21 +565,22 @@ def test_level_runs_are_maximal(materialized):
     # the per-edge reference takes seconds at level 3's 3.4 million edges,
     # so that level is checked by the slice properties alone
     for g in [materialized[n].graph for n in range(3)] + _nosurj_graphs():
-        assert graphs._runs(g) == runs_reference(g)
+        assert g._runs == runs_reference(g)
     for n in range(4):
         assert_runs_are_maximal(materialized[n].graph)
-    runs = graphs._runs(materialized[3].graph)
-    assert len(runs) == 10 and sum(run[1] == 1 for run in runs) == 7
+    assert [len(materialized[n].graph._runs) for n in range(4)] == [1, 3, 7, 10]
+    runs = materialized[3].graph._runs
+    assert sum(run[1] == 1 for run in runs) == 7
     assert max(run[1] for run in runs) == 3_421_638  # cycle 1, but for its two base edges
     short = _copy(SHORT_CYCLE_COVERS[0].source)
-    assert graphs._runs(short) == runs_reference(short)
-    assert short.edge_count == 801 and max(run[1] for run in graphs._runs(short)) == 2
+    assert short._runs == runs_reference(short)
+    assert short.edge_count == 801 and max(run[1] for run in short._runs) == 2
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(small_covers())
 def test_validators_agree_in_any_call_order(cover):
-    # whichever validator scans a graph first, the others read the same runs
+    # whichever validator runs first, the others give the same answers
     validators = (lambda c: validate_edge_surjective(c.source), validate_homomorphism,
                   validate_bidirectional)
     expected = [check(_fresh(cover, None)) for check in validators]
@@ -687,7 +724,7 @@ def _path_cover(images):
 ])
 def test_homomorphism_pieces_equal_the_per_edge_reference(images, bad):
     cover = _path_cover(images)
-    assert graphs._runs(cover.source) == [(0, len(images) - 1, 0, 1)]
+    assert cover.source._runs == [(0, len(images) - 1, 0, 1)]
     violations = validate_homomorphism(cover)
     assert violations == homomorphism_reference(cover)
     assert len(violations) == bad
@@ -700,15 +737,8 @@ def test_homomorphism_repeats_an_edge_that_is_no_loop():
     images = [1] * 100 + [2] * 100
     images[150] = 3
     cover = CoverMap(source, LONG_RUN_TARGET, images)
-    assert graphs._runs(source) == [(0, 100, 0, 100)]
+    assert source._runs == [(0, 100, 0, 100)]
     assert validate_homomorphism(cover) == homomorphism_reference(cover) == [(50, 150)]
-
-
-def test_identity_ramp_spans_its_tiles():
-    # a wrong ramp would only make runs look shorter, so it shows as time,
-    # not as a wrong violation list
-    for n in (0, 1, 5, 1 << 16, (1 << 17) + 3):
-        assert graphs._identity(n).tolist() == list(range(n))
 
 
 def test_path_in_level_one_maps_to_base_loops(materialized):
