@@ -789,7 +789,8 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     ``spec_for`` is a tower lookup (see :class:`LevelSpec`) and defaults to
     the built-in construction.  Refuses levels whose vertex count exceeds the
     budget, and as out of range any past 2**31; level 4 of the built-in tower
-    is already around 7e13 vertices and must never be materialized.
+    is already around 7e13 vertices and must never be materialized.  A formula
+    whose literal expansion does not end at its cycle's end is a :class:`StructuralError`.
     """
     spec = spec_for(n)
     lengths = spec.cycle_lengths
@@ -814,19 +815,23 @@ def materialize_graph(n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         below = materialize_graph(n - 1, vertex_budget, spec_for)
         vm = array("q", [0]) * vertex_count  # zero-filled: base image
         ids = array("q", range(below.graph.vertex_count))
-        for formula, vid in zip(spec.image_formulas, starts):
-            # vid: id of the vertex one edge past the walk cursor
+        for formula, start, length in zip(spec.image_formulas, starts, lengths):
+            # vid: one edge past the walk cursor, which must stop at end; no run past end writes
+            vid, end = start, start + length
             for run in formula.iter_runs():
-                if run.cycle == 0:
-                    vid += run.count  # base positions: image stays 0
-                    continue
-                clen = below.cycle_lengths[run.cycle - 1]
-                img_start = below.cycle_starts[run.cycle - 1]
-                block = ids[img_start:img_start + clen - 1]  # the cycle's interior
-                for _ in range(run.count):
-                    # interior positions of one traversal; the traversal-end
-                    # position maps to the base and keeps its zero fill
-                    vm[vid:vid + clen - 1] = block
-                    vid += clen
+                clen = below.cycle_lengths[run.cycle - 1] if run.cycle else 1
+                stop = vid + run.count * clen
+                if run.cycle and stop <= end:  # base positions keep image 0
+                    img_start = below.cycle_starts[run.cycle - 1]
+                    block = ids[img_start:img_start + clen - 1]  # the cycle's interior
+                    for v in range(vid, stop, clen):  # one traversal each; its
+                        vm[v:v + clen - 1] = block  # end maps to the base, image 0
+                vid = stop
+                if vid > end:
+                    break
+            if vid != end:
+                raise StructuralError(
+                    f"level {n}: a formula expands to {'at least ' * (vid > end)}{vid - start} "
+                    f"edges, its cycle has {length}")
         cover = CoverMap._from_array(graph, below.graph, vm)
     return MaterializedLevel(n, graph, cover, tuple(starts), lengths)

@@ -235,7 +235,7 @@ def cmd_lift(args) -> tuple[int, dict[str, str]]:
     report = bouquet.lift_choices(addr, args.max)
     record = {"address": str(addr), "total": decimal_text(report.total),
               "truncated": report.truncated,
-              "choices": [f"{c.level}:{c.cycle}:{decimal_text(c.pos)}" for c in report.choices]}
+              "choices": [str(c) for c in report.choices]}
     return 0, {"lift.json": _json(record)}
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import decimal
+import sys
 
 
 def int_text(n: int) -> str:
@@ -10,6 +11,9 @@ def int_text(n: int) -> str:
 
     A negative one is ``a negative 199,021-bit integer``.
     """
+    if type(n) is int and not getattr(sys, "get_int_max_str_digits", int)():
+        # no limit (int() is 0 where Python has none): repr would be quadratic
+        return "-" * (n < 0) + decimal_text(abs(n))
     try:
         return repr(n)
     except ValueError:

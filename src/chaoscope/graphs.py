@@ -274,34 +274,6 @@ def validate_bidirectional(c: CoverMap) -> list[tuple[str, int, int, int]]:
     return [violation for *_, violation in sorted(found)]
 
 
-def walk_lengths(g: MaterializedGraph, starts: Iterable[int]) -> list[int]:
-    """The edges walked from the base into each start and on, along each
-    vertex's last out-edge, until back at the base 0.  Raises
-    :class:`StructuralError`, naming the start, at a vertex without an
-    out-edge or past ``vertex_count`` edges, where a walk never returns.
-    Along a run of edges ``(u, u + 1)``, one step reaches its end."""
-    n = g.vertex_count
-    runs, lengths = g._runs, []
-    for start in starts:
-        if not g.has_edge(0, start):
-            raise StructuralError(f"walk from {start}: no edge (0, {start}) into it")
-        steps, v = 1, start
-        while v != 0 and steps <= n:
-            # the last run starting at or below v holds v's last out-edge (a later
-            # run can start only at that run's last source); the edge (0, start)
-            # puts source 0 first, so the bisection never lands before the first run
-            _, length, u0, v0 = runs[bisect_right(runs, v, key=itemgetter(2)) - 1]
-            last = u0 + length - 1
-            if v > last:
-                raise StructuralError(f"walk from {start}: vertex {v} has no out-edge")
-            v, steps = (last, steps + last - v) if v0 == u0 + 1 and v < last else (
-                v0 + v - u0, steps + 1)
-        if v != 0:
-            raise StructuralError(f"walk from {start} is not back at the base after {n} edges")
-        lengths.append(steps)
-    return lengths
-
-
 def _gallop(same: Callable[[int, int], bool], limit: int) -> int:
     """The largest ``n <= limit`` with ``same`` holding on ``[0, n)``.
 

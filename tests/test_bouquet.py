@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from array import array
 from unittest import mock
 
 import pytest
@@ -1097,6 +1098,42 @@ def test_materialization_refuses_more_vertices_than_32_bit_ids():
     huge = (1 << 31) + 2
     with pytest.raises(StructuralError, match=f"^vertex_count {huge} out of range"):
         materialize_graph(1, 1 << 40, spec_for=lambda n: LevelSpec(n, (huge,), 0, ()))
+
+
+def test_materialization_refuses_an_expansion_past_the_last_vertex(monkeypatch):
+    # level 2's last cycle has 9 edges, but its formula expands to 14: three
+    # passes of level 1's 4-cycle from vertex 7 would write up to id 17 of a
+    # 14-vertex map.  That run is refused before it writes, so the map keeps
+    # its length, and the count stops at the end of the run, 13 edges in
+    level1 = Formula([Run(0, 4)], ())
+    level2 = (Formula([Run(0, 1), Run(1, 1), Run(0, 1)], (4,)),
+              Formula([Run(0, 1), Run(1, 3), Run(0, 1)], (4,)))
+    specs = [LevelSpec(0, (), 2, ()), LevelSpec(1, (4,), 10, (level1,)),
+             LevelSpec(2, (6, 9), 32, level2)]
+    sizes = []
+
+    class Watched(array):  # each write to the map records its length after it
+        def __mul__(self, n):
+            return Watched(self.typecode, array.__mul__(self, n))
+
+        def __setitem__(self, key, value):
+            array.__setitem__(self, key, value)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(bouquet, "array", Watched)
+    with pytest.raises(StructuralError) as err:
+        materialize_graph(2, spec_for=specs.__getitem__)
+    assert str(err.value) == "level 2: a formula expands to at least 13 edges, its cycle has 9"
+    assert sizes == [14]  # cycle 1's one pass, then nothing
+
+
+def test_materialization_refuses_an_expansion_short_of_its_cycle():
+    level1 = Formula([Run(0, 4)], ())
+    specs = [LevelSpec(0, (), 2, ()), LevelSpec(1, (4,), 10, (level1,)),
+             LevelSpec(2, (7,), 16, (Formula([Run(0, 1), Run(1, 1), Run(0, 1)], (4,)),))]
+    with pytest.raises(StructuralError, match="^level 2: a formula expands to 6 edges, "
+                                              "its cycle has 7$"):
+        materialize_graph(2, spec_for=specs.__getitem__)
 
 
 def test_addr_id_round_trip(materialized):

@@ -20,13 +20,14 @@ from chaoscope import (
     build_level_spec,
     builtin_document,
     cycle_length,
+    errors,
     fixed_point,
     lift_choices,
     serialize,
     verify,
 )
 from chaoscope.cli import main, parse_handle
-from chaoscope.errors import decimal_text
+from chaoscope.errors import decimal_text, int_text
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -235,6 +236,25 @@ def test_decimal_text_equals_str_past_the_int_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_int_text_writes_ints_by_decimal_text_once_the_limit_is_lifted(monkeypatch):
+    # as the CLI runs: repr's text, written in subquadratic time, the sign
+    # added to a negative one; what is no int keeps its repr
+    rng = random.Random(36)
+    numbers = [0, 1, -1, 1 << 2048, -(1 << 2048), 10**50_000, -(10**50_000) + 1] + [
+        rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 166_000)) for _ in range(10)]
+    written = []
+    monkeypatch.setattr(errors, "decimal_text",
+                        lambda n: written.append(n) or decimal_text(n))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [int_text(n) for n in numbers] == [repr(n) for n in numbers]
+        assert written == [abs(n) for n in numbers]
+        assert (int_text(True), int_text("7"), int_text(2.5)) == ("True", "'7'", "2.5")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_levels_formulas_bytes_are_pinned(capsys):
     # the built-in tower's specs of levels 0-6, byte for byte
     code, out = run(capsys, "levels", "--max", "6", "--formulas")
@@ -351,6 +371,53 @@ def test_validate_a_cover_with_fewer_cycles_than_levels(tmp_path, capsys):
     assert code == 0
     assert len(out.splitlines()) == 3
     assert out.splitlines()[2].startswith("level 2: 6 vertices, 7 edges")
+
+
+SMALL = """\
+cover small mode bouquet
+level 1 { c1 := 4 e; }
+level 2 { c1 := sum(j=1..3){ j e + 2 c1 } + e + e; c2 := 5 e; }
+level 3 { c1 := sum(j=1..2){ j e + 2 c1 } + e + c2 + e; c2 := e + c1 + c2 + e; c3 := 6 e; }
+"""
+
+
+@pytest.fixture
+def block_sums_one_edge_long(monkeypatch):
+    """A planted fault: every block sum over a level of two or more cycles
+    counts one edge more than it expands to.  Specs and materialized levels
+    are built afresh under it, and again after it."""
+    init = bouquet.Formula.__init__
+
+    def planted(self, items, lengths):
+        init(self, items, lengths)
+        if len(self.lengths) >= 2:
+            self.length += sum(isinstance(item, bouquet.BlockSum) for item in self.items)
+
+    monkeypatch.setattr(bouquet.Formula, "__init__", planted)
+    build_level_spec.cache_clear()
+    verify._materialized.cache_clear()
+    yield
+    build_level_spec.cache_clear()
+    verify._materialized.cache_clear()
+
+
+def test_validate_refuses_a_formula_longer_than_its_expansion(
+        block_sums_one_edge_long, tmp_path, capsys):
+    # without the expansion's end check, level 3 read 182 vertices, one past
+    # the true 181, and every validator passed the cover
+    path = tmp_path / "small.cover"
+    path.write_text(SMALL)
+    assert main(["validate", "--cover", str(path), "--max-level", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: level 3: a formula expands to 138 edges, its cycle has 139\n")
+
+
+def test_criterion_1_fails_on_a_formula_longer_than_its_expansion(
+        block_sums_one_edge_long, capsys):
+    code, out = run(capsys, "check", "1")
+    assert code == 1
+    assert out == ("criterion  1 [FAIL] lengths: StructuralError: level 3: "
+                   "a formula expands to 3421640 edges, its cycle has 3421641\n")
 
 
 def test_level_limit_is_one_error_for_library_and_cli(monkeypatch, capsys):

@@ -28,7 +28,6 @@ from chaoscope import (
     validate_homomorphism,
     write_dot,
 )
-from chaoscope import graphs
 
 
 def test_single_vertex_self_loop_is_edge_surjective():
@@ -98,15 +97,12 @@ def test_a_cover_map_holds_an_int64_array_and_copies_any_other_map():
 
 
 def test_level_three_validators_allocate_by_runs_not_vertices(materialized):
-    # neither validator nor criterion 1's walk holds a per-vertex array:
-    # level 3 has 3.4 million vertices, so one such array would be several MiB
-    level = materialized[3]
-    cover = level.cover
+    # neither validator holds a per-vertex array: level 3 has 3.4 million
+    # vertices, so one such array would be several MiB
+    cover = materialized[3].cover
     for validate, arg, expected in (
             (validate_bidirectional, cover, []),
-            (validate_edge_surjective, cover.source, []),
-            (lambda g: graphs.walk_lengths(g, level.cycle_starts), level.graph,
-             list(level.cycle_lengths))):
+            (validate_edge_surjective, cover.source, [])):
         tracemalloc.start()
         try:
             assert validate(arg) == expected
@@ -615,8 +611,8 @@ def test_graph_queries_equal_a_set_of_pairs(graph):
     assert (g == MaterializedGraph(n + 1, pairs)) is False
 
 
-# Criterion 1's walk as it was, one Python statement per edge and per step:
-# the reference for `graphs.walk_lengths`.
+# The cycles of a materialized level, walked one Python statement per edge
+# and per step: materialize_graph lays them out from the spec's lengths.
 
 def successor_reference(g):
     """Unique successor per non-base vertex, read off the explicit edges."""
@@ -640,62 +636,14 @@ def walk_reference(g, start):
     return steps
 
 
-@st.composite
-def walk_graphs(draw):
-    """A bouquet of short cycles at the base, with a few edges added and a
-    few dropped: most walks return, some meet a vertex without an out-edge
-    or a cycle that avoids the base."""
-    lengths = draw(st.lists(st.integers(2, 12), min_size=1, max_size=4))
-    g = materialize_graph(0, spec_for=lambda n: LevelSpec(n, tuple(lengths), 0, ())).graph
-    vertex = st.integers(0, g.vertex_count - 1)
-    edges = list(g.edges()) + draw(st.lists(st.tuples(vertex, vertex), max_size=3))
-    for dropped in draw(st.lists(st.integers(0, len(edges) - 1), max_size=2, unique=True)):
-        edges[dropped] = None
-    return MaterializedGraph(g.vertex_count, [edge for edge in edges if edge])
-
-
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(walk_graphs())
-@example(_stacked_cover().source)
-# the first run's last source, 2, starts the next run: from 1 the walk takes
-# 5 edges, where one that crossed the first run to its end would take 4
-@example(MaterializedGraph(6, [(0, 1), (1, 2), (2, 3), (2, 5), (3, 0), (4, 0), (5, 4)]))
-def test_walks_equal_the_step_by_step_walk_or_raise(g):
-    # the last edge from a vertex wins and the base's edges are skipped,
-    # whatever the tiling of the runs
-    for size in (None, 3, 1):
-        fresh = _tiled(g, size)
-        for start in range(g.vertex_count):
-            expected = walk_reference(g, start) if g.has_edge(0, start) else None
-            if expected is None:
-                with pytest.raises(StructuralError, match=f"walk from {start}:? "):
-                    graphs.walk_lengths(fresh, [start])
-            else:
-                assert graphs.walk_lengths(fresh, [start]) == [expected]
-
-
 def test_level_walks_equal_the_step_by_step_walk(materialized):
     towers = [document_tower(parse(document)) for document in (NOSURJ, SHORT_CYCLES)]
     levels = [materialized[n] for n in (1, 2, 3)] + [
         materialize_graph(n, spec_for=tower.__getitem__) for tower in towers
         for n in (1, 2, 3)]
     for level in levels:
-        lengths = graphs.walk_lengths(level.graph, level.cycle_starts)
-        assert lengths == list(level.cycle_lengths)
-        assert lengths == [walk_reference(level.graph, start) for start in level.cycle_starts]
-
-
-@pytest.mark.parametrize("edges, start, message", [
-    ([(0, 1), (1, 2)], 1, "walk from 1: vertex 2 has no out-edge"),
-    ([(0, 1), (1, 2), (2, 3), (3, 1)], 1, "walk from 1 is not back at the base after 4"),
-    ([(0, 0), (0, 3)] + [(k, k + 1) for k in range(3, 99)] + [(99, 3)], 3,
-     "walk from 3 is not back at the base after 100"),  # a long cycle, walked by runs
-    ([(0, 1), (1, 0)], 2, "walk from 2: no edge"),
-])
-def test_a_walk_that_does_not_return_raises_naming_its_start(edges, start, message):
-    g = MaterializedGraph(max(max(e) for e in edges) + 1, edges)
-    with pytest.raises(StructuralError, match=message):
-        graphs.walk_lengths(g, [start])
+        assert ([walk_reference(level.graph, start) for start in level.cycle_starts]
+                == list(level.cycle_lengths))
 
 
 # A target with one long run of keys, (1, 2), (2, 3), ..., (19, 20), entered
@@ -784,8 +732,8 @@ def test_cycles_are_disjoint_simple_and_return_to_base(materialized):
 
 
 def test_level_three_short_cycles_are_simple_too(materialized):
-    # spot check at level 3 (the first cycle's 3.4M walk lives in the
-    # acceptance battery's length oracle)
+    # spot check at level 3 (the first cycle's 3.4M walk lives in
+    # test_level_walks_equal_the_step_by_step_walk)
     level = materialized[3]
     g = level.graph
     for i in (1, 2):
