@@ -448,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:  # lifted for the command alone, then restored
         sys.set_int_max_str_digits(0)  # lengths past level 12 exceed 4300 digits
     parser = build_parser()
     try:
@@ -462,3 +463,6 @@ def main(argv: list[str] | None = None) -> int:
     except ChaoscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)

@@ -15,9 +15,9 @@ inside its cycle.  Driving it to the base is an explicit
 what happens after the base-hit depends on deeper levels the spine does not
 know.  Callers can extend the spine with ``lift_choices`` and re-seed.
 
-``column_of``, ``next_base_time`` and ``distance`` share one walk of
-projections (see ``_walk``), kept in one slot: callers read a point several
-times in a row, and an orbit scan, which never returns, pays one compare.
+``column_of``, ``next_base_time`` and ``distance`` share one kept walk of
+projections (see ``_walk``): a repeat pays one compare, and a jump along the
+spine's cycle re-projects only the levels it moves out of their traversals.
 Handles and addresses are named tuples: the walk, the columns and the orbit
 rows build and compare them in C.
 
@@ -144,7 +144,9 @@ _kept: tuple[VertexAddr, ...] = ()  # the last walk: one slot, replaced whole
 def _walk(h: PointHandle, stop: int) -> tuple[VertexAddr, ...]:
     """Coordinates from the spine down to level ``stop`` or the first base
     one, entry ``i`` at level ``spine_level - i``.  An equal coordinate's kept
-    walk is reused after the check a miss's first ``project_addr`` makes."""
+    walk is reused after the check a miss's first ``project_addr`` makes.  A
+    spine ``d`` steps on moves each ``(n, c, q)`` to ``(n, c, q + d)`` while
+    off the base and ``0 < q + d < cycle_length(n, c)``: its image stays in one traversal."""
     global _kept
     a = h.address
     if not a.cycle:
@@ -155,7 +157,16 @@ def _walk(h: PointHandle, stop: int) -> tuple[VertexAddr, ...]:
         check_addr(addr)  # equal is not identical: 5.0 == 5
     else:
         _spine_position(h)  # SpineExhausted outside the range; a hit is inside it
-        walk = (addr,)
+        if walk and walk[0][:2] == addr[:2]:
+            check_addr(addr)  # before it is kept: no projection checks it
+            d, moved = addr.pos - walk[0].pos, [addr]
+            for level, cycle, pos in walk[1:]:
+                if not cycle or not 0 < pos + d < cycle_length(level, cycle):
+                    break  # projection goes on from the last that moved
+                moved.append(VertexAddr(level, cycle, pos + d))
+            _kept = walk = tuple(moved)  # kept even if it reaches far enough
+        else:
+            walk = (addr,)
     last = walk[-1]
     if not last.cycle or last.level <= stop:
         return walk  # it reaches far enough: returned as it is

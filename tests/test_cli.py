@@ -216,9 +216,28 @@ def test_levels_prints_lengths_past_the_int_digit_limit(capsys):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 17
-    top = [int(x) for x in rows[16]["cycle_lengths"]]
-    assert len(str(top[0])) > 4300
-    assert int(rows[16]["k"]) == 2 * (1 + sum(top))
+    limit = sys.get_int_max_str_digits()  # main restored it: read back with none
+    sys.set_int_max_str_digits(0)
+    try:
+        top = [int(x) for x in rows[16]["cycle_lengths"]]
+        assert len(str(top[0])) > 4300
+        assert int(rows[16]["k"]) == 2 * (1 + sum(top))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_main_leaves_the_int_digit_limit_as_it_found_it(capsys):
+    limit = sys.get_int_max_str_digits()
+    try:
+        for found in (4300, 640, 0):
+            sys.set_int_max_str_digits(found)
+            assert run(capsys, "levels", "--max", "13")[0] == 0
+            assert sys.get_int_max_str_digits() == found
+            assert run(capsys, "orbit", "--spine", "3", "--cycle", "1", "--pos", "0",
+                       "--horizon", "10")[0] == 2
+            assert sys.get_int_max_str_digits() == found
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_decimal_text_equals_str_past_the_int_digit_limit():

@@ -169,3 +169,93 @@ def test_a_base_time_projects_no_level_below_its_target(projections):
     assert next_base_time(h, 5) == ref_next_base_time(h, 5)
     assert len(projections) <= 3
     assert min(a.level for a in projections) == 6
+
+
+# A jump along the spine's cycle moves the kept walk instead of replacing it.
+
+JUMP_STARTS = [
+    new_handle(8, 1, 1_500_000), new_handle(12, 1, 1_500_000), new_handle(10, 1, 1_234_567),
+    new_handle(8, 1, 5), new_handle(8, 3, 5), new_handle(4, 2, 100),
+    _uniform(12, 1, random.Random(37)), _uniform(6, 6, random.Random(37)),
+]
+
+
+def _jump(h: PointHandle, kind: str, value: int, edge: int) -> int:
+    """A small ``value`` steps, or to the end (``kind == "end"``) or the start
+    of the traversal of the column's level ``value``, ``edge`` in -1..1 past it."""
+    if kind == "small":
+        return value
+    addr = ref_column(h)[value % (h.spine_level + 1)]
+    if not addr.cycle:
+        return edge
+    to = cycle_length(addr.level, addr.cycle) - addr.pos if kind == "end" else -addr.pos
+    return to + edge
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.sampled_from(JUMP_STARTS),
+       st.lists(st.tuples(st.sampled_from(["small", "end", "start"]), st.integers(-40, 40),
+                          st.integers(-1, 1), st.integers(0, 13)),
+                min_size=1, max_size=12))
+def test_jumps_on_one_spine_cycle_equal_a_fresh_walk(start, jumps):
+    h = start
+    for kind, value, edge, k in jumps:
+        try:
+            moved = step(h, _jump(h, kind, value, edge))
+        except SpineExhausted:
+            continue
+        assert column_of(moved, _depth(moved, k)) == ref_column(moved, _depth(moved, k))
+        target = min(k, moved.spine_level)
+        assert next_base_time(moved, target) == ref_next_base_time(moved, target)
+        assert distance(moved, h) == ref_distance(moved, h)
+        assert distance(h, moved) == ref_distance(h, moved)
+        h = moved
+
+
+def _deepest_kept(h: PointHandle, d: int) -> int:
+    """The lowest level down to which every coordinate of ``h``'s column
+    stays off the base and inside its traversal over ``d`` steps."""
+    level = h.spine_level
+    for addr in ref_column(h)[h.spine_level - 1::-1]:
+        if not addr.cycle or not 0 < addr.pos + d < cycle_length(addr.level, addr.cycle):
+            break
+        level = addr.level
+    return level
+
+
+@pytest.mark.parametrize("d", [1, -1, 1000, -1000, 10**5, 400_000])
+def test_a_jump_projects_only_levels_below_the_deepest_kept_one(projections, d):
+    h = new_handle(8, 1, 1_500_000)
+    column_of(h)
+    projections.clear()
+    moved = step(h, d)
+    deepest = _deepest_kept(h, d)
+    assert column_of(moved) == ref_column(moved)
+    assert all(a.level <= deepest for a in projections)
+    assert len(projections) == sum(not a.is_base for a in ref_column(moved)[1:deepest + 1])
+    if abs(d) <= 1000:  # a short jump keeps levels 4..8
+        assert deepest <= 4 and len(projections) < _walk_length(moved)
+
+
+@pytest.mark.parametrize("bad", [
+    PointHandle(8, VertexAddr(8, 1, 5.0), 3),
+    PointHandle(8, VertexAddr(8, True, 5), 3),
+    PointHandle(8.0, VertexAddr(8.0, 1, 5), 3),
+])
+def test_a_jump_still_refuses_a_float_spine(bad):
+    h = new_handle(8, 1, 5)
+    column_of(h)
+    with pytest.raises(StructuralError):
+        column_of(bad)
+    assert all(type(x) is int for a in dynamics._kept for x in a)
+    for moved in (step(h, 3), step(h, 7)):
+        assert column_of(moved) == ref_column(moved)
+
+
+def test_a_moved_walk_is_kept_even_when_it_reaches_far_enough(projections):
+    h = new_handle(8, 1, 1_500_000)
+    column_of(h)
+    projections.clear()
+    moved = step(h, 1000)
+    assert next_base_time(moved, 5) == ref_next_base_time(moved, 5)
+    assert projections == [] and dynamics._kept[0] == _spine(moved)
