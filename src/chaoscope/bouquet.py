@@ -397,8 +397,8 @@ def build_level_spec(n: int) -> LevelSpec:
 
 
 def cycle_length(n: int, i: int) -> int:
-    """Length of cycle ``i`` at level ``n``."""
-    if not (1 <= i <= n):
+    """Length of cycle ``i`` at level ``n``; ``i`` an int, bools refused."""
+    if type(i) is not int or not 1 <= i <= n:
         raise StructuralError(
             f"level {int_text(n)} has cycles 1..{int_text(n)}, asked for {int_text(i)}")
     return build_level_spec(n).cycle_lengths[i - 1]
@@ -597,26 +597,25 @@ class _Summary:
     """What one path contributes to an :class:`OccurrenceReport`: length,
     copy count, prefix and suffix as ``(length, all_base)`` (both the whole
     path while it holds no copy), gaps, ``gaps_all_base`` and the first
-    ``MAX_OFFSETS`` copy offsets.  The gaps are a dict of single gaps with
-    their counts and ranges ``(first, last, step, count)``: ``count`` of each
-    gap in ``range(first, last + 1, step)``.  A leaf is a base edge, a foreign
-    cycle or the target (one copy); :meth:`add_blocks` joins paths."""
+    ``MAX_OFFSETS`` copy offsets.  The gaps are one list of records
+    ``(first, last, step, count)``: ``count`` of each gap in
+    ``range(first, last + 1, step)``, a single gap ``(g, g, 1, count)``.  A
+    leaf is a base edge, a foreign cycle or the target (one copy);
+    :meth:`add_blocks` joins paths."""
 
-    __slots__ = ("length", "count", "prefix", "suffix", "gaps", "ranges", "gaps_all_base",
-                 "offsets")
+    __slots__ = ("length", "count", "prefix", "suffix", "gaps", "gaps_all_base", "offsets")
 
     def __init__(self, length: int, count: int, all_base: bool):
         self.length, self.count = length, count
         self.prefix = self.suffix = (0 if count else length, all_base)
-        self.gaps: dict[int, int] = {}
-        self.ranges: list[tuple[int, int, int, int]] = []
+        self.gaps: list[tuple[int, int, int, int]] = []
         self.gaps_all_base = True
         self.offsets = [0] if count else []
 
     def histogram(self) -> dict[int, int]:
-        """Every gap with its count, the ranges expanded."""
-        gaps = dict(self.gaps)
-        for first, last, step, count in self.ranges:
+        """Every gap with its count, the records expanded."""
+        gaps: dict[int, int] = {}
+        for first, last, step, count in self.gaps:
             for gap in range(first, last + 1, step):
                 gaps[gap] = gaps.get(gap, 0) + count
         return gaps
@@ -625,7 +624,7 @@ class _Summary:
         """Append blocks j = lo..hi in closed form, whatever their number: in
         block j a term ``(x, const, coef)`` is ``const + coef*j >= 1`` copies
         of the path ``x``.  Each seam between two copies is affine in j, so
-        it adds one range of gaps."""
+        it adds one record of gaps."""
         n, prefix, had = hi - lo + 1, Formula._prefix, self.count
         pa = pb = 0  # the next term starts pa + pb*j edges into block j
         a, b, clean = 0, 0, True  # the a + b*j edges since the block's last copy
@@ -639,9 +638,7 @@ class _Summary:
                     lead = (a, b, clean)
                 else:  # the seam from the block's previous copy
                     self._seam(a + b * lo, b, n, clean)
-                for gap, c in x.gaps.items():
-                    self.gaps[gap] = self.gaps.get(gap, 0) + total * c
-                self.ranges += [(f, last, s, c * total) for f, last, s, c in x.ranges]
+                self.gaps += [(f, last, s, c * total) for f, last, s, c in x.gaps]
                 if total > n:  # count - 1 inner gaps per block
                     self._seam(x.suffix[0] + x.prefix[0], 0, total - n,
                                x.suffix[1] and x.prefix[1])
@@ -680,10 +677,7 @@ class _Summary:
 
     def _seam(self, first: int, step: int, n: int, all_base: bool) -> None:
         """Add the ``n`` gaps ``first + i*step``, i < n, all base or not."""
-        if step and n > 1:
-            self.ranges.append((first, first + step * (n - 1), step, 1))
-        else:
-            self.gaps[first] = self.gaps.get(first, 0) + n
+        self.gaps.append((first, first + step * (n - 1), step, 1) if step else (first, first, 1, n))
         self.gaps_all_base = self.gaps_all_base and all_base
 
 

@@ -160,13 +160,8 @@ def cmd_validate(args) -> tuple[int, dict[str, str]]:
     lines = []
     for n in range(0, args.max_level + 1):
         level = bouquet.materialize_graph(n, args.vertex_budget, spec_for=spec_for)
-        surj = graphs.validate_edge_surjective(level.graph)
-        hom = bd = []
-        if level.cover is not None:
-            hom = graphs.validate_homomorphism(level.cover)
-            bd = graphs.validate_bidirectional(level.cover)
-        bad = len(surj) + len(hom) + len(bd)
-        failures += bad
+        surj, hom, bd = verify.cover_violations(level)
+        failures += len(surj) + len(hom) + len(bd)
         lines.append(f"level {n}: {level.graph.vertex_count} vertices, "
                      f"{level.graph.edge_count} edges, "
                      f"violations: surjectivity {len(surj)}, homomorphism "

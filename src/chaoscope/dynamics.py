@@ -16,8 +16,9 @@ what happens after the base-hit depends on deeper levels the spine does not
 know.  Callers can extend the spine with ``lift_choices`` and re-seed.
 
 ``column_of``, ``next_base_time`` and ``distance`` share one kept walk of
-projections (see ``_walk``): a repeat pays one compare, and a jump along the
-spine's cycle re-projects only the levels it moves out of their traversals.
+projections (see ``_walk``): a repeat pays one check and one compare, and
+a jump along the spine's cycle re-projects only the levels it moves out of
+their traversals.
 Handles and addresses are named tuples: the walk, the columns and the orbit
 rows build and compare them in C.
 
@@ -100,8 +101,11 @@ def new_handle(spine_level: int, cycle: int, pos: int, offset: int = 0) -> Point
 
 
 def _spine_position(h: PointHandle) -> int:
-    """Current position along the spine cycle (0 for the fixed point)."""
+    """The one check of a handle (int fields, no bools, then the range) and
+    its current position along the spine cycle, 0 for the fixed point."""
     spine, (_, cycle, start), offset = h
+    if not (type(spine) is type(cycle) is type(start) is type(offset) is int):
+        raise StructuralError(f"address coordinates must be ints: {h!r}")
     if not cycle:
         return 0
     pos = start + offset
@@ -120,10 +124,8 @@ def exhaustion_time(h: PointHandle) -> int | None:
     """Smallest forward step that exhausts the spine: the cycle length minus
     the current position (None for the fixed point, which never exhausts).
     Steps strictly below this value are valid."""
-    if h.address.is_base:
-        return None
-    length = cycle_length(h.spine_level, h.address.cycle)
-    return length - _spine_position(h)
+    pos = _spine_position(h)
+    return cycle_length(h.spine_level, h.address.cycle) - pos if pos else None
 
 
 def step(h: PointHandle, delta: int) -> PointHandle:
@@ -143,27 +145,23 @@ _kept: tuple[VertexAddr, ...] = ()  # the last walk: one slot, replaced whole
 
 def _walk(h: PointHandle, stop: int) -> tuple[VertexAddr, ...]:
     """Coordinates from the spine down to level ``stop`` or the first base
-    one, entry ``i`` at level ``spine_level - i``.  An equal coordinate's kept
-    walk is reused after the check a miss's first ``project_addr`` makes.  A
-    spine ``d`` steps on moves each ``(n, c, q)`` to ``(n, c, q + d)`` while
-    off the base and ``0 < q + d < cycle_length(n, c)``: its image stays in one traversal."""
+    one, entry ``i`` at level ``spine_level - i``.  After the one check of
+    ``h``, an equal coordinate's kept walk is reused as it is.  A spine ``d``
+    steps on moves each ``(n, c, q)`` to ``(n, c, q + d)`` while off the base
+    and ``0 < q + d < cycle_length(n, c)``: its image stays in one traversal."""
     global _kept
-    a = h.address
-    if not a.cycle:
-        return (a,)
-    addr = VertexAddr(h.spine_level, a.cycle, a.pos + h.offset)
+    pos = _spine_position(h)
+    if not pos:
+        return (h.address,)
+    addr = VertexAddr(h.spine_level, h.address.cycle, pos)
     walk = _kept
-    if walk and walk[0] == addr:
-        check_addr(addr)  # equal is not identical: 5.0 == 5
-    else:
-        _spine_position(h)  # SpineExhausted outside the range; a hit is inside it
+    if not walk or walk[0] != addr:
         if walk and walk[0][:2] == addr[:2]:
-            check_addr(addr)  # before it is kept: no projection checks it
-            d, moved = addr.pos - walk[0].pos, [addr]
-            for level, cycle, pos in walk[1:]:
-                if not cycle or not 0 < pos + d < cycle_length(level, cycle):
+            d, moved = pos - walk[0].pos, [addr]
+            for level, cycle, q in walk[1:]:
+                if not cycle or not 0 < q + d < cycle_length(level, cycle):
                     break  # projection goes on from the last that moved
-                moved.append(VertexAddr(level, cycle, pos + d))
+                moved.append(VertexAddr(level, cycle, q + d))
             _kept = walk = tuple(moved)  # kept even if it reaches far enough
         else:
             walk = (addr,)

@@ -925,13 +925,13 @@ def test_summary_join_equals_the_symbol_by_symbol_scan(lengths, words, top, max_
         for w, r in top:
             _add(path, summaries[w], r)
         symbols = [c for w, r in top for _ in range(r) for c, n in words[w] for _ in range(n)]
-        assert (path.length, path.count, path.prefix, path.suffix, path.gaps,
+        assert (path.length, path.count, path.prefix, path.suffix, path.histogram(),
                 path.gaps_all_base, path.offsets) == _summary_by_symbols(symbols, lengths)
 
 
 def _join_copies(path, x, r):
-    """Append ``r`` back-to-back copies of the summary ``x`` (which has no
-    gap ranges) to ``path``, one run at a time."""
+    """Append ``r`` back-to-back copies of the summary ``x`` to ``path``, one
+    run at a time: every gap a single-gap record."""
     if not x.count:
         path.suffix = (path.suffix[0] + r * x.length, path.suffix[1] and x.suffix[1])
         if not path.count:
@@ -942,13 +942,11 @@ def _join_copies(path, x, r):
     # prefix) and r - 1 inner gaps between the copies of x
     seam = (path.suffix[0] + x.prefix[0], path.suffix[1] and x.prefix[1])
     inner = (x.suffix[0] + x.prefix[0], x.suffix[1] and x.prefix[1])
-    gaps = path.gaps
-    for gap, count in x.gaps.items():
-        gaps[gap] = gaps.get(gap, 0) + r * count
+    path.gaps += [(gap, gap, 1, r * count) for gap, count in x.histogram().items()]
     if r > 1:
-        gaps[inner[0]] = gaps.get(inner[0], 0) + r - 1
+        path.gaps.append((inner[0], inner[0], 1, r - 1))
     if path.count:
-        gaps[seam[0]] = gaps.get(seam[0], 0) + 1
+        path.gaps.append((seam[0], seam[0], 1, 1))
     else:
         path.prefix = seam
     path.gaps_all_base = (path.gaps_all_base and x.gaps_all_base

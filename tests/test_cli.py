@@ -439,6 +439,37 @@ def test_criterion_1_fails_on_a_formula_longer_than_its_expansion(
                    "a formula expands to 3421640 edges, its cycle has 3421641\n")
 
 
+@pytest.fixture
+def level_2_vertex_5_mapped_to_7(monkeypatch):
+    """A planted fault: level 2's cover sends vertex 5 to level 1's vertex 7
+    in place of its true image.  Materialized levels are built afresh under
+    it, and again after it."""
+    materialize = bouquet.materialize_graph
+
+    def planted(n, *args, **kwargs):
+        level = materialize(n, *args, **kwargs)
+        if n == 2:
+            level.cover.vertex_map[5] = 7
+        return level
+
+    monkeypatch.setattr(bouquet, "materialize_graph", planted)
+    verify._materialized.cache_clear()
+    yield
+    verify._materialized.cache_clear()
+
+
+def test_criterion_2_and_validate_fail_on_a_broken_vertex_map(
+        level_2_vertex_5_mapped_to_7, capsys):
+    code, out = run(capsys, "check", "2")
+    assert code == 1
+    assert out == ("criterion  2 [FAIL] cover axioms: level 0: 0 violations; level 1: "
+                   "0+0+0 violations; level 2: 0+2+0 violations; level 3: 0+0+0 violations\n")
+    code, out = run(capsys, "validate", "--max-level", "2")
+    assert code == 1
+    assert out.splitlines()[2] == ("level 2: 784 vertices, 786 edges, violations: "
+                                   "surjectivity 0, homomorphism 2, bidirectionality 0")
+
+
 def test_level_limit_is_one_error_for_library_and_cli(monkeypatch, capsys):
     # the refusal does not depend on what the process built before
     monkeypatch.setattr(bouquet, "LEVEL_LIMIT", 3)

@@ -32,6 +32,7 @@ from chaoscope import (
     write_orbit_csv,
     write_orbit_jsonl,
 )
+from chaoscope import dynamics
 from chaoscope.bouquet import check_addr
 from chaoscope.dynamics import CYCLE_ONE_BAND, OrbitCursor
 from chaoscope.verify import degree_corpus
@@ -110,6 +111,43 @@ def test_a_float_or_bool_coordinate_is_refused_on_a_miss_and_a_hit(h, kept):
                   lambda: distance(h, fixed_point(8))):
         with pytest.raises(StructuralError, match="address coordinates must be ints"):
             query()
+
+
+FLOAT_CYCLE = PointHandle(8, VertexAddr(8, 1.0, 5), 0)
+
+
+@pytest.mark.parametrize("query", [
+    lambda: column_of(FLOAT_CYCLE),
+    lambda: next_base_time(FLOAT_CYCLE, 2),
+    lambda: exhaustion_time(FLOAT_CYCLE),
+    lambda: step(FLOAT_CYCLE, 1),
+    lambda: step(new_handle(8, 1, 5), 2.0),
+    lambda: new_handle(8, 1, 5, 2.0),
+], ids=["column", "base time", "exhaustion", "step", "float delta", "float offset"])
+def test_every_door_refuses_a_float_cycle_or_offset(query):
+    with pytest.raises(StructuralError, match="address coordinates must be ints"):
+        query()
+
+
+def test_cycle_length_refuses_a_cycle_that_is_not_an_int():
+    for cycle in (1.0, True):
+        with pytest.raises(StructuralError, match="has cycles 1..8"):
+            cycle_length(8, cycle)
+
+
+def test_a_handle_is_checked_once_where_it_enters(monkeypatch):
+    # new_handle checks the address; the walk's one check of the handle is
+    # its spine position, so no query re-checks it through check_addr
+    h, p = new_handle(12, 1, 1_500_000), new_handle(8, 1, 1_234_567)
+    calls = []
+    real = dynamics.check_addr
+    monkeypatch.setattr(dynamics, "check_addr", lambda a: calls.append(a) or real(a))
+    column_of(h)
+    next_base_time(h, 2)
+    distance(h, p)
+    for d in (1, -1, 1000, 10**12):
+        column_of(step(h, d))
+    assert calls == []
 
 
 def test_readme_library_example():
