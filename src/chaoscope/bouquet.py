@@ -22,7 +22,7 @@ formula is inverted in closed form instead of enumerating its ``k`` blocks:
 a division finds the block when the offset is small next to the block
 coefficients, and an integer square root of the quadratic's discriminant
 otherwise.  One pass over each formula's items compiles their offsets,
-flat tables of its runs and block bodies and each block sum's constants,
+runs and block bodies, block constants and ``passes`` of each lower cycle,
 so a query costs what its offset needs, not what the cycle's size would.
 Every other walk reads an item as a block sum, a run being the one-block
 sum of its term.  Occurrence scans never expand a path either: they
@@ -140,11 +140,12 @@ class Formula:
     binary-searched), its table (``(cycle, clen, count)`` for a run, one
     ``(cycle, clen, const*clen, coef*clen)`` per body term of a block sum)
     and a block sum's constants ``(a, b, c1, fast_bits)``, read off its table.
+    ``passes[i-1]`` counts the image's traversals of source cycle i; base edges get none.
     Only that pass and ``_run_at`` tell a run from a block sum; every other
     walker reads an item as ``item.bound`` blocks of its terms ``item.body``.
     """
 
-    __slots__ = ("items", "lengths", "_starts", "_ends", "_blocks", "_tables", "length")
+    __slots__ = ("items", "lengths", "_starts", "_ends", "_blocks", "_tables", "length", "passes")
 
     def __init__(self, items: Sequence[FormulaItem], lengths: Sequence[int]):
         self.items = tuple(items)
@@ -152,12 +153,13 @@ class Formula:
         if not self.items:
             raise StructuralError("a formula needs at least one term")
         self._starts, self._ends, self._blocks, self._tables = [], [], [], []
-        total = 0
+        passes, total = [0] * len(self.lengths), 0
         for item in self.items:
             self._starts.append(total)
             if isinstance(item, Run):
                 block, table = None, (item.cycle, self._cycle_len(item.cycle), item.count)
                 total += table[1] * item.count
+                terms = [(item.cycle, item.count, 0)] if item.cycle else []  # caches no item.body
             else:
                 table = tuple((t.cycle, clen, t.const * clen, t.coef * clen) for t in item.body
                               for clen in (self._cycle_len(t.cycle),))
@@ -167,12 +169,15 @@ class Formula:
                 c1 = b + 2 * a
                 block = (a, b, c1, (3 * (c1.bit_length() - 1) - b.bit_length() - 2) // 2)
                 total += self._prefix(a, b, item.bound)
+                terms = [(t.cycle, t.const, t.coef) for t in item.body if t.cycle]
+            for cycle, const, coef in terms:  # they exist: the table read their lengths
+                passes[cycle - 1] += self._prefix(const, coef, item.bound)
             self._tables.append(table)
             self._blocks.append(block)
             self._ends.append(total)
         if [0, *self._ends] != sorted({0, *self._ends}):
             raise StructuralError("prefix sums must be strictly increasing")
-        self.length = total
+        self.length, self.passes = total, tuple(passes)
 
     # -- lengths ------------------------------------------------------------
 
@@ -286,19 +291,7 @@ class Formula:
             j = (isqrt(c1 * c1 + 8 * b * r) - c1) // (2 * b)
         return j if j > 1 else 1
 
-    # -- occurrence counting and enumeration ---------------------------------
-
-    def count_occurrences(self, cycle: int) -> int:
-        """Number of offsets in [1, length-1] whose vertex is (cycle, pos);
-        every position on one cycle occurs equally often."""
-        # a base edge holds one base offset; a traversal of cycle c holds one
-        # base offset and one hit of each interior position of c
-        total = -1 if cycle == 0 else 0  # the final offset is the upper base
-        for item in self.items:
-            for t in item.body:
-                if cycle in (0, t.cycle):
-                    total += self._prefix(t.const, t.coef, item.bound)
-        return total
+    # -- occurrence enumeration ---------------------------------------------
 
     def iter_occurrences(self, cycle: int, pos: int) -> Iterator[int]:
         """Offsets in [1, length-1] whose vertex is (cycle, pos), ascending.
@@ -537,8 +530,9 @@ def lift_choices(a: VertexAddr, max_results: int) -> LiftReport:
     # a list, then an exact-size tuple: tuple() over an iterator allocates
     # spare slots, which raised the query benchmark's peak RSS by 0.25 MB
     choices = list(islice(lifts, max(max_results, 0)))
-    # a base address also lifts to the upper level's base
-    total = a.is_base + sum(f.count_occurrences(a.cycle) for f in spec.image_formulas)
+    # a pass is one lift; a base address lifts to the upper base and to each offset in no pass
+    total = a.is_base + sum(f.passes[a.cycle - 1] if a.cycle else f.length - 1 - sum(
+        n * (length - 1) for n, length in zip(f.passes, f.lengths)) for f in spec.image_formulas)
     return LiftReport(a, tuple(choices), total, truncated=total > len(choices))
 
 

@@ -101,11 +101,13 @@ def new_handle(spine_level: int, cycle: int, pos: int, offset: int = 0) -> Point
 
 
 def _spine_position(h: PointHandle) -> int:
-    """The one check of a handle (int fields, no bools, then the range) and
-    its current position along the spine cycle, 0 for the fixed point."""
-    spine, (_, cycle, start), offset = h
-    if not (type(spine) is type(cycle) is type(start) is type(offset) is int):
+    """The one check of a handle (int fields, no bools, a spine-level vertex,
+    the range) and its current position along the spine cycle, 0 for the fixed point."""
+    spine, (level, cycle, start), offset = h
+    if not (type(spine) is type(level) is type(cycle) is type(start) is type(offset) is int):
         raise StructuralError(f"address coordinates must be ints: {h!r}")
+    if level != spine or not cycle and start:
+        raise StructuralError(f"{h.address} is not a vertex at spine level {int_text(spine)}")
     if not cycle:
         return 0
     pos = start + offset

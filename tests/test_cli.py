@@ -470,6 +470,27 @@ def test_criterion_2_and_validate_fail_on_a_broken_vertex_map(
                                    "surjectivity 0, homomorphism 2, bidirectionality 0")
 
 
+@pytest.fixture
+def locate_one_edge_on(monkeypatch):
+    """A planted fault: ``Formula.locate`` answers for the offset one edge
+    further on.  Specs and materialized levels are built afresh under it,
+    and again after it."""
+    locate = bouquet.Formula.locate
+    monkeypatch.setattr(bouquet.Formula, "locate", lambda self, offset: locate(self, offset + 1))
+    build_level_spec.cache_clear()
+    verify._materialized.cache_clear()
+    yield
+    build_level_spec.cache_clear()
+    verify._materialized.cache_clear()
+
+
+def test_criterion_3_fails_on_a_projection_one_edge_on(locate_one_edge_on, capsys):
+    code, out = run(capsys, "check", "3")
+    assert code == 1
+    assert out == ("criterion  3 [FAIL] projection oracle: 10794 addresses compared "
+                   "(levels <=2 exhaustive, 10000 sampled at level 3, seed 0)\n")
+
+
 def test_level_limit_is_one_error_for_library_and_cli(monkeypatch, capsys):
     # the refusal does not depend on what the process built before
     monkeypatch.setattr(bouquet, "LEVEL_LIMIT", 3)
@@ -584,6 +605,9 @@ PINNED = [
     ("dsl-check missing.cover", 2,
      EMPTY,
      "error: cannot read missing.cover: [Errno 2] No such file or directory: 'missing.cover'\n"),
+    ("check", 0,
+     "ba2795dfb638320d8544124cbc5f892217a97e2a31379e9f8485d1b603c80e50",
+     ""),
     ("check --list", 0,
      "0e43044695f13f0d0a75d1bef5ed74fa647a5c04e5a6558cbc64976d2ddb91ae",
      ""),

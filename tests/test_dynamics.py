@@ -129,6 +129,26 @@ def test_every_door_refuses_a_float_cycle_or_offset(query):
         query()
 
 
+@pytest.mark.parametrize("h", [
+    PointHandle(8, VertexAddr(9, 1, 5), 0),
+    PointHandle(8, VertexAddr(8, 0, 5), 0),
+    PointHandle(8, VertexAddr(3, 0, 0), 0),
+], ids=["deeper address", "base with a position", "shallower base"])
+@pytest.mark.parametrize("kept", [False, True], ids=["miss", "hit"])
+def test_every_door_refuses_an_address_that_is_no_spine_vertex(h, kept):
+    # unchecked, the first read `<= 2^-9` from 8:1:5 yet stepped to 9:1:5@3,
+    # the second's column ended in the non-vertex 8:0:5 and the third's
+    # column had 4 levels for spine 8
+    if kept:
+        column_of(new_handle(8, 1, 5))
+    message = f"^{h.address} is not a vertex at spine level 8$"
+    for query in (lambda: column_of(h), lambda: step(h, 3), lambda: next_base_time(h, 2),
+                  lambda: exhaustion_time(h), lambda: distance(h, new_handle(8, 1, 5)),
+                  lambda: distance(fixed_point(8), h), lambda: next(orbit_rows(h, 8, 3))):
+        with pytest.raises(StructuralError, match=message):
+            query()
+
+
 def test_cycle_length_refuses_a_cycle_that_is_not_an_int():
     for cycle in (1.0, True):
         with pytest.raises(StructuralError, match="has cycles 1..8"):

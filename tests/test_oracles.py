@@ -14,11 +14,16 @@ from chaoscope import (
     VertexAddr,
     build_level_spec,
     cycle_length,
+    document_tower,
     find_occurrences,
     lift_choices,
+    materialize_graph,
+    parse,
     project_addr,
 )
 from chaoscope.bouquet import BlockSum, Run
+from test_cli import SMALL
+from test_graphs import NOSURJ
 
 
 def _block_prefix(formula, bs, j):
@@ -102,6 +107,25 @@ def test_lift_totals_match_materialized_map_sweep(materialized):
         # the sweep covers every level-3 vertex, the base included
         swept = sum(1 for img in vm if img == target_id)
         assert lift_choices(target, max_results=1).total == swept
+
+
+def test_passes_match_the_materialized_vertex_maps(materialized):
+    # each pass of a lower cycle enters it at its position 1 once, and the
+    # base offsets in [1, length-1] are the ones inside no pass; on the
+    # built-in tower and on two .cover towers, levels 1-3
+    towers = [(materialized, build_level_spec)]
+    for document in (NOSURJ, SMALL):
+        spec_for = document_tower(parse(document)).__getitem__
+        towers.append(([materialize_graph(n, spec_for=spec_for) for n in range(4)], spec_for))
+    for levels, spec_for in towers:
+        for n in (1, 2, 3):
+            level, below = levels[n], levels[n - 1]
+            for formula, start, length in zip(spec_for(n).image_formulas, level.cycle_starts,
+                                              level.cycle_lengths):
+                images = level.cover.vertex_map[start:start + length - 1]
+                assert formula.passes == tuple(map(images.count, below.cycle_starts))
+                assert images.count(0) == formula.length - 1 - sum(
+                    p * (clen - 1) for p, clen in zip(formula.passes, formula.lengths))
 
 
 def test_lift_choices_sampled_against_projection(materialized):
