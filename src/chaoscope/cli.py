@@ -284,32 +284,23 @@ def cmd_dsl_check(args) -> tuple[int, dict[str, str]]:
 
 def cmd_check(args) -> tuple[int, dict[str, str]]:
     if args.list:
-        return 0, {"checks.txt": "".join(
-            f"{num:2d}  {name}\n"
-            for num, (name, _) in sorted(verify.ALL_CHECKS.items()))}
+        return 0, {"checks.txt": "".join(f"{num:2d}  {token}\n" for num, (token, _, _)
+                                         in sorted(verify.ALL_CHECKS.items()))}
     numbers = sorted(verify.ALL_CHECKS)
     if args.which:
-        by_name = {name: num for num, (name, _) in verify.ALL_CHECKS.items()}
+        by_token = {token: num for num, (token, _, _) in verify.ALL_CHECKS.items()}
         numbers = []
         for token in args.which:
             if token.isdecimal() and int(token) in verify.ALL_CHECKS:
                 numbers.append(int(token))
-            elif token in by_name:
-                numbers.append(by_name[token])
+            elif token in by_token:
+                numbers.append(by_token[token])
             else:
                 raise UsageError(f"unknown check {token!r} (try --list)")
-    # a criterion named twice runs once, in the order of its first mention; one
-    # that raises fails, its line naming the exception
-    results = []
-    for n in dict.fromkeys(numbers):
-        name, check = verify.ALL_CHECKS[n]
-        try:
-            results.append(check())
-        except Exception as exc:
-            results.append(verify.CriterionResult(n, name, False, f"{type(exc).__name__}: {exc}"))
-    passed = all(r.passed for r in results)
-    return (0 if passed else 1), {"check.txt": "".join(
-        r.line() + "\n" for r in results)}
+    # a criterion named twice runs once, in the order of its first mention
+    results = [verify.run_check(n) for n in dict.fromkeys(numbers)]
+    return (0 if all(r.passed for r in results) else 1), {
+        "check.txt": "".join(r.line() + "\n" for r in results)}
 
 
 # ---------------------------------------------------------------------------

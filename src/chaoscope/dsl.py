@@ -441,7 +441,7 @@ def resolve(doc: CoverDocument) -> tuple[Tower, list[Violation]]:
     level, its cycles' formulas written over the spec before it.
     """
     violations: list[Violation] = []
-    specs = [LevelSpec(0, (), 2, ())]
+    specs = [LevelSpec(0, (), ())]
     for expected, block in enumerate(doc.levels, start=1):
         below = specs[-1]
         if block.level != expected:
@@ -498,8 +498,7 @@ def resolve(doc: CoverDocument) -> tuple[Tower, list[Violation]]:
                     block.level, cyc.index))
             formulas.append(formula)
             lengths.append(formula.length)
-        specs.append(LevelSpec(block.level, tuple(lengths), 2 * (1 + sum(lengths)),
-                               tuple(formulas)))
+        specs.append(LevelSpec(block.level, tuple(lengths), tuple(formulas)))
     return Tower(specs), violations
 
 

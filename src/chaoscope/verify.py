@@ -1,11 +1,12 @@
 """Acceptance battery: every headline property as one runnable check.
 
-Each check returns a :class:`CriterionResult` with a pass flag and a short
-detail line; the test suite asserts on them and the CLI ``check`` subcommand
-prints them.  Where a check verifies the symbolic machinery, the oracle here
-deliberately takes the other road: cycle lengths are held to the literal
-formula expansions that write the materialized vertex maps, projections are
-compared against those maps, and set memberships are recomputed by brute force.
+``ALL_CHECKS`` holds each criterion's command-line token, title and check.  A
+check returns a pass flag and a detail line; :func:`run_check` makes them a
+:class:`CriterionResult`, which the test suite asserts on and the CLI prints.
+Where a check verifies the symbolic machinery, the oracle here deliberately
+takes the other road: cycle lengths are held to the literal formula
+expansions that write the materialized vertex maps, projections are compared
+against those maps, and set memberships are recomputed by brute force.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ SEMIGROUP_GENERATORS = (10, 12, 13)
 @dataclass
 class CriterionResult:
     number: int
-    name: str
+    title: str
     passed: bool
     detail: str
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"criterion {self.number:2d} [{status}] {self.name}: {self.detail}"
+        return f"criterion {self.number:2d} [{status}] {self.title}: {self.detail}"
 
 
 @cache
@@ -45,7 +46,7 @@ def _materialized(n: int) -> MaterializedLevel:
 # 1. Length table.
 # ---------------------------------------------------------------------------
 
-def check_length_table() -> CriterionResult:
+def check_length_table() -> tuple[bool, str]:
     ok = True
     details = []
     for (n, i), expected in sorted(EXPECTED_LENGTHS.items()):
@@ -69,7 +70,7 @@ def check_length_table() -> CriterionResult:
             derived.append(2 + 2 * sum(below[i - 1:]))
         derived.append((n + 2) ** 2 * sum(below))
         ok &= derived == measured[n + 1]
-    return CriterionResult(1, "length table", ok, ", ".join(details))
+    return ok, ", ".join(details)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def cover_violations(level: MaterializedLevel) -> tuple[list, list, list]:
             graphs.validate_homomorphism(level.cover), graphs.validate_bidirectional(level.cover))
 
 
-def check_cover_axioms() -> CriterionResult:
+def check_cover_axioms() -> tuple[bool, str]:
     ok = True
     counts = []
     for n in range(4):
@@ -93,64 +94,51 @@ def check_cover_axioms() -> CriterionResult:
         ok &= not any(found)
         shown = found if n else found[:1]  # level 0 has no cover
         counts.append(f"level {n}: {'+'.join(str(len(v)) for v in shown)} violations")
-    return CriterionResult(2, "cover axioms", ok, "; ".join(counts))
+    return ok, "; ".join(counts)
 
 
 # ---------------------------------------------------------------------------
 # 3. Symbolic projection vs materialized vertex maps.
 # ---------------------------------------------------------------------------
 
-def check_projection_oracle() -> CriterionResult:
+def check_projection_oracle() -> tuple[bool, str]:
     samples, seed = 10_000, 0
-    ok = True
-    checked = 0
-    for n in (1, 2):
-        level = _materialized(n)
-        below = _materialized(n - 1)
-        for vid in range(level.graph.vertex_count):
-            addr = level.id_to_addr(vid)
-            expected = level.cover.vertex_map[vid]
-            got = below.addr_to_id(bouquet.project_addr(addr))
-            ok &= got == expected
-            checked += 1
-    level3 = _materialized(3)
-    below = _materialized(2)
     rng = random.Random(seed)
-    spec = build_level_spec(3)
-    for _ in range(samples):
-        cycle = rng.randrange(1, 4)
-        pos = rng.randrange(1, spec.cycle_lengths[cycle - 1])
-        addr = VertexAddr(3, cycle, pos)
-        expected = level3.cover.vertex_map[level3.addr_to_id(addr)]
-        got = below.addr_to_id(bouquet.project_addr(addr))
-        ok &= got == expected
-        checked += 1
-    return CriterionResult(3, "projection oracle", ok,
-                           f"{checked} addresses compared (levels <=2 exhaustive, "
-                           f"{samples} sampled at level 3, seed {seed})")
+    lengths = build_level_spec(3).cycle_lengths
+    # every vertex of levels 1 and 2, then level-3 samples drawn cycle first
+    addresses = [_materialized(n).id_to_addr(vid) for n in (1, 2)
+                 for vid in range(_materialized(n).graph.vertex_count)]
+    addresses += [VertexAddr(3, cycle, rng.randrange(1, lengths[cycle - 1]))
+                  for _ in range(samples) for cycle in [rng.randrange(1, 4)]]
+    ok = True
+    for addr in addresses:
+        level, below = _materialized(addr.level), _materialized(addr.level - 1)
+        expected = level.cover.vertex_map[level.addr_to_id(addr)]
+        ok &= below.addr_to_id(bouquet.project_addr(addr)) == expected
+    return ok, (f"{len(addresses)} addresses compared (levels <=2 exhaustive, "
+                f"{samples} sampled at level 3, seed {seed})")
 
 
 # ---------------------------------------------------------------------------
 # 4. Fixed point.
 # ---------------------------------------------------------------------------
 
-def check_fixed_point() -> CriterionResult:
+def check_fixed_point() -> tuple[bool, str]:
     spine, deltas = 12, (1, 10**6, 10**12)
     p = fixed_point(spine)
     ok = True
     for delta in deltas:
         column = column_of(step(p, delta))
         ok &= all(addr.is_base for addr in column)
-    return CriterionResult(4, "fixed point", ok,
-                           f"all-base columns at spine {spine} for steps "
-                           + ", ".join(str(d) for d in deltas))
+    return ok, (f"all-base columns at spine {spine} for steps "
+                + ", ".join(str(d) for d in deltas))
 
 
 # ---------------------------------------------------------------------------
 # 5. Invertibility at desk scale.
 # ---------------------------------------------------------------------------
 
-def check_invertibility() -> CriterionResult:
+def check_invertibility() -> tuple[bool, str]:
     count, seed, spine, max_delta = 10_000, 0, 8, 10**6
     rng = random.Random(seed)
     ok = True
@@ -158,16 +146,15 @@ def check_invertibility() -> CriterionResult:
         h = dynamics.random_handle(spine, rng)
         delta = rng.randrange(1, max_delta + 1)
         ok &= step(step(h, delta), -delta) == h
-    return CriterionResult(5, "invertibility", ok,
-                           f"{count} handles at spine {spine}, steps up to "
-                           f"{max_delta}, seed {seed}")
+    return ok, (f"{count} handles at spine {spine}, steps up to "
+                f"{max_delta}, seed {seed}")
 
 
 # ---------------------------------------------------------------------------
 # 6. Mixing claims.
 # ---------------------------------------------------------------------------
 
-def check_mixing_claims() -> CriterionResult:
+def check_mixing_claims() -> tuple[bool, str]:
     r1 = analysis.mixing_gap_report(1, 1)
     gaps1 = set(r1.realized_gaps)
     ok = gaps1 == {0} | set(range(2, 23))
@@ -177,18 +164,17 @@ def check_mixing_claims() -> CriterionResult:
     ok &= {0, 2, 3} <= gaps2
     ok &= set(range(5, 101)) <= gaps2
     ok &= r2.prefix_matches and r2.suffix_within_bound
-    detail = (f"j=1: {r1.occurrences.copy_count} copies, missing gaps "
-              f"{list(r1.missing_gaps)}; j=2: {r2.occurrences.copy_count} copies, "
-              f"missing gaps {list(r2.missing_gaps)[:5]}, suffix "
-              f"{r2.occurrences.suffix_length} <= {r2.suffix_bound}")
-    return CriterionResult(6, "mixing claims", ok, detail)
+    return ok, (f"j=1: {r1.occurrences.copy_count} copies, missing gaps "
+                f"{list(r1.missing_gaps)}; j=2: {r2.occurrences.copy_count} copies, "
+                f"missing gaps {list(r2.missing_gaps)[:5]}, suffix "
+                f"{r2.occurrences.suffix_length} <= {r2.suffix_bound}")
 
 
 # ---------------------------------------------------------------------------
 # 7. Cofinite return-length differences.
 # ---------------------------------------------------------------------------
 
-def check_semigroup() -> CriterionResult:
+def check_semigroup() -> tuple[bool, str]:
     extra_range = 1000
     report = bouquet.find_occurrences(1, 2, 1, 1)
     diffs = analysis.return_length_differences(report)
@@ -197,17 +183,16 @@ def check_semigroup() -> CriterionResult:
     table = analysis.representable(SEMIGROUP_GENERATORS, frob + extra_range)
     ok &= not table[frob]
     ok &= all(table[frob + 1:])
-    return CriterionResult(7, "cofinite semigroup", ok,
-                           f"generators {SEMIGROUP_GENERATORS} from return-length "
-                           f"differences, Frobenius bound {frob}, "
-                           f"[{frob + 1}, {frob + extra_range}] all representable")
+    return ok, (f"generators {SEMIGROUP_GENERATORS} from return-length "
+                f"differences, Frobenius bound {frob}, "
+                f"[{frob + 1}, {frob + extra_range}] all representable")
 
 
 # ---------------------------------------------------------------------------
 # 8. Proximality windows.
 # ---------------------------------------------------------------------------
 
-def check_proximality() -> CriterionResult:
+def check_proximality() -> tuple[bool, str]:
     handles, spine, target_level, seed = 100, 8, 2, 0
     windows, window_len = 10, 700
     spans = [(w * 1000, window_len) for w in range(windows)]
@@ -215,27 +200,25 @@ def check_proximality() -> CriterionResult:
     hit_all = sum(report.all_hit for report in reports)
     ok = hit_all == handles
     gap_bound = cycle_length(target_level, 1)
-    return CriterionResult(8, "proximality", ok,
-                           f"{hit_all}/{handles} handles hit the base at level "
-                           f"{target_level} in all {windows} windows of {window_len} "
-                           f"(gap bound {gap_bound}), seed {seed}")
+    return ok, (f"{hit_all}/{handles} handles hit the base at level "
+                f"{target_level} in all {windows} windows of {window_len} "
+                f"(gap bound {gap_bound}), seed {seed}")
 
 
 # ---------------------------------------------------------------------------
 # 9. Li-Yorke sampling.
 # ---------------------------------------------------------------------------
 
-def check_li_yorke() -> CriterionResult:
+def check_li_yorke() -> tuple[bool, str]:
     pairs, spine, horizon, seed, sep_rate = 100, 8, 10_000, 0, 0.9
     reports = analysis.li_yorke_sample(spine, pairs, horizon, analysis.DEFAULT_PROX_DEPTH,
                                        analysis.DEFAULT_SEP_DEPTH, seed)
     prox_found = sum(report.proximal_witness is not None for report in reports)
     sep_found = sum(report.separation_witness is not None for report in reports)
     ok = prox_found == pairs and sep_found >= sep_rate * pairs
-    return CriterionResult(9, "li-yorke sampling", ok,
-                           f"proximal {prox_found}/{pairs}, separated "
-                           f"{sep_found}/{pairs} (need 100% / >= {sep_rate:.0%}), "
-                           f"horizon {horizon}, seed {seed}")
+    return ok, (f"proximal {prox_found}/{pairs}, separated "
+                f"{sep_found}/{pairs} (need 100% / >= {sep_rate:.0%}), "
+                f"horizon {horizon}, seed {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +234,7 @@ def degree_corpus(count: int, spine: int, seed: int) -> list[PointHandle]:
                                    cycle_one_weight=0.5) for _ in range(count)]
 
 
-def check_degree_properties() -> CriterionResult:
+def check_degree_properties() -> tuple[bool, str]:
     samples, corpus_size, spine, seed, window = 10_000, 100, 8, 0, 2000
     rng = random.Random(seed)
     mono_ok = True
@@ -286,11 +269,10 @@ def check_degree_properties() -> CriterionResult:
         window_checked += 1
 
     ok = mono_ok and stable and window_ok
-    return CriterionResult(10, "degree properties", ok,
-                           f"monotonicity on {samples} columns: {mono_ok}; "
-                           f"stability on {corpus_size} handles: {stable}; "
-                           f"window minimum <= deg+1 on {window_checked} handles: "
-                           f"{window_ok} (window {window}, seed {seed})")
+    return ok, (f"monotonicity on {samples} columns: {mono_ok}; "
+                f"stability on {corpus_size} handles: {stable}; "
+                f"window minimum <= deg+1 on {window_checked} handles: "
+                f"{window_ok} (window {window}, seed {seed})")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +328,7 @@ def rejection_stage(text: str, max_level: int) -> str | None:
     return None
 
 
-def check_dsl() -> CriterionResult:
+def check_dsl() -> tuple[bool, str]:
     max_level = 5
     doc = dsl.builtin_document(max_level)
     text = dsl.serialize(doc)
@@ -366,10 +348,9 @@ def check_dsl() -> CriterionResult:
             rejected += 1
             stages[stage] = stages.get(stage, 0) + 1
     ok &= rejected == len(DSL_MUTATIONS)
-    return CriterionResult(11, "cover DSL", ok,
-                           f"levels <= {max_level} round-trip and generator-equal; "
-                           f"{rejected}/{len(DSL_MUTATIONS)} mutants rejected "
-                           f"({', '.join(f'{k}: {v}' for k, v in sorted(stages.items()))})")
+    return ok, (f"levels <= {max_level} round-trip and generator-equal; "
+                f"{rejected}/{len(DSL_MUTATIONS)} mutants rejected "
+                f"({', '.join(f'{k}: {v}' for k, v in sorted(stages.items()))})")
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +358,25 @@ def check_dsl() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 ALL_CHECKS = {
-    1: ("lengths", check_length_table),
-    2: ("axioms", check_cover_axioms),
-    3: ("projections", check_projection_oracle),
-    4: ("fixed-point", check_fixed_point),
-    5: ("invertibility", check_invertibility),
-    6: ("mixing", check_mixing_claims),
-    7: ("semigroup", check_semigroup),
-    8: ("proximal", check_proximality),
-    9: ("liyorke", check_li_yorke),
-    10: ("degree", check_degree_properties),
-    11: ("dsl", check_dsl),
+    1: ("lengths", "length table", check_length_table),
+    2: ("axioms", "cover axioms", check_cover_axioms),
+    3: ("projections", "projection oracle", check_projection_oracle),
+    4: ("fixed-point", "fixed point", check_fixed_point),
+    5: ("invertibility", "invertibility", check_invertibility),
+    6: ("mixing", "mixing claims", check_mixing_claims),
+    7: ("semigroup", "cofinite semigroup", check_semigroup),
+    8: ("proximal", "proximality", check_proximality),
+    9: ("liyorke", "li-yorke sampling", check_li_yorke),
+    10: ("degree", "degree properties", check_degree_properties),
+    11: ("dsl", "cover DSL", check_dsl),
 }
+
+
+def run_check(n: int) -> CriterionResult:
+    """Criterion ``n``'s result; a check that raises fails, naming the exception."""
+    _, title, check = ALL_CHECKS[n]
+    try:
+        passed, detail = check()
+    except Exception as exc:
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
+    return CriterionResult(n, title, passed, detail)

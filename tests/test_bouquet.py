@@ -97,9 +97,11 @@ def test_first_cycle_dominates_every_level():
 
 
 def test_formula_length_preserved_by_k_identity():
+    # k is twice a level's edge count, and the next level's block sum runs to k
     for n in range(1, 8):
         spec = build_level_spec(n)
         assert spec.k_value == 2 * (1 + sum(spec.cycle_lengths))
+        assert build_level_spec(n + 1).image_formulas[0].items[0].bound == spec.k_value
 
 
 def test_cycle_length_bounds_checked():
@@ -572,6 +574,22 @@ def test_formula_item_reprs_name_huge_integers_by_size(default_digit_limit):
     assert repr(last) == "Run(cycle=0, count=a 24,884-bit integer)"
     assert repr(Run(0, BIG)) == f"Run(cycle=0, count={BIG_TEXT})"
     assert repr(BlockTerm(0, BIG, 0)) == f"BlockTerm(cycle=0, const={BIG_TEXT}, coef=0)"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-digit limit")
+def test_level_spec_repr_names_huge_lengths_by_size(default_digit_limit):
+    # small specs keep the generated dataclass text; the generated repr wrote
+    # level 13's first length in decimal and raised ValueError
+    assert repr(build_level_spec(1)) == (
+        "LevelSpec(level=1, cycle_lengths=(10,), image_formulas=(Formula(1 items, length=10),))")
+    assert repr(build_level_spec(2)) == (
+        "LevelSpec(level=2, cycle_lengths=(695, 90), image_formulas=("
+        "Formula(3 items, length=695), Formula(1 items, length=90)))")
+    spec = build_level_spec(13)
+    lengths = ", ".join(str(n) for n in spec.cycle_lengths[1:])
+    assert repr(spec) == (
+        f"LevelSpec(level=13, cycle_lengths=(a 24,876-bit integer, {lengths}), "
+        f"image_formulas={spec.image_formulas!r})")
 
 
 def test_non_integer_coordinates_are_structural_errors():
@@ -1092,14 +1110,14 @@ def test_materialization_budget_refuses_level_four():
 
 def test_materialization_refuses_a_cycle_shorter_than_two():
     with pytest.raises(StructuralError):
-        materialize_graph(1, spec_for=lambda n: LevelSpec(n, (1,) * n, 2, ()))
+        materialize_graph(1, spec_for=lambda n: LevelSpec(n, (1,) * n, ()))
 
 
 def test_materialization_refuses_more_vertices_than_32_bit_ids():
     # refused before anything is allocated, whatever the budget allows
     huge = (1 << 31) + 2
     with pytest.raises(StructuralError, match=f"^vertex_count {huge} out of range"):
-        materialize_graph(1, 1 << 40, spec_for=lambda n: LevelSpec(n, (huge,), 0, ()))
+        materialize_graph(1, 1 << 40, spec_for=lambda n: LevelSpec(n, (huge,), ()))
 
 
 def test_materialization_refuses_an_expansion_past_the_last_vertex(monkeypatch):
@@ -1110,8 +1128,7 @@ def test_materialization_refuses_an_expansion_past_the_last_vertex(monkeypatch):
     level1 = Formula([Run(0, 4)], ())
     level2 = (Formula([Run(0, 1), Run(1, 1), Run(0, 1)], (4,)),
               Formula([Run(0, 1), Run(1, 3), Run(0, 1)], (4,)))
-    specs = [LevelSpec(0, (), 2, ()), LevelSpec(1, (4,), 10, (level1,)),
-             LevelSpec(2, (6, 9), 32, level2)]
+    specs = [LevelSpec(0, (), ()), LevelSpec(1, (4,), (level1,)), LevelSpec(2, (6, 9), level2)]
     sizes = []
 
     class Watched(array):  # each write to the map records its length after it
@@ -1131,8 +1148,8 @@ def test_materialization_refuses_an_expansion_past_the_last_vertex(monkeypatch):
 
 def test_materialization_refuses_an_expansion_short_of_its_cycle():
     level1 = Formula([Run(0, 4)], ())
-    specs = [LevelSpec(0, (), 2, ()), LevelSpec(1, (4,), 10, (level1,)),
-             LevelSpec(2, (7,), 16, (Formula([Run(0, 1), Run(1, 1), Run(0, 1)], (4,)),))]
+    specs = [LevelSpec(0, (), ()), LevelSpec(1, (4,), (level1,)),
+             LevelSpec(2, (7,), (Formula([Run(0, 1), Run(1, 1), Run(0, 1)], (4,)),))]
     with pytest.raises(StructuralError, match="^level 2: a formula expands to 6 edges, "
                                               "its cycle has 7$"):
         materialize_graph(2, spec_for=specs.__getitem__)

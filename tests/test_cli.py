@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from chaoscope import (
     build_level_spec,
     builtin_document,
     cycle_length,
+    dynamics,
     errors,
     fixed_point,
     lift_choices,
@@ -400,95 +402,93 @@ level 3 { c1 := sum(j=1..2){ j e + 2 c1 } + e + c2 + e; c2 := e + c1 + c2 + e; c
 """
 
 
-@pytest.fixture
-def block_sums_one_edge_long(monkeypatch):
-    """A planted fault: every block sum over a level of two or more cycles
-    counts one edge more than it expands to.  Specs and materialized levels
-    are built afresh under it, and again after it."""
-    init = bouquet.Formula.__init__
+# Planted faults: each is (owner, attribute, wrap), ``owner.attribute``
+# replaced by ``wrap`` of its true value.
 
+def _block_sums_one_edge_long(init):
+    """Every block sum over a level of two or more cycles counts one edge
+    more than it expands to."""
     def planted(self, items, lengths):
         init(self, items, lengths)
         if len(self.lengths) >= 2:
             self.length += sum(isinstance(item, bouquet.BlockSum) for item in self.items)
-
-    monkeypatch.setattr(bouquet.Formula, "__init__", planted)
-    build_level_spec.cache_clear()
-    verify._materialized.cache_clear()
-    yield
-    build_level_spec.cache_clear()
-    verify._materialized.cache_clear()
+    return planted
 
 
-def test_validate_refuses_a_formula_longer_than_its_expansion(
-        block_sums_one_edge_long, tmp_path, capsys):
-    # without the expansion's end check, level 3 read 182 vertices, one past
-    # the true 181, and every validator passed the cover
-    path = tmp_path / "small.cover"
-    path.write_text(SMALL)
-    assert main(["validate", "--cover", str(path), "--max-level", "3"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: level 3: a formula expands to 138 edges, its cycle has 139\n")
-
-
-def test_criterion_1_fails_on_a_formula_longer_than_its_expansion(
-        block_sums_one_edge_long, capsys):
-    code, out = run(capsys, "check", "1")
-    assert code == 1
-    assert out == ("criterion  1 [FAIL] lengths: StructuralError: level 3: "
-                   "a formula expands to 3421640 edges, its cycle has 3421641\n")
-
-
-@pytest.fixture
-def level_2_vertex_5_mapped_to_7(monkeypatch):
-    """A planted fault: level 2's cover sends vertex 5 to level 1's vertex 7
-    in place of its true image.  Materialized levels are built afresh under
-    it, and again after it."""
-    materialize = bouquet.materialize_graph
-
+def _level_2_vertex_5_mapped_to_7(materialize):
+    """Level 2's cover sends vertex 5 to level 1's vertex 7 in place of its
+    true image."""
     def planted(n, *args, **kwargs):
         level = materialize(n, *args, **kwargs)
         if n == 2:
             level.cover.vertex_map[5] = 7
         return level
+    return planted
 
-    monkeypatch.setattr(bouquet, "materialize_graph", planted)
+
+BLOCK_SUMS_ONE_EDGE_LONG = (bouquet.Formula, "__init__", _block_sums_one_edge_long)
+LEVEL_2_VERTEX_5_MAPPED_TO_7 = (bouquet, "materialize_graph", _level_2_vertex_5_mapped_to_7)
+# Formula.locate answers for the offset one edge further on
+LOCATE_ONE_EDGE_ON = (bouquet.Formula, "locate",
+                      lambda locate: lambda self, offset: locate(self, offset + 1))
+
+
+def _clear_caches():
+    build_level_spec.cache_clear()
     verify._materialized.cache_clear()
-    yield
-    verify._materialized.cache_clear()
+    dynamics._kept = ()
 
 
-def test_criterion_2_and_validate_fail_on_a_broken_vertex_map(
-        level_2_vertex_5_mapped_to_7, capsys):
-    code, out = run(capsys, "check", "2")
-    assert code == 1
-    assert out == ("criterion  2 [FAIL] cover axioms: level 0: 0 violations; level 1: "
-                   "0+0+0 violations; level 2: 0+2+0 violations; level 3: 0+0+0 violations\n")
-    code, out = run(capsys, "validate", "--max-level", "2")
+@contextmanager
+def planted(fault):
+    """Run under a planted fault.  Specs, materialized levels and the kept
+    walk are built afresh under it, and again after it."""
+    owner, attribute, wrap = fault
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(owner, attribute, wrap(getattr(owner, attribute)))
+            _clear_caches()
+            yield
+    finally:
+        _clear_caches()
+
+
+# each planted fault fails its criterion, the line naming the criterion's title
+@pytest.mark.parametrize("fault, argv, line", [
+    (BLOCK_SUMS_ONE_EDGE_LONG, "check 1",
+     "criterion  1 [FAIL] length table: StructuralError: level 3: "
+     "a formula expands to 3421640 edges, its cycle has 3421641"),
+    (LEVEL_2_VERTEX_5_MAPPED_TO_7, "check 2",
+     "criterion  2 [FAIL] cover axioms: level 0: 0 violations; level 1: "
+     "0+0+0 violations; level 2: 0+2+0 violations; level 3: 0+0+0 violations"),
+    # criterion 3's detail names what it compared, not what differed
+    (LOCATE_ONE_EDGE_ON, "check 3",
+     "criterion  3 [FAIL] projection oracle: 10794 addresses compared "
+     "(levels <=2 exhaustive, 10000 sampled at level 3, seed 0)"),
+], ids=["block-sums-one-edge-long", "level-2-vertex-5-mapped-to-7", "locate-one-edge-on"])
+def test_a_planted_fault_fails_its_criterion(fault, argv, line, capsys):
+    with planted(fault):
+        assert main(argv.split()) == 1
+    assert capsys.readouterr() == (line + "\n", "")
+
+
+def test_validate_refuses_a_formula_longer_than_its_expansion(tmp_path, capsys):
+    # without the expansion's end check, level 3 read 182 vertices, one past
+    # the true 181, and every validator passed the cover
+    path = tmp_path / "small.cover"
+    path.write_text(SMALL)
+    with planted(BLOCK_SUMS_ONE_EDGE_LONG):
+        assert main(["validate", "--cover", str(path), "--max-level", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: level 3: a formula expands to 138 edges, its cycle has 139\n")
+
+
+def test_validate_fails_on_a_broken_vertex_map(capsys):
+    with planted(LEVEL_2_VERTEX_5_MAPPED_TO_7):
+        code, out = run(capsys, "validate", "--max-level", "2")
     assert code == 1
     assert out.splitlines()[2] == ("level 2: 784 vertices, 786 edges, violations: "
                                    "surjectivity 0, homomorphism 2, bidirectionality 0")
-
-
-@pytest.fixture
-def locate_one_edge_on(monkeypatch):
-    """A planted fault: ``Formula.locate`` answers for the offset one edge
-    further on.  Specs and materialized levels are built afresh under it,
-    and again after it."""
-    locate = bouquet.Formula.locate
-    monkeypatch.setattr(bouquet.Formula, "locate", lambda self, offset: locate(self, offset + 1))
-    build_level_spec.cache_clear()
-    verify._materialized.cache_clear()
-    yield
-    build_level_spec.cache_clear()
-    verify._materialized.cache_clear()
-
-
-def test_criterion_3_fails_on_a_projection_one_edge_on(locate_one_edge_on, capsys):
-    code, out = run(capsys, "check", "3")
-    assert code == 1
-    assert out == ("criterion  3 [FAIL] projection oracle: 10794 addresses compared "
-                   "(levels <=2 exhaustive, 10000 sampled at level 3, seed 0)\n")
 
 
 def test_level_limit_is_one_error_for_library_and_cli(monkeypatch, capsys):
@@ -680,14 +680,14 @@ def test_check_subcommand_single_criterion(capsys):
 
 
 def test_check_runs_a_repeated_criterion_once(capsys, monkeypatch):
-    name, check = verify.ALL_CHECKS[4]
+    token, title, check = verify.ALL_CHECKS[4]
     calls = []
 
     def counting_check():
         calls.append(1)
         return check()
 
-    monkeypatch.setitem(verify.ALL_CHECKS, 4, (name, counting_check))
+    monkeypatch.setitem(verify.ALL_CHECKS, 4, (token, title, counting_check))
     code, out = run(capsys, "check", "4", "4", "fixed-point")
     assert code == 0
     assert len(calls) == 1
@@ -695,16 +695,16 @@ def test_check_runs_a_repeated_criterion_once(capsys, monkeypatch):
 
 
 def test_a_criterion_that_raises_prints_a_fail_line(capsys, monkeypatch):
-    name, _ = verify.ALL_CHECKS[4]
+    token, title, _ = verify.ALL_CHECKS[4]
 
     def raising_check():
         raise ZeroDivisionError("planted fault")
 
-    monkeypatch.setitem(verify.ALL_CHECKS, 4, (name, raising_check))
+    monkeypatch.setitem(verify.ALL_CHECKS, 4, (token, title, raising_check))
     code, out = run(capsys, "check", "7", "4", "semigroup", "fixed-point", "11")
     assert code == 1
     first, failed, last = out.splitlines()
-    assert failed == "criterion  4 [FAIL] fixed-point: ZeroDivisionError: planted fault"
+    assert failed == "criterion  4 [FAIL] fixed point: ZeroDivisionError: planted fault"
     assert first.startswith("criterion  7 [PASS]") and last.startswith("criterion 11 [PASS]")
 
 
@@ -713,7 +713,7 @@ def test_a_mutation_whose_pattern_is_absent_fails_criterion_11(capsys, monkeypat
                         verify.DSL_MUTATIONS + (("absent", "no such text", "e"),))
     code, out = run(capsys, "check", "11")
     assert code == 1
-    assert out == ("criterion 11 [FAIL] dsl: "
+    assert out == ("criterion 11 [FAIL] cover DSL: "
                    "AssertionError: mutation 'absent': pattern not in document\n")
 
 

@@ -246,7 +246,7 @@ def test_materialized_levels_equal_the_per_edge_references(materialized):
 @example([2, 3, 60, 2])
 def test_bouquet_edges_equal_the_per_edge_reference(lengths):
     # a length-2 cycle has no body, a length-3 cycle a body of one edge
-    level = materialize_graph(0, spec_for=lambda n: LevelSpec(n, tuple(lengths), 0, ()))
+    level = materialize_graph(0, spec_for=lambda n: LevelSpec(n, tuple(lengths), ()))
     assert level.graph.vertex_count == 1 + sum(length - 1 for length in lengths)
     assert_edges_equal_the_keys(
         level.graph, edges_reference(level.cycle_starts, level.cycle_lengths))
